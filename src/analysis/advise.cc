@@ -7,6 +7,7 @@
 #include "campaign/campaign.hh"
 #include "comm/factory.hh"
 #include "core/text_table.hh"
+#include "dnn/models.hh"
 #include "hw/platform.hh"
 #include "sim/logging.hh"
 
@@ -111,6 +112,8 @@ adviseStrategies(const core::TrainConfig &base,
         platforms = {base.platform};
 
     const int global_batch = base.globalBatch();
+    // A staged candidate needs at least one layer per stage.
+    const std::size_t layers = dnn::buildByName(base.model).layers().size();
 
     // --- Enumerate the candidate space -------------------------------
     std::vector<StrategyRow> rows;
@@ -143,7 +146,8 @@ adviseStrategies(const core::TrainConfig &base,
             for (int stages : stage_counts) {
                 if (stages < 2 || stages > plat.topology.numGpus())
                     continue;
-                if (global_batch % stages != 0)
+                if (global_batch % stages != 0 ||
+                    static_cast<std::size_t>(stages) > layers)
                     continue;
                 std::vector<int> ubs = opts.microbatchCounts;
                 if (ubs.empty())

@@ -14,13 +14,18 @@ namespace dgxsim::analysis {
 
 namespace {
 
-/** Divide a duration by a speedup/bandwidth factor (exact at 1.0). */
+/**
+ * Divide a duration by the @p knob speedup/bandwidth factor (exact
+ * at 1.0). A tiny factor can stretch it past the tick horizon.
+ */
 sim::Tick
-scaleDiv(sim::Tick t, double factor)
+scaleDiv(sim::Tick t, double factor, const char *knob)
 {
     if (factor == 1.0)
         return t;
-    return static_cast<sim::Tick>(static_cast<double>(t) / factor);
+    return sim::checkedTick(0, static_cast<double>(t) / factor,
+                            "what-if ", knob, "=", factor,
+                            " stretches a ", t, "-tick duration to");
 }
 
 /** Multiply a duration by an overhead factor (exact at 1.0). */
@@ -29,7 +34,9 @@ scaleMul(sim::Tick t, double factor)
 {
     if (factor == 1.0)
         return t;
-    return static_cast<sim::Tick>(static_cast<double>(t) * factor);
+    return sim::checkedTick(0, static_cast<double>(t) * factor,
+                            "what-if api_overhead=", factor,
+                            " stretches a ", t, "-tick duration to");
 }
 
 /**
@@ -43,8 +50,9 @@ scaleIbShare(sim::Tick t, double ib_fraction, double factor)
     if (factor == 1.0)
         return t;
     const double ib = static_cast<double>(t) * ib_fraction;
-    return static_cast<sim::Tick>(static_cast<double>(t) - ib +
-                                  ib / factor);
+    return sim::checkedTick(0, static_cast<double>(t) - ib + ib / factor,
+                            "what-if ib_bw=", factor, " stretches a ", t,
+                            "-tick duration to");
 }
 
 /** Busy (non-waiting) replay duration of one node under @p p. */
@@ -54,7 +62,8 @@ scaledBusy(const Node &node, const WhatIfParams &p)
     switch (node.kind) {
       case profiling::RecordKind::Kernel:
         return node.scalableKernel
-                   ? scaleDiv(node.duration(), p.kernelSpeedup)
+                   ? scaleDiv(node.duration(), p.kernelSpeedup,
+                              "kernel_speedup")
                    : node.duration();
       case profiling::RecordKind::Api: {
         const sim::Tick scaled = scaleMul(node.overhead, p.apiOverhead);
@@ -69,8 +78,9 @@ scaledBusy(const Node &node, const WhatIfParams &p)
         if (node.interNodeCopy)
             return scaleIbShare(node.duration(), node.ibFraction,
                                 p.ibBw);
-        return node.nvlinkCopy ? scaleDiv(node.duration(), p.nvlinkBw)
-                               : node.duration();
+        return node.nvlinkCopy
+                   ? scaleDiv(node.duration(), p.nvlinkBw, "nvlink_bw")
+                   : node.duration();
     }
 }
 
@@ -203,12 +213,17 @@ WhatIf::project(const WhatIfParams &params) const
                 slack = scaleIbShare(slack, node.ibFraction,
                                      params.ibBw);
             } else if (node.nvlinkCopy) {
-                slack = scaleDiv(slack, params.nvlinkBw);
+                slack = scaleDiv(slack, params.nvlinkBw, "nvlink_bw");
             }
         }
-        sim::Tick start =
-            (node.startPreds.empty() && !anchored ? 0 : replay_pred) +
-            slack;
+        // Stretching knobs can push the replay past what a Tick holds.
+        const auto at = [&node](sim::Tick base, auto delta) {
+            return sim::checkedTick(base, delta, "what-if replay of ",
+                                    node.name, " on ", node.lane,
+                                    " reaches");
+        };
+        sim::Tick start = at(
+            node.startPreds.empty() && !anchored ? 0 : replay_pred, slack);
         // An async issuer pins us start-to-start; the issue offset
         // tracks the issuer's duration change (a launch API whose
         // overhead halves issues its kernel that much sooner).
@@ -217,17 +232,16 @@ WhatIf::project(const WhatIfParams &params) const
             const sim::Tick offset = node.start - pred.start;
             const sim::Tick orig_dur = pred.duration();
             const sim::Tick new_dur = new_end[p] - new_start[p];
-            const sim::Tick scaled_offset =
+            const sim::Tick pinned =
                 orig_dur == 0 || new_dur == orig_dur
-                    ? offset
-                    : static_cast<sim::Tick>(
-                          static_cast<double>(offset) *
-                          static_cast<double>(new_dur) /
-                          static_cast<double>(orig_dur));
-            start = std::max(start, new_start[p] + scaled_offset);
+                    ? at(new_start[p], offset)
+                    : at(new_start[p], static_cast<double>(offset) *
+                                           static_cast<double>(new_dur) /
+                                           static_cast<double>(orig_dur));
+            start = std::max(start, pinned);
         }
 
-        sim::Tick end = start + scaledBusy(node, params);
+        sim::Tick end = at(start, scaledBusy(node, params));
         if (node.blocking && !node.endPreds.empty()) {
             sim::Tick orig_wait = 0;
             sim::Tick replay_wait = 0;
@@ -237,7 +251,7 @@ WhatIf::project(const WhatIfParams &params) const
             }
             // Exit cost after the awaited chain finished.
             const sim::Tick end_slack = node.end - orig_wait;
-            end = std::max(end, replay_wait + end_slack);
+            end = std::max(end, at(replay_wait, end_slack));
         }
         new_start[i] = start;
         new_end[i] = end;

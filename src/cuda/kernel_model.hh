@@ -44,8 +44,10 @@ applySpeedup(const hw::GpuSpec &spec, sim::Tick base)
 {
     if (spec.speedupFactor == 1.0)
         return base;
-    return static_cast<sim::Tick>(static_cast<double>(base) /
-                                  spec.speedupFactor);
+    return sim::checkedTick(0, static_cast<double>(base) /
+                                   spec.speedupFactor,
+                            "GPU speedup factor ", spec.speedupFactor,
+                            " stretches a ", base, "-tick kernel to");
 }
 
 inline sim::Tick

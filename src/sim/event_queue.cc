@@ -1,5 +1,7 @@
 #include "sim/event_queue.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace dgxsim::sim {
@@ -11,6 +13,10 @@ EventQueue::allocRecord()
         slabs_.push_back(std::make_unique<Record[]>(kSlabSize));
         Record *slab = slabs_.back().get();
         freeList_.reserve(freeList_.size() + kSlabSize);
+        // Every pending event holds a record, so a heap with room for
+        // every record never reallocates between slab allocations.
+        if (heap_.capacity() < arenaRecords())
+            heap_.reserve(std::max(arenaRecords(), 2 * heap_.capacity()));
         // Reverse order so the first allocation serves slab[0].
         for (std::size_t i = kSlabSize; i-- > 0;)
             freeList_.push_back(&slab[i]);
@@ -27,29 +33,28 @@ EventQueue::recycle(Record *rec)
     // make the record reusable. The callback is released eagerly so
     // captured resources do not linger on the free list.
     ++rec->gen;
-    rec->cancelled = false;
     rec->callback = nullptr;
     freeList_.push_back(rec);
 }
 
 void
-EventQueue::siftUp(std::size_t i)
+EventQueue::siftUp(std::size_t i, HeapEntry entry)
 {
-    const HeapEntry entry = heap_[i];
     while (i > 0) {
         const std::size_t parent = (i - 1) / 4;
         if (!(entry < heap_[parent]))
             break;
         heap_[i] = heap_[parent];
+        heap_[i].record->slot = i;
         i = parent;
     }
     heap_[i] = entry;
+    entry.record->slot = i;
 }
 
 void
-EventQueue::siftDown(std::size_t i)
+EventQueue::siftDown(std::size_t i, HeapEntry entry)
 {
-    const HeapEntry entry = heap_[i];
     const std::size_t n = heap_.size();
     for (;;) {
         const std::size_t first = 4 * i + 1;
@@ -64,20 +69,31 @@ EventQueue::siftDown(std::size_t i)
         if (!(heap_[best] < entry))
             break;
         heap_[i] = heap_[best];
+        heap_[i].record->slot = i;
         i = best;
     }
     heap_[i] = entry;
+    entry.record->slot = i;
 }
 
-EventQueue::HeapEntry
-EventQueue::popTop()
+void
+EventQueue::resift(std::size_t i, HeapEntry entry)
 {
-    const HeapEntry top = heap_.front();
-    heap_.front() = heap_.back();
+    if (i > 0 && entry < heap_[(i - 1) / 4])
+        siftUp(i, entry);
+    else
+        siftDown(i, entry);
+}
+
+void
+EventQueue::remove(std::size_t i)
+{
+    Record *rec = heap_[i].record;
+    const HeapEntry last = heap_.back();
     heap_.pop_back();
-    if (!heap_.empty())
-        siftDown(0);
-    return top;
+    if (i < heap_.size())
+        resift(i, last);
+    recycle(rec);
 }
 
 EventHandle
@@ -87,46 +103,46 @@ EventQueue::schedule(Tick when, Callback cb)
         fatal("event scheduled in the past: ", when, " < ", curTick_);
     Record *rec = allocRecord();
     rec->callback = std::move(cb);
-    heap_.push_back(HeapEntry{when, nextSeq_++, rec});
-    siftUp(heap_.size() - 1);
-    ++liveEvents_;
+    const HeapEntry entry{when, nextSeq_++, rec};
+    heap_.push_back(entry);
+    siftUp(heap_.size() - 1, entry);
     return EventHandle(rec, rec->gen);
 }
 
 bool
 EventQueue::cancel(EventHandle &handle)
 {
-    Record *rec = handle.record_;
-    if (!rec || rec->gen != handle.gen_ || rec->cancelled)
+    if (!handle.valid())
         return false;
-    rec->cancelled = true;
-    rec->callback = nullptr;
-    --liveEvents_;
+    remove(handle.record_->slot);
     return true;
 }
 
-void
-EventQueue::skipCancelled()
+bool
+EventQueue::reschedule(EventHandle &handle, Tick when)
 {
-    while (!heap_.empty() && heap_.front().record->cancelled)
-        recycle(popTop().record);
+    if (when < curTick_)
+        fatal("event rescheduled into the past: ", when, " < ", curTick_);
+    if (!handle.valid())
+        return false;
+    Record *rec = handle.record_;
+    resift(rec->slot, HeapEntry{when, nextSeq_++, rec});
+    return true;
 }
 
 bool
 EventQueue::step()
 {
-    skipCancelled();
     if (heap_.empty())
         return false;
-    HeapEntry entry = popTop();
-    curTick_ = entry.when;
-    --liveEvents_;
+    const HeapEntry top = heap_.front();
+    curTick_ = top.when;
     ++executed_;
     // Move the callback out and recycle before invoking: the callback
     // may schedule new events (reusing this record is fine — any
     // handle to the fired event went stale at the generation bump).
-    Callback cb = std::move(entry.record->callback);
-    recycle(entry.record);
+    Callback cb = std::move(top.record->callback);
+    remove(0);
     cb();
     return true;
 }
@@ -142,12 +158,8 @@ EventQueue::run()
 Tick
 EventQueue::runUntil(Tick limit)
 {
-    for (;;) {
-        skipCancelled();
-        if (heap_.empty() || heap_.front().when > limit)
-            break;
+    while (!heap_.empty() && heap_.front().when <= limit)
         step();
-    }
     if (curTick_ < limit)
         curTick_ = limit;
     return curTick_;

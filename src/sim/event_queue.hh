@@ -7,16 +7,18 @@
  * deterministic and reproducible.
  *
  * Storage is a slab/free-list arena: event records are pooled and
- * recycled instead of heap-allocated per event, and the pending set
- * is a 4-ary min-heap ordered by (tick, sequence). A campaign grid
- * schedules millions of events (flow-completion churn cancels and
- * reschedules constantly), so the per-event allocation cost of the
- * former shared_ptr<Record> representation dominated simulator
- * throughput; the arena removes it without changing any observable
- * ordering. Handles carry a generation counter so a handle to a
- * fired, cancelled or recycled event is inert, exactly like the old
- * weak_ptr behavior — but a handle must not outlive the queue it
- * came from (records live in the queue's slabs).
+ * recycled instead of heap-allocated per event. The pending set is an
+ * indexed 4-ary min-heap ordered by (tick, sequence) that holds
+ * exactly the pending events: every record knows its heap slot, so
+ * cancel() removes the entry at once and recycles its record, and
+ * reschedule() moves a pending event to a new tick in place. Flow
+ * completions move on every rate change, so the in-place move is the
+ * simulator's hottest queue operation. A rescheduled event takes a
+ * fresh sequence number exactly as a cancel-then-schedule would, so
+ * every (tick, sequence) key, and with it the execution order, is the
+ * same either way. Handles carry a generation counter so a handle to a
+ * fired, cancelled or recycled event is inert — but a handle must not
+ * outlive the queue it came from (records live in the queue's slabs).
  */
 
 #ifndef DGXSIM_SIM_EVENT_QUEUE_HH
@@ -50,7 +52,8 @@ class EventHandle
         /** Bumped every time the record is recycled; a handle whose
          * generation no longer matches refers to a dead event. */
         std::uint64_t gen = 0;
-        bool cancelled = false;
+        /** Index of this event's heap entry while it is pending. */
+        std::size_t slot = 0;
     };
     EventHandle(Record *r, std::uint64_t gen) : record_(r), gen_(gen) {}
     Record *record_ = nullptr;
@@ -84,7 +87,8 @@ class EventQueue
     /** Schedule a callback @p delay ticks from now. */
     EventHandle scheduleAfter(Tick delay, Callback cb)
     {
-        return schedule(curTick_ + delay, std::move(cb));
+        return schedule(checkedTick(curTick_, delay, "event scheduled at"),
+                        std::move(cb));
     }
 
     /**
@@ -92,6 +96,17 @@ class EventQueue
      * @return true if the event was pending and is now cancelled.
      */
     bool cancel(EventHandle &handle);
+
+    /**
+     * Move a pending event to tick @p when, keeping its callback. The
+     * event takes a fresh sequence number, so it runs after every
+     * event already scheduled for @p when — the order a cancel plus
+     * schedule would give.
+     * @param when Absolute tick; must be >= now().
+     * @return false (and nothing changes) if the handle's event has
+     * already fired or been cancelled.
+     */
+    bool reschedule(EventHandle &handle, Tick when);
 
     /** Run events until the queue is empty. @return the final tick. */
     Tick run();
@@ -107,10 +122,10 @@ class EventQueue
     bool step();
 
     /** @return true when no events are pending. */
-    bool empty() const { return liveEvents_ == 0; }
+    bool empty() const { return heap_.empty(); }
 
-    /** @return the number of pending (non-cancelled) events. */
-    std::size_t pendingEvents() const { return liveEvents_; }
+    /** @return the number of pending events. */
+    std::size_t pendingEvents() const { return heap_.size(); }
 
     /** @return the total number of events executed so far. */
     std::uint64_t executedEvents() const { return executed_; }
@@ -140,17 +155,17 @@ class EventQueue
 
     static constexpr std::size_t kSlabSize = 512;
 
-    /** Pop cancelled entries (recycling their records) off the top. */
-    void skipCancelled();
+    /** Take the entry at @p i out of the heap and recycle its record. */
+    void remove(std::size_t i);
 
-    /** Pop the heap top (must be non-empty). */
-    HeapEntry popTop();
+    /** Move @p entry up from slot @p i into place. */
+    void siftUp(std::size_t i, HeapEntry entry);
 
-    /** Sift the last heap element up into place. */
-    void siftUp(std::size_t i);
+    /** Move @p entry down from slot @p i into place. */
+    void siftDown(std::size_t i, HeapEntry entry);
 
-    /** Sift the root element down into place. */
-    void siftDown(std::size_t i);
+    /** Place @p entry at slot @p i, sifting whichever way it must. */
+    void resift(std::size_t i, HeapEntry entry);
 
     Record *allocRecord();
     void recycle(Record *rec);
@@ -158,8 +173,8 @@ class EventQueue
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
-    std::size_t liveEvents_ = 0;
-    /** 4-ary min-heap ordered by (when, seq); lazily purged. */
+    /** 4-ary min-heap ordered by (when, seq): exactly the pending
+     * events, each record holding its entry's slot. */
     std::vector<HeapEntry> heap_;
     std::vector<std::unique_ptr<Record[]>> slabs_;
     std::vector<Record *> freeList_;
@@ -168,7 +183,7 @@ class EventQueue
 inline bool
 EventHandle::valid() const
 {
-    return record_ && record_->gen == gen_ && !record_->cancelled;
+    return record_ && record_->gen == gen_;
 }
 
 } // namespace dgxsim::sim

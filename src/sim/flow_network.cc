@@ -405,10 +405,13 @@ FlowNetwork::rescheduleCompletions()
     for (auto &[id, flow] : active_) {
         if (flow.done)
             continue;
-        queue_.cancel(flow.completion);
-        if (flow.lastUpdate > now)
-            continue; // latency stage; activation event pending
+        if (flow.lastUpdate > now) {
+            // Latency stage; activation event pending.
+            queue_.cancel(flow.completion);
+            continue;
+        }
         if (flow.remaining <= kByteEpsilon) {
+            queue_.cancel(flow.completion);
             finished.push_back(id);
             continue;
         }
@@ -418,12 +421,18 @@ FlowNetwork::rescheduleCompletions()
         // against a huge rate must never round to a same-tick
         // completion, which would re-enter complete() at the tick
         // that scheduled it.
-        const Tick eta = std::max<Tick>(
-            1,
-            static_cast<Tick>(std::ceil(flow.remaining / flow.rate)));
-        FlowId fid = id;
-        flow.completion =
-            queue_.schedule(now + eta, [this, fid] { complete(fid); });
+        const Tick when = checkedTick(
+            now, std::max(1.0, std::ceil(flow.remaining / flow.rate)),
+            "flow ", id, " (", flow.remaining, " bytes left at ",
+            flow.rate, " bytes/tick over '",
+            channels_[flow.path.front()].name, "') completes at");
+        // Moving the pending completion in place keeps the queue free
+        // of dead entries; its key is the one a fresh schedule gets.
+        if (!queue_.reschedule(flow.completion, when)) {
+            const FlowId fid = id;
+            flow.completion =
+                queue_.schedule(when, [this, fid] { complete(fid); });
+        }
     }
     std::sort(finished.begin(), finished.end());
     for (FlowId id : finished)

@@ -11,11 +11,52 @@
 #define DGXSIM_SIM_TYPES_HH
 
 #include <cstdint>
+#include <type_traits>
+
+#include "sim/logging.hh"
 
 namespace dgxsim::sim {
 
 /** Simulated time in picoseconds. */
 using Tick = std::uint64_t;
+
+/** 2^64: the first tick a Tick cannot hold (~213 simulated days). */
+constexpr double tickHorizon = 18446744073709551616.0;
+
+/**
+ * @return tick @p base plus @p delta ticks, where @p delta is a Tick or
+ * a tick count computed in floating point (bytes / rate, a scaled
+ * duration). Casting an out-of-range double to an integer is undefined
+ * behaviour and an overflowing sum wraps silently, so every tick
+ * computation a user can scale without bound goes through here: a
+ * result at or past the 2^64-tick horizon (or a negative or NaN
+ * @p delta) raises FatalError, naming @p what as the culprit.
+ */
+template <typename Delta, typename... What>
+Tick
+checkedTick(Tick base, Delta delta, const What &...what)
+{
+    static_assert(std::is_same_v<Delta, Tick> ||
+                  std::is_same_v<Delta, double>);
+    bool fits = true;
+    Tick step = 0;
+    if constexpr (std::is_same_v<Delta, double>) {
+        fits = delta >= 0 && delta < tickHorizon;
+        if (fits)
+            step = static_cast<Tick>(delta);
+    } else {
+        step = delta;
+    }
+    if (!fits || step > ~Tick(0) - base) [[unlikely]] {
+        constexpr const char *horizon =
+            " ticks, outside the 2^64-tick horizon of simulated time "
+            "(~213 days)";
+        if (base == 0)
+            fatal(what..., " ", delta, horizon);
+        fatal(what..., " tick ", base, " + ", delta, horizon);
+    }
+    return base + step;
+}
 
 /** Ticks per common time units. */
 constexpr Tick ticksPerPs = 1;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -204,6 +205,38 @@ TEST(FlowNetworkTest, UnknownChannelIsFatal)
     EXPECT_THROW(net.startFlow(10, {7}, [] {}),
                  dgxsim::sim::FatalError);
     EXPECT_THROW(net.addChannel(0.0), dgxsim::sim::FatalError);
+}
+
+TEST(FlowNetworkTest, CompletionPastTheTickHorizonIsFatal)
+{
+    // Both ways a completion tick can leave the 64-bit range must end
+    // in a FatalError naming the flow, not in a wrapped or undefined
+    // tick: an ETA too large for a Tick, and now + ETA overflowing.
+    auto expect_horizon_fatal = [](auto &&start) {
+        try {
+            start();
+            FAIL() << "flow completion past the tick horizon accepted";
+        } catch (const dgxsim::sim::FatalError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("flow 0 "), std::string::npos) << msg;
+            EXPECT_NE(msg.find("'slow link'"), std::string::npos) << msg;
+            EXPECT_NE(msg.find("2^64-tick horizon"), std::string::npos)
+                << msg;
+        }
+    };
+
+    EventQueue q;
+    FlowNetwork net(q);
+    auto slow = net.addChannel(1e-18, "slow link");
+    expect_horizon_fatal([&] { net.startFlow(1 << 30, {slow}, [] {}); });
+
+    EventQueue late;
+    FlowNetwork late_net(late);
+    auto unit = late_net.addChannel(kUnitRate, "slow link");
+    late.schedule(Tick(1) << 63, [] {});
+    late.run();
+    expect_horizon_fatal(
+        [&] { late_net.startFlow(Bytes(1) << 63, {unit}, [] {}); });
 }
 
 TEST(FlowNetworkTest, FlowActiveReflectsLifetime)

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "sim/types.hh"
 
 namespace {
@@ -52,6 +55,37 @@ TEST(TypesTest, BandwidthTimesTimeGivesBytes)
     const double bytes = gbpsToBytesPerTick(25.0) *
                          static_cast<double>(msToTicks(1.0));
     EXPECT_NEAR(bytes, 25e6, 1.0);
+}
+
+TEST(TypesTest, CheckedTickAcceptsEveryRepresentableTick)
+{
+    constexpr Tick last = ~Tick(0);
+    EXPECT_EQ(checkedTick(5, Tick(7), "t"), 12u);
+    EXPECT_EQ(checkedTick(0, 2.9, "t"), 2u); // truncates like a cast
+    EXPECT_EQ(checkedTick(10, last - 10, "t"), last);
+    EXPECT_EQ(checkedTick(0, 9007199254740992.0, "t"), Tick(1) << 53);
+}
+
+TEST(TypesTest, CheckedTickRejectsTicksOutsideTheHorizon)
+{
+    constexpr Tick last = ~Tick(0);
+    EXPECT_THROW(checkedTick(11, last - 10, "t"), FatalError);
+    EXPECT_THROW(checkedTick(0, tickHorizon, "t"), FatalError);
+    EXPECT_THROW(checkedTick(1, 1e30, "t"), FatalError);
+    EXPECT_THROW(checkedTick(0, -1.0, "t"), FatalError);
+    EXPECT_THROW(checkedTick(0, std::nan(""), "t"), FatalError);
+    EXPECT_THROW(
+        checkedTick(0, std::numeric_limits<double>::infinity(), "t"),
+        FatalError);
+    try {
+        checkedTick(3, 1e20, "knob x=", 2, " stretches to");
+        FAIL();
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(),
+                     "fatal: knob x=2 stretches to tick 3 + 1e+20 ticks, "
+                     "outside the 2^64-tick horizon of simulated time "
+                     "(~213 days)");
+    }
 }
 
 } // namespace
