@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "core/trainer.hh"
 #include "sim/logging.hh"
 
@@ -254,9 +257,14 @@ TEST(TrainerTest, ProfilerSeesExpectedKernels)
     EXPECT_GT(prof.apiTime("ncclGroupOps"), 0u);
 }
 
-/** Property sweep: every (model, gpus, method) combination runs. */
+/**
+ * Property sweep: every (model, gpus, method) combination runs. The model
+ * is a std::string, not a const char *, so gtest prints the parameter as
+ * its text rather than as a pointer whose address changes every run; the
+ * test names stay the same from build to build.
+ */
 class TrainerMatrix
-    : public ::testing::TestWithParam<std::tuple<const char *, int>>
+    : public ::testing::TestWithParam<std::tuple<std::string, int>>
 {
 };
 
