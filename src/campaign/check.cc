@@ -23,17 +23,6 @@ driftPct(double base, double fresh)
     return std::fabs(fresh - base) / std::fabs(base) * 100.0;
 }
 
-void
-foldMetric(RunDelta &delta, const char *name, double base,
-           double fresh)
-{
-    const double drift = driftPct(base, fresh);
-    if (drift > delta.maxDriftPct) {
-        delta.maxDriftPct = drift;
-        delta.worstMetric = name;
-    }
-}
-
 } // namespace
 
 CheckReport
@@ -58,27 +47,15 @@ compareRecords(const std::vector<RunRecord> &baseline,
         delta.fresh = f;
         delta.oomMatch = b.oom == f.oom;
         if (!b.oom && !f.oom) {
-            foldMetric(delta, "epoch_s", b.epochSeconds,
-                       f.epochSeconds);
-            foldMetric(delta, "iteration_s", b.iterationSeconds,
-                       f.iterationSeconds);
-            foldMetric(delta, "fpbp_s", b.fpBpSeconds, f.fpBpSeconds);
-            foldMetric(delta, "wu_s", b.wuSeconds, f.wuSeconds);
-            foldMetric(delta, "sync_api_fraction", b.syncApiFraction,
-                       f.syncApiFraction);
-            foldMetric(delta, "inter_gpu_bytes_per_iter",
-                       b.interGpuBytesPerIter,
-                       f.interGpuBytesPerIter);
-            foldMetric(delta, "inter_node_bytes_per_iter",
-                       b.interNodeBytesPerIter,
-                       f.interNodeBytesPerIter);
-            foldMetric(delta, "mem_gpu0_bytes",
-                       static_cast<double>(b.gpu0TrainingBytes),
-                       static_cast<double>(f.gpu0TrainingBytes));
-            foldMetric(delta, "avg_staleness", b.avgStaleness,
-                       f.avgStaleness);
-            foldMetric(delta, "bubble_fraction", b.bubbleFraction,
-                       f.bubbleFraction);
+            // Every number both records serialize is drift-gated.
+            forEachMetric(b, f, [&](const char *name, double base,
+                                    double fresh) {
+                const double drift = driftPct(base, fresh);
+                if (drift > delta.maxDriftPct) {
+                    delta.maxDriftPct = drift;
+                    delta.worstMetric = name;
+                }
+            });
             delta.digestMatch = b.digest == f.digest;
         }
         delta.pass = delta.oomMatch &&

@@ -4,12 +4,12 @@
  *
  * A baseline is a JSON campaign result (results/baseline.json in
  * this repository). checkAgainstBaseline re-runs every configuration
- * the baseline records and compares: epoch time and the FP+BP / WU
- * breakdown within a relative tolerance, OOM verdicts exactly, and
- * the determinism digest bit-for-bit. Any drift means the simulated
- * numbers moved — the silent failure mode a reproduction must turn
- * into a loud one. CI runs this on every push (`dgxprof check`);
- * intentional model changes refresh the baseline instead
+ * the baseline records and compares: every numeric outcome of the
+ * field table (record.hh) that both records serialize within a
+ * relative tolerance, OOM verdicts exactly, and the determinism
+ * digest bit-for-bit. Any drift means the simulated numbers moved —
+ * the silent failure mode a reproduction must turn into a loud one.
+ * Intentional model changes refresh the baselines instead
  * (tools/refresh_baseline.sh) so the diff is reviewed like code.
  */
 
@@ -26,12 +26,12 @@ namespace dgxsim::campaign {
 /** Tunables for one baseline check. */
 struct CheckOptions
 {
-    /** Allowed relative drift of the timing metrics, in percent. */
+    /** Allowed relative drift of the outcome metrics, in percent. */
     double tolerancePct = 0.0;
     /** Thread-pool width for the re-run. */
     int jobs = 1;
     /**
-     * Skip the digest comparison (timing tolerance still applies).
+     * Skip the digest comparison (the drift tolerance still applies).
      * For comparing across intentional event-stream changes.
      */
     bool skipDigest = false;
@@ -42,7 +42,7 @@ struct RunDelta
 {
     RunRecord baseline;
     RunRecord fresh;
-    /** Largest relative drift across the timing metrics (percent). */
+    /** Largest relative drift across the outcome metrics (percent). */
     double maxDriftPct = 0;
     /** Name of the metric with the largest drift. */
     std::string worstMetric;

@@ -1,8 +1,16 @@
 #include "campaign/record.hh"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <numeric>
+#include <type_traits>
+#include <variant>
 
 #include "campaign/json.hh"
 #include "comm/factory.hh"
@@ -13,76 +21,219 @@ namespace dgxsim::campaign {
 
 namespace {
 
-/** Format a double so that parsing it back is exact. */
-std::string
-fmtDouble(double v)
+/** When a member is serialized (see holds()): each optional group
+ * shares a rule. */
+enum class When : std::uint8_t
 {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    Always,
+    NotSyncDp,
+    NotDefaultPlatform,
+    MultiNode,
+    NotFifo,
+    Compressed,
+    AsyncPs,
+    Staged,
+    OffDepth,
+    Analysis,
+    AnalysisMultiNode,
+};
+
+/** One serialized RunRecord member. A row with a key() slot is a
+ * configuration axis; every other row is an outcome. */
+struct Field
+{
+    /** JSON member and CSV column. */
+    const char *name;
+    std::variant<std::string RunRecord::*, int RunRecord::*,
+                 std::uint64_t RunRecord::*, double RunRecord::*,
+                 bool RunRecord::*>
+        member;
+    When when = When::Always;
+    /** Position of the key() token, or -1 for an outcome. */
+    int keySlot = -1;
+    /** Text before the value in the key() token ("x" in "x4"). */
+    const char *keyPrefix = "";
+    /** Condition for the key() token on top of `when`. */
+    When keyWhen = When::Always;
+    /** `dgxprof check` flags filtering on the axis; first given wins. */
+    std::array<const char *, 2> options = {};
+    /** Written as 16 hex digits in a JSON string (the digest). */
+    bool hex = false;
+    /** JSON continues on a new line after this member. */
+    bool lineBreak = false;
+};
+
+/**
+ * The field table: every serialized RunRecord member once, in JSON
+ * and CSV order. An optional group is omitted at its default so every
+ * baseline written before the group existed stays byte-identical; the
+ * key() slots give the token order every committed key uses.
+ */
+constexpr Field kFields[] = {
+    // --- axes ---
+    {.name = "model", .member = &RunRecord::model, .keySlot = 0,
+     .options = {"model"}},
+    {.name = "gpus", .member = &RunRecord::gpus, .keySlot = 1,
+     .keyPrefix = "x", .options = {"gpus"}},
+    {.name = "batch", .member = &RunRecord::batch, .keySlot = 2,
+     .keyPrefix = "b", .options = {"batches", "batch"}},
+    {.name = "method", .member = &RunRecord::method, .keySlot = 3,
+     .options = {"method"}},
+    {.name = "mode", .member = &RunRecord::mode, .when = When::NotSyncDp,
+     .keySlot = 5, .options = {"mode"}},
+    {.name = "platform", .member = &RunRecord::platform,
+     .when = When::NotDefaultPlatform, .keySlot = 7,
+     .options = {"platform"}},
+    {.name = "nodes", .member = &RunRecord::nodes, .when = When::MultiNode,
+     .keySlot = 8, .keyPrefix = "n", .options = {"nodes"}},
+    {.name = "interconnect", .member = &RunRecord::interconnect,
+     .when = When::MultiNode, .keySlot = 9, .options = {"interconnect"}},
+    {.name = "net_algo", .member = &RunRecord::netAlgo,
+     .when = When::MultiNode, .keySlot = 10, .options = {"netalgo"}},
+    {.name = "scheduler", .member = &RunRecord::scheduler,
+     .when = When::NotFifo, .keySlot = 11, .options = {"scheduler"}},
+    {.name = "partition_bytes", .member = &RunRecord::partitionBytes,
+     .when = When::NotFifo, .keySlot = 12, .keyPrefix = "pb"},
+    {.name = "credit_bytes", .member = &RunRecord::creditBytes,
+     .when = When::NotFifo, .keySlot = 13, .keyPrefix = "cb"},
+    {.name = "compression", .member = &RunRecord::compression,
+     .when = When::Compressed, .keySlot = 14, .options = {"compression"}},
+    {.name = "compress_ratio", .member = &RunRecord::compressRatio,
+     .when = When::Compressed, .keySlot = 15, .keyPrefix = "r"},
+    {.name = "images", .member = &RunRecord::images, .keySlot = 4,
+     .keyPrefix = "i", .lineBreak = true},
+    // --- outcomes ---
+    {.name = "oom", .member = &RunRecord::oom},
+    {.name = "iterations", .member = &RunRecord::iterations},
+    {.name = "epoch_s", .member = &RunRecord::epochSeconds},
+    {.name = "iteration_s", .member = &RunRecord::iterationSeconds,
+     .lineBreak = true},
+    {.name = "setup_s", .member = &RunRecord::setupSeconds},
+    {.name = "fpbp_s", .member = &RunRecord::fpBpSeconds},
+    {.name = "wu_s", .member = &RunRecord::wuSeconds, .lineBreak = true},
+    {.name = "sync_api_fraction", .member = &RunRecord::syncApiFraction},
+    {.name = "inter_gpu_bytes_per_iter",
+     .member = &RunRecord::interGpuBytesPerIter, .lineBreak = true},
+    {.name = "inter_node_bytes_per_iter",
+     .member = &RunRecord::interNodeBytesPerIter, .when = When::MultiNode,
+     .lineBreak = true},
+    {.name = "throughput_img_s", .member = &RunRecord::throughputImagesPerSec,
+     .when = When::AsyncPs},
+    {.name = "avg_staleness", .member = &RunRecord::avgStaleness,
+     .when = When::AsyncPs},
+    {.name = "max_staleness", .member = &RunRecord::maxStaleness,
+     .when = When::AsyncPs, .lineBreak = true},
+    // The microbatch axis joins the key only off its historical
+    // default (== gpus): every model_parallel row predating the axis
+    // ran exactly gpus microbatches.
+    {.name = "microbatches", .member = &RunRecord::microbatches,
+     .when = When::Staged, .keySlot = 6, .keyPrefix = "ub",
+     .keyWhen = When::OffDepth, .options = {"microbatches"}},
+    {.name = "bubble_fraction", .member = &RunRecord::bubbleFraction,
+     .when = When::Staged, .lineBreak = true},
+    {.name = "cp_compute_s", .member = &RunRecord::cpComputeSeconds,
+     .when = When::Analysis},
+    {.name = "cp_comm_s", .member = &RunRecord::cpCommSeconds,
+     .when = When::Analysis},
+    {.name = "cp_inter_node_comm_s",
+     .member = &RunRecord::cpInterNodeCommSeconds,
+     .when = When::AnalysisMultiNode},
+    {.name = "cp_api_s", .member = &RunRecord::cpApiSeconds,
+     .when = When::Analysis},
+    {.name = "cp_idle_s", .member = &RunRecord::cpIdleSeconds,
+     .when = When::Analysis, .lineBreak = true},
+    {.name = "mem_pre_bytes", .member = &RunRecord::preTrainingBytes},
+    {.name = "mem_gpu0_bytes", .member = &RunRecord::gpu0TrainingBytes},
+    {.name = "mem_gpux_bytes", .member = &RunRecord::gpuxTrainingBytes,
+     .lineBreak = true},
+    {.name = "digest", .member = &RunRecord::digest, .hex = true},
+};
+
+constexpr std::size_t kFieldCount = std::size(kFields);
+static_assert(kFieldCount <= 64, "presence is tracked in 64 bits");
+
+bool
+holds(When when, const RunRecord &r)
+{
+    switch (when) {
+    case When::Always:
+        return true;
+    case When::NotSyncDp:
+        return r.mode != "sync_dp";
+    case When::NotDefaultPlatform:
+        return r.platform != hw::kDefaultPlatform;
+    case When::MultiNode:
+        return r.nodes > 1;
+    case When::NotFifo:
+        return r.scheduler != "fifo";
+    case When::Compressed:
+        return r.compression != "none";
+    case When::AsyncPs:
+        return r.mode == "async_ps";
+    case When::Staged:
+        return r.mode == "model_parallel" || r.mode == "pipeline";
+    case When::OffDepth:
+        return r.microbatches > 0 && r.microbatches != r.gpus;
+    case When::Analysis:
+        return r.hasAnalysis;
+    case When::AnalysisMultiNode:
+        return r.hasAnalysis && r.nodes > 1;
+    }
+    return false;
 }
 
-std::string
-fmtU64(std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-    return buf;
-}
+template <typename T>
+constexpr bool isString = std::is_same_v<T, std::string>;
 
+/** @return the value of @p f in @p r as CSV and key() show it. */
 std::string
-fmtHex64(std::uint64_t v)
+text(const Field &f, const RunRecord &r)
 {
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-    return buf;
-}
-
-std::uint64_t
-parseHex64(const std::string &text)
-{
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(text.c_str(), &end, 16);
-    if (end == text.c_str() || *end != '\0')
-        sim::fatal("malformed digest '", text, "'");
-    return v;
-}
-
-/** Escape a string for JSON output. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
+    return std::visit(
+        [&](auto member) -> std::string {
+            const auto &v = r.*member;
+            using T = std::decay_t<decltype(v)>;
+            if constexpr (isString<T>) {
+                return v;
+            } else if constexpr (std::is_same_v<T, bool>) {
+                return v ? "true" : "false";
             } else {
-                out.push_back(c);
+                char buf[32];
+                if constexpr (std::is_same_v<T, double>)
+                    std::snprintf(buf, sizeof(buf), "%.17g", v); // exact
+                else if (f.hex)
+                    std::snprintf(buf, sizeof(buf), "%016" PRIx64,
+                                  static_cast<std::uint64_t>(v));
+                else
+                    *std::to_chars(buf, buf + sizeof(buf) - 1, v).ptr = 0;
+                return buf;
             }
+        },
+        f.member);
+}
+
+/** Append @p s as the body of a JSON string. */
+void
+appendJsonEscaped(std::string &out, const std::string &s)
+{
+    for (char c : s) {
+        const char *named = c == '"'    ? "\\\""
+                            : c == '\\' ? "\\\\"
+                            : c == '\n' ? "\\n"
+                            : c == '\t' ? "\\t"
+                            : c == '\r' ? "\\r"
+                                        : nullptr;
+        if (named) {
+            out += named;
+        } else if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x",
+                          static_cast<unsigned>(c));
+            out += buf;
+        } else {
+            out.push_back(c);
         }
     }
-    return out;
 }
 
 /** Escape a CSV field (quote when it contains , " or newline). */
@@ -92,25 +243,45 @@ csvEscape(const std::string &s)
     if (s.find_first_of(",\"\n") == std::string::npos)
         return s;
     std::string out = "\"";
-    for (char c : s) {
-        if (c == '"')
-            out += "\"\"";
-        else
-            out.push_back(c);
-    }
-    out += "\"";
-    return out;
+    for (char c : s)
+        out += c == '"' ? std::string("\"\"") : std::string(1, c);
+    return out + "\"";
 }
 
-std::uint64_t
-u64At(const JsonValue &obj, const std::string &key)
+/** Read JSON value @p v into @p f's member of @p r. */
+void
+readMember(const Field &f, const JsonValue &v, RunRecord &r)
 {
-    // Our integral fields fit in a double's 53-bit mantissa (bytes,
-    // iteration counts); digests travel as hex strings instead.
-    const double v = obj.numberAt(key);
-    if (v < 0)
-        sim::fatal("JSON member '", key, "' is negative");
-    return static_cast<std::uint64_t>(v);
+    std::visit(
+        [&](auto member) {
+            auto &dst = r.*member;
+            using T = std::decay_t<decltype(dst)>;
+            if constexpr (isString<T>) {
+                dst = v.asString();
+            } else if constexpr (std::is_same_v<T, bool>) {
+                dst = v.asBool();
+            } else if constexpr (std::is_same_v<T, double>) {
+                dst = v.asNumber();
+            } else if (f.hex) {
+                const std::string &s = v.asString();
+                const char *end = s.data() + s.size();
+                if (s.empty() || s.size() > 16 ||
+                    std::from_chars(s.data(), end, dst, 16).ptr != end)
+                    sim::fatal("'", s, "' is not 1-16 hex digits");
+            } else {
+                // The one integral reader: every whole double in
+                // [0, 2^digits) converts to T exactly; anything else
+                // would truncate or overflow the cast.
+                constexpr int digits = std::numeric_limits<T>::digits;
+                const double x = v.asNumber();
+                if (!(x >= 0 && x < std::ldexp(1.0, digits) &&
+                      x == std::floor(x)))
+                    sim::fatal(x, " is not an integer in [0, 2^", digits,
+                               ")");
+                dst = static_cast<T>(x);
+            }
+        },
+        f.member);
 }
 
 } // namespace
@@ -118,37 +289,18 @@ u64At(const JsonValue &obj, const std::string &key)
 std::string
 RunRecord::key() const
 {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), "%s x%d b%d %s i%" PRIu64,
-                  model.c_str(), gpus, batch, method.c_str(), images);
-    std::string out = buf;
-    // Pre-mode baselines never carried the mode, so sync_dp keys stay
-    // as they were; ditto the default platform.
-    if (mode != "sync_dp")
-        out += " " + mode;
-    // Microbatches join the key only off their historical default
-    // (== gpus): every model_parallel baseline row predating the
-    // microbatch axis ran exactly gpus microbatches, so those keys
-    // stay as they were.
-    if ((mode == "model_parallel" || mode == "pipeline") &&
-        microbatches > 0 && microbatches != gpus)
-        out += " ub" + std::to_string(microbatches);
-    if (platform != hw::kDefaultPlatform)
-        out += " " + platform;
-    // Single-node baselines never carried the cluster axes.
-    if (nodes > 1) {
-        out += " n" + std::to_string(nodes) + " " + interconnect +
-               " " + netAlgo;
+    std::array<std::string, 16> tokens; // by keySlot
+    for (const Field &f : kFields) {
+        if (f.keySlot >= 0 && holds(f.when, *this) &&
+            holds(f.keyWhen, *this))
+            tokens[f.keySlot] = f.keyPrefix + text(f, *this);
     }
-    // Pre-scheduler baselines never carried the scheduler axes.
-    if (scheduler != "fifo") {
-        out += " " + scheduler + " pb" +
-               std::to_string(partitionBytes) + " cb" +
-               std::to_string(creditBytes);
+    std::string out;
+    for (const std::string &token : tokens) {
+        if (!token.empty())
+            out += token + ' ';
     }
-    // Pre-compression baselines never carried the compression axes.
-    if (compression != "none")
-        out += " " + compression + " r" + fmtDouble(compressRatio);
+    out.pop_back(); // the gpus token is never empty
     return out;
 }
 
@@ -224,99 +376,26 @@ recordsToJson(const std::vector<RunRecord> &records)
     std::string out = "{\n  \"version\": 1,\n  \"records\": [";
     for (std::size_t i = 0; i < records.size(); ++i) {
         const RunRecord &r = records[i];
-        out += i == 0 ? "\n" : ",\n";
-        out += "    {";
-        out += "\"model\": \"" + jsonEscape(r.model) + "\", ";
-        out += "\"gpus\": " + std::to_string(r.gpus) + ", ";
-        out += "\"batch\": " + std::to_string(r.batch) + ", ";
-        out += "\"method\": \"" + jsonEscape(r.method) + "\", ";
-        // sync_dp omits the mode so pre-mode baselines stay
-        // byte-identical; same for the default platform.
-        if (r.mode != "sync_dp")
-            out += "\"mode\": \"" + jsonEscape(r.mode) + "\", ";
-        if (r.platform != hw::kDefaultPlatform)
-            out += "\"platform\": \"" + jsonEscape(r.platform) +
-                   "\", ";
-        // Cluster axes only when multi-node: single-node baselines
-        // predate clusters and must stay byte-identical.
-        if (r.nodes > 1) {
-            out += "\"nodes\": " + std::to_string(r.nodes) + ", ";
-            out += "\"interconnect\": \"" +
-                   jsonEscape(r.interconnect) + "\", ";
-            out += "\"net_algo\": \"" + jsonEscape(r.netAlgo) +
-                   "\", ";
-        }
-        // Scheduler axes only when not fifo: every baseline written
-        // before the scheduler existed must stay byte-identical.
-        if (r.scheduler != "fifo") {
-            out += "\"scheduler\": \"" + jsonEscape(r.scheduler) +
-                   "\", ";
-            out += "\"partition_bytes\": " +
-                   fmtU64(r.partitionBytes) + ", ";
-            out += "\"credit_bytes\": " + fmtU64(r.creditBytes) +
-                   ", ";
-        }
-        // Compression axes only when not none: every baseline written
-        // before the compressor existed must stay byte-identical.
-        if (r.compression != "none") {
-            out += "\"compression\": \"" + jsonEscape(r.compression) +
-                   "\", ";
-            out += "\"compress_ratio\": " +
-                   fmtDouble(r.compressRatio) + ", ";
-        }
-        out += "\"images\": " + fmtU64(r.images) + ",\n     ";
-        out += "\"oom\": " + std::string(r.oom ? "true" : "false") +
-               ", ";
-        out += "\"iterations\": " + fmtU64(r.iterations) + ", ";
-        out += "\"epoch_s\": " + fmtDouble(r.epochSeconds) + ", ";
-        out += "\"iteration_s\": " + fmtDouble(r.iterationSeconds) +
-               ",\n     ";
-        out += "\"setup_s\": " + fmtDouble(r.setupSeconds) + ", ";
-        out += "\"fpbp_s\": " + fmtDouble(r.fpBpSeconds) + ", ";
-        out += "\"wu_s\": " + fmtDouble(r.wuSeconds) + ",\n     ";
-        out += "\"sync_api_fraction\": " +
-               fmtDouble(r.syncApiFraction) + ", ";
-        out += "\"inter_gpu_bytes_per_iter\": " +
-               fmtDouble(r.interGpuBytesPerIter) + ",\n     ";
-        if (r.nodes > 1) {
-            out += "\"inter_node_bytes_per_iter\": " +
-                   fmtDouble(r.interNodeBytesPerIter) + ",\n     ";
-        }
-        if (r.mode == "async_ps") {
-            out += "\"throughput_img_s\": " +
-                   fmtDouble(r.throughputImagesPerSec) + ", ";
-            out += "\"avg_staleness\": " +
-                   fmtDouble(r.avgStaleness) + ", ";
-            out += "\"max_staleness\": " +
-                   std::to_string(r.maxStaleness) + ",\n     ";
-        } else if (r.mode == "model_parallel" ||
-                   r.mode == "pipeline") {
-            out += "\"microbatches\": " +
-                   std::to_string(r.microbatches) + ", ";
-            out += "\"bubble_fraction\": " +
-                   fmtDouble(r.bubbleFraction) + ",\n     ";
-        }
-        if (r.hasAnalysis) {
-            out += "\"cp_compute_s\": " +
-                   fmtDouble(r.cpComputeSeconds) + ", ";
-            out += "\"cp_comm_s\": " + fmtDouble(r.cpCommSeconds) +
-                   ", ";
-            if (r.nodes > 1) {
-                out += "\"cp_inter_node_comm_s\": " +
-                       fmtDouble(r.cpInterNodeCommSeconds) + ", ";
+        out += i == 0 ? "\n    {" : ",\n    {";
+        const char *separator = "";
+        for (const Field &f : kFields) {
+            if (!holds(f.when, r))
+                continue;
+            out += separator;
+            out += '"';
+            out += f.name;
+            out += "\": ";
+            if (f.hex || std::holds_alternative<std::string RunRecord::*>(
+                             f.member)) {
+                out += '"';
+                appendJsonEscaped(out, text(f, r));
+                out += '"';
+            } else {
+                out += text(f, r);
             }
-            out += "\"cp_api_s\": " + fmtDouble(r.cpApiSeconds) +
-                   ", ";
-            out += "\"cp_idle_s\": " + fmtDouble(r.cpIdleSeconds) +
-                   ",\n     ";
+            separator = f.lineBreak ? ",\n     " : ", ";
         }
-        out += "\"mem_pre_bytes\": " + fmtU64(r.preTrainingBytes) +
-               ", ";
-        out += "\"mem_gpu0_bytes\": " + fmtU64(r.gpu0TrainingBytes) +
-               ", ";
-        out += "\"mem_gpux_bytes\": " + fmtU64(r.gpuxTrainingBytes) +
-               ",\n     ";
-        out += "\"digest\": \"" + fmtHex64(r.digest) + "\"}";
+        out += '}';
     }
     out += records.empty() ? "]\n}\n" : "\n  ]\n}\n";
     return out;
@@ -330,69 +409,48 @@ recordsFromJson(const std::string &text)
     if (version != 1)
         sim::fatal("unsupported results version ", version,
                    " (this build reads version 1)");
-    std::vector<RunRecord> records;
-    for (const JsonValue &v : doc.at("records").asArray()) {
-        RunRecord r;
-        r.model = v.stringAt("model");
-        r.gpus = static_cast<int>(v.numberAt("gpus"));
-        r.batch = static_cast<int>(v.numberAt("batch"));
-        r.method = v.stringAt("method");
-        if (const JsonValue *m = v.find("mode"))
-            r.mode = m->asString();
-        if (const JsonValue *p = v.find("platform"))
-            r.platform = p->asString();
-        if (const JsonValue *n = v.find("nodes"))
-            r.nodes = static_cast<int>(n->asNumber());
-        if (const JsonValue *ic = v.find("interconnect"))
-            r.interconnect = ic->asString();
-        if (const JsonValue *na = v.find("net_algo"))
-            r.netAlgo = na->asString();
-        if (const JsonValue *s = v.find("scheduler")) {
-            r.scheduler = s->asString();
-            r.partitionBytes = u64At(v, "partition_bytes");
-            r.creditBytes = u64At(v, "credit_bytes");
+    const std::vector<JsonValue> &array = doc.at("records").asArray();
+    // Table rows in member-name order, the order a JSON object keeps.
+    static const auto byName = [] {
+        std::array<std::uint8_t, kFieldCount> rows{};
+        std::iota(rows.begin(), rows.end(), 0);
+        std::sort(rows.begin(), rows.end(), [](auto a, auto b) {
+            return std::strcmp(kFields[a].name, kFields[b].name) < 0;
+        });
+        return rows;
+    }();
+    std::vector<RunRecord> records(array.size());
+    for (std::size_t i = 0; i < array.size(); ++i) {
+        RunRecord &r = records[i];
+        // One merge pass reads every known member; unknown ones are
+        // ignored.
+        std::uint64_t present = 0;
+        auto row = byName.begin();
+        for (const auto &[name, value] : array[i].asObject()) {
+            while (row != byName.end() &&
+                   std::strcmp(kFields[*row].name, name.c_str()) < 0)
+                ++row;
+            if (row == byName.end() || name != kFields[*row].name)
+                continue;
+            const Field &f = kFields[*row];
+            try {
+                readMember(f, value, r);
+            } catch (const sim::FatalError &e) {
+                const std::string why = e.what(); // "fatal: ..."
+                sim::fatal("record ", i, " member '", f.name,
+                           "': ", why.substr(why.find(' ') + 1));
+            }
+            present |= std::uint64_t(1) << *row;
+            // The analysis group's rule reads a flag, not an axis: a
+            // present member is what sets it.
+            if (f.when == When::Analysis)
+                r.hasAnalysis = true;
         }
-        if (const JsonValue *z = v.find("compression")) {
-            r.compression = z->asString();
-            r.compressRatio = v.numberAt("compress_ratio");
+        for (std::size_t k = 0; k < kFieldCount; ++k) {
+            if (!(present >> k & 1) && holds(kFields[k].when, r))
+                sim::fatal("record ", i, " has no member '",
+                           kFields[k].name, "'");
         }
-        r.images = u64At(v, "images");
-        r.oom = v.boolAt("oom");
-        r.iterations = u64At(v, "iterations");
-        r.epochSeconds = v.numberAt("epoch_s");
-        r.iterationSeconds = v.numberAt("iteration_s");
-        r.setupSeconds = v.numberAt("setup_s");
-        r.fpBpSeconds = v.numberAt("fpbp_s");
-        r.wuSeconds = v.numberAt("wu_s");
-        r.syncApiFraction = v.numberAt("sync_api_fraction");
-        r.interGpuBytesPerIter =
-            v.numberAt("inter_gpu_bytes_per_iter");
-        if (const JsonValue *ib = v.find("inter_node_bytes_per_iter"))
-            r.interNodeBytesPerIter = ib->asNumber();
-        r.preTrainingBytes = u64At(v, "mem_pre_bytes");
-        r.gpu0TrainingBytes = u64At(v, "mem_gpu0_bytes");
-        r.gpuxTrainingBytes = u64At(v, "mem_gpux_bytes");
-        r.digest = parseHex64(v.stringAt("digest"));
-        if (const JsonValue *t = v.find("throughput_img_s"))
-            r.throughputImagesPerSec = t->asNumber();
-        if (const JsonValue *s = v.find("avg_staleness"))
-            r.avgStaleness = s->asNumber();
-        if (const JsonValue *s = v.find("max_staleness"))
-            r.maxStaleness = static_cast<int>(s->asNumber());
-        if (const JsonValue *u = v.find("microbatches"))
-            r.microbatches = static_cast<int>(u->asNumber());
-        if (const JsonValue *bf = v.find("bubble_fraction"))
-            r.bubbleFraction = bf->asNumber();
-        if (const JsonValue *cp = v.find("cp_compute_s")) {
-            r.hasAnalysis = true;
-            r.cpComputeSeconds = cp->asNumber();
-            r.cpCommSeconds = v.numberAt("cp_comm_s");
-            if (const JsonValue *in = v.find("cp_inter_node_comm_s"))
-                r.cpInterNodeCommSeconds = in->asNumber();
-            r.cpApiSeconds = v.numberAt("cp_api_s");
-            r.cpIdleSeconds = v.numberAt("cp_idle_s");
-        }
-        records.push_back(std::move(r));
     }
     return records;
 }
@@ -400,48 +458,67 @@ recordsFromJson(const std::string &text)
 std::string
 recordsToCsv(const std::vector<RunRecord> &records)
 {
-    std::string out =
-        "model,gpus,batch,method,mode,platform,nodes,interconnect,"
-        "net_algo,scheduler,partition_bytes,credit_bytes,"
-        "compression,compress_ratio,"
-        "images,oom,iterations,"
-        "epoch_s,"
-        "iteration_s,setup_s,fpbp_s,wu_s,sync_api_fraction,"
-        "inter_gpu_bytes_per_iter,inter_node_bytes_per_iter,"
-        "mem_pre_bytes,mem_gpu0_bytes,"
-        "mem_gpux_bytes,digest\n";
+    std::string out;
+    for (const Field &f : kFields)
+        out += std::string(f.name) + ",";
+    out.back() = '\n';
     for (const RunRecord &r : records) {
-        out += csvEscape(r.model) + ",";
-        out += std::to_string(r.gpus) + ",";
-        out += std::to_string(r.batch) + ",";
-        out += csvEscape(r.method) + ",";
-        out += csvEscape(r.mode) + ",";
-        out += csvEscape(r.platform) + ",";
-        out += std::to_string(r.nodes) + ",";
-        out += csvEscape(r.interconnect) + ",";
-        out += csvEscape(r.netAlgo) + ",";
-        out += csvEscape(r.scheduler) + ",";
-        out += fmtU64(r.partitionBytes) + ",";
-        out += fmtU64(r.creditBytes) + ",";
-        out += csvEscape(r.compression) + ",";
-        out += fmtDouble(r.compressRatio) + ",";
-        out += fmtU64(r.images) + ",";
-        out += std::string(r.oom ? "1" : "0") + ",";
-        out += fmtU64(r.iterations) + ",";
-        out += fmtDouble(r.epochSeconds) + ",";
-        out += fmtDouble(r.iterationSeconds) + ",";
-        out += fmtDouble(r.setupSeconds) + ",";
-        out += fmtDouble(r.fpBpSeconds) + ",";
-        out += fmtDouble(r.wuSeconds) + ",";
-        out += fmtDouble(r.syncApiFraction) + ",";
-        out += fmtDouble(r.interGpuBytesPerIter) + ",";
-        out += fmtDouble(r.interNodeBytesPerIter) + ",";
-        out += fmtU64(r.preTrainingBytes) + ",";
-        out += fmtU64(r.gpu0TrainingBytes) + ",";
-        out += fmtU64(r.gpuxTrainingBytes) + ",";
-        out += fmtHex64(r.digest) + "\n";
+        for (const Field &f : kFields)
+            out += csvEscape(text(f, r)) + ",";
+        out.back() = '\n';
     }
     return out;
+}
+
+void
+forEachMetric(const RunRecord &baseline, const RunRecord &fresh,
+              const std::function<void(const char *, double, double)> &fn)
+{
+    for (const Field &f : kFields) {
+        if (f.keySlot >= 0 || f.hex || !holds(f.when, baseline) ||
+            !holds(f.when, fresh))
+            continue;
+        std::visit(
+            [&](auto m) {
+                using T = std::decay_t<decltype(baseline.*m)>;
+                if constexpr (!isString<T> && !std::is_same_v<T, bool>) {
+                    fn(f.name, static_cast<double>(baseline.*m),
+                       static_cast<double>(fresh.*m));
+                }
+            },
+            f.member);
+    }
+}
+
+void
+filterRecords(std::vector<RunRecord> &records, const core::cli::Args &args)
+{
+    for (const Field &f : kFields) {
+        const auto flag =
+            std::find_if(f.options.begin(), f.options.end(),
+                         [&](const char *o) { return o && args.has(o); });
+        if (flag == f.options.end())
+            continue;
+        std::vector<std::string> accepted;
+        if (std::holds_alternative<int RunRecord::*>(f.member)) {
+            for (int v : args.getIntList(*flag, {}))
+                accepted.push_back(std::to_string(v));
+        } else {
+            for (const std::string &v : args.getList(*flag, {})) {
+                // Spell the value the way a run configured with it
+                // records it, so registry aliases match.
+                RunRecord probe;
+                probe.*std::get<std::string RunRecord::*>(f.member) = v;
+                core::TrainReport report;
+                report.config = probe.toConfig();
+                accepted.push_back(text(f, recordFromReport(report)));
+            }
+        }
+        std::erase_if(records, [&](const RunRecord &r) {
+            return std::find(accepted.begin(), accepted.end(),
+                             text(f, r)) == accepted.end();
+        });
+    }
 }
 
 void

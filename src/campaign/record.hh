@@ -9,8 +9,10 @@
  * iteration time, the FP+BP/WU breakdown, sync-API share, inter-GPU
  * traffic, peak memory, and the determinism digest.
  *
- * Records serialize to JSON (results/baseline.json is an array of
- * them) and CSV. Serialization is deterministic: the same records
+ * Every serialized member is described once, by one row of the field
+ * table in record.cc. key(), JSON, CSV, the drift gate of `dgxprof
+ * check` and its axis filter are loops over that table, so a new run
+ * axis is one row. Serialization is deterministic: the same records
  * always produce byte-identical text, so a campaign run at --jobs 8
  * emits the same file as --jobs 1 and a golden baseline can be
  * diffed textually.
@@ -20,15 +22,23 @@
 #define DGXSIM_CAMPAIGN_RECORD_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "core/cli.hh"
 #include "core/report.hh"
 #include "core/train_config.hh"
 
 namespace dgxsim::campaign {
 
-/** Flattened, serializable result of one training simulation. */
+/**
+ * Flattened, serializable result of one training simulation. Which
+ * members JSON and key() carry for which record is the field table's
+ * business (record.cc): each optional group is omitted at its
+ * default, so every baseline written before the group existed stays
+ * byte-identical.
+ */
 struct RunRecord
 {
     // --- configuration axes (enough to re-run the simulation) ---
@@ -37,47 +47,25 @@ struct RunRecord
     int batch = 16;
     /** "p2p" or "nccl" (comm::commMethodName). */
     std::string method = "nccl";
-    /**
-     * Parallelization strategy (core::parallelismModeName). JSON and
-     * key() omit it for "sync_dp" so pre-mode baselines stay
-     * byte-identical.
-     */
+    /** Parallelization strategy (core::parallelismModeName). */
     std::string mode = "sync_dp";
-    /**
-     * Hardware platform (hw::platformNames). JSON and key() omit it
-     * for the default "dgx1v" so pre-platform baselines stay
-     * byte-identical.
-     */
+    /** Hardware platform (hw::platformNames). */
     std::string platform = "dgx1v";
-    /**
-     * Cluster nodes (hw/cluster.hh). JSON, CSV and key() carry the
-     * cluster axes (nodes, interconnect, net algo) only when
-     * nodes > 1 so every single-node baseline stays byte-identical.
-     */
+    /** Cluster nodes (hw/cluster.hh). */
     int nodes = 1;
-    /** Inter-node network registry name (nodes > 1 only). */
+    /** Inter-node network registry name. */
     std::string interconnect = "ib100";
     /** Inter-node all-reduce schedule, "ring" or "tree". */
     std::string netAlgo = "ring";
-    /**
-     * Gradient-bucket scheduler (comm::schedulerName). JSON and
-     * key() carry the scheduler axes (scheduler, partition_bytes,
-     * credit_bytes) only when the scheduler is not "fifo" so every
-     * pre-scheduler baseline stays byte-identical.
-     */
+    /** Gradient-bucket scheduler (comm::schedulerName). */
     std::string scheduler = "fifo";
-    /** Partitioned-chunk size (serialized for non-fifo only). */
+    /** Partitioned-chunk size. */
     std::uint64_t partitionBytes = comm::kDefaultPartitionBytes;
-    /** Priority credit window (serialized for non-fifo only). */
+    /** Priority credit window. */
     std::uint64_t creditBytes = comm::kDefaultCreditBytes;
-    /**
-     * Gradient compressor (comm::compressorName). JSON and key()
-     * carry the compression axes (compression, compress_ratio) only
-     * when the compressor is not "none" so every pre-compression
-     * baseline stays byte-identical.
-     */
+    /** Gradient compressor (comm::compressorName). */
     std::string compression = "none";
-    /** Kept-element fraction (serialized for non-none only). */
+    /** Kept-element fraction. */
     double compressRatio = 0.01;
     std::uint64_t images = 256000;
 
@@ -102,31 +90,30 @@ struct RunRecord
     /** Order-sensitive event-stream digest (determinism contract). */
     std::uint64_t digest = 0;
 
-    // --- async_ps-only metrics (serialized only for that mode) ---
+    // --- async_ps-only metrics ---
     double throughputImagesPerSec = 0;
     double avgStaleness = 0;
     int maxStaleness = 0;
 
-    // --- model_parallel-only metrics (serialized only for that mode) ---
+    // --- model_parallel / pipeline: the microbatch axis and bubble ---
     int microbatches = 0;
     double bubbleFraction = 0;
 
     // --- critical-path analysis (analysis::Dag), attached only when
-    // analysis was requested so plain campaign baselines stay
-    // byte-identical ---
+    // analysis was requested ---
     bool hasAnalysis = false;
     /** Critical-path attribution of the measured window (seconds);
      * the four categories sum to the window makespan. */
     double cpComputeSeconds = 0;
     double cpCommSeconds = 0;
-    /** Inter-node share of the critical path; serialized only when
-     * nodes > 1 (always 0 on a single node). */
+    /** Inter-node share of the critical path (0 on a single node). */
     double cpInterNodeCommSeconds = 0;
     double cpApiSeconds = 0;
     double cpIdleSeconds = 0;
 
     /**
-     * @return "model x gpus b batch method" — the identity of the
+     * @return "model x gpus b batch method i images" plus a token per
+     * serialized non-default axis — the identity of the
      * configuration, used to match baseline and fresh records.
      */
     std::string key() const;
@@ -150,13 +137,29 @@ std::string recordsToJson(const std::vector<RunRecord> &records);
 
 /**
  * Parse a document produced by recordsToJson (or a hand-edited
- * baseline). Throws sim::FatalError on malformed input or an
- * unsupported version.
+ * baseline). Throws sim::FatalError on malformed input, an
+ * unsupported version, a member of the wrong type, a missing member
+ * the record's axes call for, or an integer member that is not a
+ * whole number in its type's range; the error names the record index
+ * and the member.
  */
 std::vector<RunRecord> recordsFromJson(const std::string &text);
 
-/** @return the records as CSV with a header row. Deterministic. */
+/** @return the records as CSV: a header row, then one column per
+ * field-table row. Deterministic. */
 std::string recordsToCsv(const std::vector<RunRecord> &records);
+
+/** Calls @p fn(name, baseline value, fresh value) for every numeric
+ * outcome both records serialize, in field-table order. */
+void forEachMetric(
+    const RunRecord &baseline, const RunRecord &fresh,
+    const std::function<void(const char *, double, double)> &fn);
+
+/** Keep the records whose axes are listed by the matching `dgxprof
+ * check` flags in @p args (--model, --gpus, --mode, ...), spelled as
+ * a run records them: `--mode async` keeps "async_ps" rows. */
+void filterRecords(std::vector<RunRecord> &records,
+                   const core::cli::Args &args);
 
 /** Write @p text to @p path (fatal on I/O failure). */
 void writeFile(const std::string &path, const std::string &text);

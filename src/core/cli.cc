@@ -1,6 +1,8 @@
 #include "core/cli.hh"
 
+#include <charconv>
 #include <cstdlib>
+#include <limits>
 
 #include "comm/compression.hh"
 #include "comm/scheduler.hh"
@@ -10,6 +12,32 @@
 #include "sim/suggest.hh"
 
 namespace dgxsim::core::cli {
+
+namespace {
+
+/**
+ * @return all of @p text as a base-10 T (no sign for unsigned T, no
+ * whitespace); fatal naming --@p name on garbage or overflow.
+ */
+template <typename T>
+T
+parseWhole(const std::string &name, const std::string &text,
+           const char *expected)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec == std::errc::result_out_of_range) {
+        sim::fatal("--", name, " value '", text, "' is out of range [",
+                   std::numeric_limits<T>::min(), ", ",
+                   std::numeric_limits<T>::max(), "]");
+    }
+    if (ec != std::errc() || ptr != end)
+        sim::fatal("--", name, " expects ", expected, ", got '", text, "'");
+    return value;
+}
+
+} // namespace
 
 Args
 Args::parse(const std::vector<std::string> &tokens)
@@ -57,12 +85,7 @@ Args::getInt(const std::string &name, int fallback) const
     auto it = opts_.find(name);
     if (it == opts_.end())
         return fallback;
-    char *end = nullptr;
-    const long value = std::strtol(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0')
-        sim::fatal("--", name, " expects an integer, got '",
-                   it->second, "'");
-    return static_cast<int>(value);
+    return parseWhole<int>(name, it->second, "an integer");
 }
 
 double
@@ -85,54 +108,32 @@ Args::getBytes(const std::string &name, std::uint64_t fallback) const
     auto it = opts_.find(name);
     if (it == opts_.end())
         return fallback;
-    char *end = nullptr;
-    const unsigned long long value =
-        std::strtoull(it->second.c_str(), &end, 10);
-    std::uint64_t scale = 1;
-    if (*end == 'k' || *end == 'K')
-        scale = std::uint64_t(1) << 10, ++end;
-    else if (*end == 'm' || *end == 'M')
-        scale = std::uint64_t(1) << 20, ++end;
-    else if (*end == 'g' || *end == 'G')
-        scale = std::uint64_t(1) << 30, ++end;
-    if (end == it->second.c_str() || *end != '\0') {
-        sim::fatal("--", name,
-                   " expects a byte count (optionally with a k/m/g "
-                   "suffix), got '",
-                   it->second, "'");
-    }
-    return static_cast<std::uint64_t>(value) * scale;
+    // A k/m/g suffix (either case) scales by 2^10/2^20/2^30.
+    std::string digits = it->second;
+    const std::size_t unit = digits.empty()
+                                 ? std::string::npos
+                                 : std::string("kKmMgG").find(digits.back());
+    const int shift = unit == std::string::npos ? 0 : 10 * int(unit / 2 + 1);
+    if (shift)
+        digits.pop_back();
+    const auto value = parseWhole<std::uint64_t>(
+        name, digits, "a byte count (optionally with a k/m/g suffix)");
+    if (value > std::numeric_limits<std::uint64_t>::max() >> shift)
+        sim::fatal("--", name, " ", it->second, " overflows 64 bits");
+    return value << shift;
 }
 
 std::vector<int>
 Args::getIntList(const std::string &name,
                  const std::vector<int> &fallback) const
 {
-    auto it = opts_.find(name);
-    if (it == opts_.end())
+    if (!has(name))
         return fallback;
     std::vector<int> out;
-    std::string item;
-    for (char c : it->second + ",") {
-        if (c == ',') {
-            if (!item.empty()) {
-                char *end = nullptr;
-                const long v = std::strtol(item.c_str(), &end, 10);
-                if (end == item.c_str() || *end != '\0') {
-                    sim::fatal("--", name,
-                               " expects comma-separated integers, "
-                               "got '",
-                               it->second, "'");
-                }
-                out.push_back(static_cast<int>(v));
-                item.clear();
-            }
-        } else {
-            item.push_back(c);
-        }
+    for (const std::string &item : getList(name, {})) {
+        out.push_back(
+            parseWhole<int>(name, item, "comma-separated integers"));
     }
-    if (out.empty())
-        sim::fatal("--", name, " expects at least one value");
     return out;
 }
 
@@ -164,8 +165,12 @@ TrainConfig
 baseConfigFromArgs(const Args &args)
 {
     TrainConfig cfg;
-    cfg.datasetImages = static_cast<std::uint64_t>(
-        args.getInt("images", 256000));
+    if (args.has("images")) {
+        cfg.datasetImages = parseWhole<std::uint64_t>(
+            "images", args.get("images"), "a positive integer");
+    }
+    if (cfg.datasetImages == 0)
+        sim::fatal("--images must be positive");
     cfg.useTensorCores = args.has("tensor-cores");
     cfg.overlapBpWu = args.has("overlap");
     cfg.useAllReduce = args.has("allreduce");

@@ -38,7 +38,8 @@ class Args
     std::string get(const std::string &name,
                     const std::string &fallback = "") const;
 
-    /** @return the option parsed as int (fatal on garbage). */
+    /** @return the option parsed as int (fatal on garbage or
+     * overflow). */
     int getInt(const std::string &name, int fallback) const;
 
     /** @return the option parsed as double (fatal on garbage). */
@@ -46,14 +47,15 @@ class Args
 
     /**
      * @return the option parsed as a byte count. Accepts a plain
-     * integer or a k/m/g suffix (powers of 1024), e.g. "4m" -> 4 MiB.
+     * integer or a k/m/g suffix (powers of 1024), e.g. "4m" -> 4 MiB;
+     * fatal on a sign or a count past 64 bits.
      */
     std::uint64_t getBytes(const std::string &name,
                            std::uint64_t fallback) const;
 
     /**
      * @return a comma-separated option as an int list, e.g.
-     * "--gpus 1,2,4" -> {1,2,4}.
+     * "--gpus 1,2,4" -> {1,2,4} (fatal on garbage or overflow).
      */
     std::vector<int> getIntList(const std::string &name,
                                 const std::vector<int> &fallback) const;

@@ -61,6 +61,41 @@ TEST(Check, InjectedDriftFailsAndToleranceForgives)
     CheckOptions loose = tight;
     loose.tolerancePct = 15.0;
     EXPECT_TRUE(checkAgainstBaseline(baseline, loose).pass);
+
+    // Every serialized outcome is gated, not only the timings: the
+    // memory peaks, iteration count, setup time and the async
+    // throughput and staleness each fail the check on their own.
+    CampaignSpec async;
+    async.models = {"lenet"};
+    async.gpus = {2};
+    async.batches = {16};
+    async.methods = {comm::CommMethod::P2P};
+    async.modes = {core::ParallelismMode::AsyncPs};
+    const RunRecord asyncRun = runCampaign(async.expand(), 1).front();
+    CheckOptions exact;
+    exact.skipDigest = true;
+    CheckOptions forgiving = exact;
+    forgiving.tolerancePct = 1e9;
+    const auto tamper = [&](const RunRecord &clean, const char *metric,
+                            auto edit) {
+        RunRecord r = clean;
+        edit(r);
+        const CheckReport report = checkAgainstBaseline({r}, exact);
+        EXPECT_FALSE(report.pass) << metric;
+        EXPECT_EQ(report.deltas[0].worstMetric, metric);
+        EXPECT_TRUE(checkAgainstBaseline({r}, forgiving).pass) << metric;
+    };
+    const RunRecord sync = freshBaseline()[1];
+    tamper(sync, "mem_gpux_bytes",
+           [](RunRecord &r) { r.gpuxTrainingBytes *= 3; });
+    tamper(sync, "mem_pre_bytes",
+           [](RunRecord &r) { r.preTrainingBytes *= 3; });
+    tamper(sync, "iterations", [](RunRecord &r) { r.iterations += 7; });
+    tamper(sync, "setup_s", [](RunRecord &r) { r.setupSeconds *= 10; });
+    tamper(asyncRun, "throughput_img_s",
+           [](RunRecord &r) { r.throughputImagesPerSec *= 2; });
+    tamper(asyncRun, "max_staleness",
+           [](RunRecord &r) { r.maxStaleness += 5; });
 }
 
 TEST(Check, DigestCorruptionFailsAtAnyTolerance)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
 #include "campaign/json.hh"
 #include "campaign/record.hh"
@@ -81,6 +82,49 @@ TEST(RunRecord, CsvHasHeaderAndOneLinePerRecord)
     EXPECT_EQ(lines, 3u);
     EXPECT_EQ(csv.rfind("model,gpus,batch,method", 0), 0u);
     EXPECT_NE(csv.find("deadbeefcafe1234"), std::string::npos);
+}
+
+TEST(RunRecord, CsvHasOneColumnPerJsonMember)
+{
+    // Between them these two records emit every optional JSON group.
+    RunRecord a = sampleRecord();
+    a.mode = "pipeline";
+    a.microbatches = 8;
+    a.nodes = 2;
+    a.scheduler = "priority";
+    a.compression = "dgc";
+    a.platform = "dgx2";
+    a.hasAnalysis = true;
+    RunRecord async = sampleRecord();
+    async.mode = "async_ps";
+    const JsonValue doc = JsonValue::parse(recordsToJson({a, async}));
+    std::set<std::string> members;
+    for (const JsonValue &v : doc.at("records").asArray())
+        for (const auto &[name, value] : v.asObject())
+            members.insert(name);
+
+    RunRecord b = a;
+    b.microbatches = 16;
+    const std::string csv = recordsToCsv({a, b});
+    std::set<std::string> columns;
+    std::size_t count = 0;
+    std::string column;
+    for (char c : csv.substr(0, csv.find('\n') + 1)) {
+        if (c == ',' || c == '\n') {
+            columns.insert(column);
+            column.clear();
+            ++count;
+        } else {
+            column.push_back(c);
+        }
+    }
+    EXPECT_EQ(columns, members);
+    EXPECT_EQ(count, members.size());
+    EXPECT_EQ(csv.rfind("model,gpus,batch,method,", 0), 0u);
+    // Runs that differ only in microbatch depth print different rows.
+    const std::size_t second = csv.find('\n') + 1;
+    const std::size_t third = csv.find('\n', second) + 1;
+    EXPECT_NE(csv.substr(second, third - second), csv.substr(third));
 }
 
 TEST(RunRecord, KeyIdentifiesTheConfiguration)
@@ -157,6 +201,29 @@ TEST(RunRecord, PlatformExtendsKeyOnlyWhenNotDefault)
     EXPECT_EQ(sampleRecord().toConfig().platform, "dgx1v");
 }
 
+/** @return the FatalError message of parsing @p json ("" if none). */
+std::string
+parseError(const std::string &json)
+{
+    try {
+        recordsFromJson(json);
+    } catch (const sim::FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** @return sampleRecord()'s JSON as the second of two records, with
+ * @p from replaced by @p to. */
+std::string
+tampered(const std::string &from, const std::string &to)
+{
+    std::string json = recordsToJson({RunRecord{}, sampleRecord()});
+    const std::size_t at = json.rfind(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return json.replace(at, from.size(), to);
+}
+
 TEST(RunRecord, MalformedJsonIsFatal)
 {
     EXPECT_THROW(recordsFromJson("{"), sim::FatalError);
@@ -170,6 +237,77 @@ TEST(RunRecord, MalformedJsonIsFatal)
         recordsFromJson(
             "{\"version\": 1, \"records\": [{\"model\": \"x\"}]}"),
         sim::FatalError);
+    // Integers that are not whole numbers in their member's range are
+    // rejected by name instead of truncated (2.5 ran 2 GPUs), cast
+    // out of range (1e10 GPUs) or wrapped (1e30 images).
+    EXPECT_NE(parseError(tampered("\"gpus\": 4", "\"gpus\": 2.5"))
+                  .find("record 1 member 'gpus': 2.5 is not an integer"),
+              std::string::npos);
+    EXPECT_NE(parseError(tampered("\"gpus\": 4", "\"gpus\": 1e10"))
+                  .find("record 1 member 'gpus'"),
+              std::string::npos);
+    EXPECT_NE(parseError(tampered("\"images\": 256000",
+                                  "\"images\": 1e30"))
+                  .find("record 1 member 'images'"),
+              std::string::npos);
+    EXPECT_NE(parseError(tampered("\"iterations\": 2000",
+                                  "\"iterations\": -1"))
+                  .find("record 1 member 'iterations'"),
+              std::string::npos);
+    EXPECT_NE(
+        parseError(tampered("\"batch\": 32", "\"batch\": \"32\""))
+            .find("record 1 member 'batch'"),
+        std::string::npos);
+    EXPECT_NE(parseError(tampered("deadbeefcafe1234", "-1"))
+                  .find("record 1 member 'digest'"),
+              std::string::npos);
+    // A group the record's axes call for must be complete.
+    EXPECT_NE(parseError(tampered("\"images\"",
+                                  "\"mode\": \"async_ps\", \"images\""))
+                  .find("record 1 has no member 'throughput_img_s'"),
+              std::string::npos);
+}
+
+TEST(RunRecord, EveryGroupRoundTrips)
+{
+    RunRecord r = sampleRecord();
+    r.mode = "pipeline";
+    r.microbatches = 16;
+    r.bubbleFraction = 0.125;
+    r.platform = "dgx2";
+    r.nodes = 2;
+    r.interconnect = "ib200";
+    r.netAlgo = "tree";
+    r.scheduler = "partitioned";
+    r.partitionBytes = 1 << 20;
+    r.compression = "dgc";
+    r.compressRatio = 0.05;
+    r.interNodeBytesPerIter = 1.5e6;
+    r.hasAnalysis = true;
+    r.cpComputeSeconds = 0.25;
+    r.cpCommSeconds = 0.5;
+    r.cpInterNodeCommSeconds = 0.125;
+    r.cpApiSeconds = 1e-3;
+    r.cpIdleSeconds = 2e-3;
+    const auto parsed = recordsFromJson(recordsToJson({r}));
+    ASSERT_EQ(parsed.size(), 1u);
+    EXPECT_EQ(parsed[0], r);
+    EXPECT_EQ(r.key(), "alexnet x4 b32 nccl i256000 pipeline ub16 dgx2 "
+                       "n2 ib200 tree partitioned pb1048576 cb" +
+                           std::to_string(r.creditBytes) +
+                           " dgc r0.050000000000000003");
+}
+
+TEST(RunRecord, GoldenFilesRoundTripByteForByte)
+{
+    for (const char *name :
+         {"baseline", "baseline_modes", "baseline_platforms",
+          "baseline_cluster", "baseline_sched", "baseline_zoo",
+          "baseline_pipeline"}) {
+        const std::string text = readFile(
+            std::string(DGXSIM_REPO_ROOT) + "/results/" + name + ".json");
+        EXPECT_EQ(recordsToJson(recordsFromJson(text)), text) << name;
+    }
 }
 
 TEST(Json, ParsesTheEmittedSubset)

@@ -60,6 +60,44 @@ TEST(CliArgsTest, GarbageNumbersAreFatal)
     EXPECT_THROW(args.getInt("gpus", 1), sim::FatalError);
     EXPECT_THROW(args.getDouble("fusion-mb", 0), sim::FatalError);
     EXPECT_THROW(args.getIntList("batches", {}), sim::FatalError);
+
+    // Integers past their type's range fail naming the option instead
+    // of wrapping to a different run.
+    const auto error = [](std::vector<std::string> tokens, auto read) {
+        try {
+            read(Args::parse(tokens));
+        } catch (const sim::FatalError &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    const auto config = [](const Args &a) {
+        return core::cli::configFromArgs(a);
+    };
+    EXPECT_NE(error({"--gpus", "4294967300"}, config).find("--gpus"),
+              std::string::npos);
+    EXPECT_NE(error({"--batch", "4294967312"}, config).find("--batch"),
+              std::string::npos);
+    EXPECT_NE(error({"--images", "-1"}, config).find("--images"),
+              std::string::npos);
+    EXPECT_NE(error({"--images", "0"}, config).find("--images"),
+              std::string::npos);
+    EXPECT_NE(error({"--partition-bytes", "-1"}, config)
+                  .find("--partition-bytes"),
+              std::string::npos);
+    EXPECT_NE(error({"--partition-bytes", "17179869185g"}, config)
+                  .find("--partition-bytes"),
+              std::string::npos);
+    EXPECT_NE(error({"--gpus", "1,4294967297"},
+                    [](const Args &a) { return a.getIntList("gpus", {}); })
+                  .find("--gpus"),
+              std::string::npos);
+    // --images is a 64-bit count, read whole.
+    EXPECT_EQ(config(Args::parse({"--images", "5000000000"})).datasetImages,
+              5000000000u);
+    EXPECT_EQ(Args::parse({"--partition-bytes", "17179869183g"})
+                  .getBytes("partition-bytes", 0),
+              17179869183ull << 30);
 }
 
 TEST(CliConfigTest, MapsAllTrainingOptions)

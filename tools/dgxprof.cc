@@ -27,7 +27,6 @@
  * Run `dgxprof help` (or any subcommand with --help) for usage.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -440,22 +439,17 @@ cmdCampaign(const Args &args)
     spec.models = args.getList("model", dnn::modelNames());
     const auto configs = spec.expand();
     const auto records = runWithProgress(configs, args);
-    TextTable table({"model", "gpus", "batch", "method", "epoch (s)",
-                     "fp+bp (s)", "wu (s)", "sync %", "GPU0 GB",
-                     "digest"});
+    TextTable table({"run", "epoch (s)", "fp+bp (s)", "wu (s)", "sync %",
+                     "GPU0 GB", "digest"});
     for (const auto &r : records) {
         if (r.oom) {
-            table.addRow({r.model, std::to_string(r.gpus),
-                          std::to_string(r.batch), r.method, "OOM",
-                          "-", "-", "-", "-", "-"});
+            table.addRow({r.key(), "OOM", "-", "-", "-", "-", "-"});
             continue;
         }
         char digest[20];
         std::snprintf(digest, sizeof(digest), "%016llx",
                       static_cast<unsigned long long>(r.digest));
-        table.addRow({r.model, std::to_string(r.gpus),
-                      std::to_string(r.batch), r.method,
-                      TextTable::num(r.epochSeconds, 2),
+        table.addRow({r.key(), TextTable::num(r.epochSeconds, 2),
                       TextTable::num(r.fpBpSeconds, 2),
                       TextTable::num(r.wuSeconds, 2),
                       TextTable::num(100 * r.syncApiFraction, 1),
@@ -483,70 +477,9 @@ cmdCheck(const Args &args)
         args.get("baseline", "results/baseline.json");
     std::vector<campaign::RunRecord> baseline =
         campaign::recordsFromJson(campaign::readFile(path));
-    // Optional grid filters restrict the gate to a subset of the
-    // committed baseline (the CI repro-smoke job uses this).
-    const auto contains = [](const auto &list, const auto &v) {
-        return std::find(list.begin(), list.end(), v) != list.end();
-    };
-    if (args.has("model") || args.has("gpus") ||
-        args.has("batches") || args.has("batch") ||
-        args.has("method") || args.has("mode") ||
-        args.has("microbatches") || args.has("platform") ||
-        args.has("nodes") || args.has("interconnect") ||
-        args.has("netalgo") || args.has("scheduler") ||
-        args.has("compression")) {
-        const auto models = args.getList("model", {});
-        const auto gpus = args.getIntList("gpus", {});
-        const auto batches =
-            args.getIntList("batches", args.getIntList("batch", {}));
-        const auto methods = args.getList("method", {});
-        const auto microbatches = args.getIntList("microbatches", {});
-        const auto platforms = args.getList("platform", {});
-        const auto nodes = args.getIntList("nodes", {});
-        const auto interconnects = args.getList("interconnect", {});
-        std::vector<std::string> netAlgos;
-        for (const std::string &a : args.getList("netalgo", {})) {
-            netAlgos.push_back(
-                comm::netAlgoName(comm::parseNetAlgo(a)));
-        }
-        std::vector<std::string> modes;
-        for (const std::string &m : args.getList("mode", {})) {
-            // Canonicalize aliases ("async" -> "async_ps") so the
-            // filter matches the serialized names.
-            modes.push_back(core::parallelismModeName(
-                core::parseParallelismMode(m)));
-        }
-        std::vector<std::string> schedulers;
-        for (const std::string &s : args.getList("scheduler", {})) {
-            schedulers.push_back(
-                comm::schedulerName(comm::parseScheduler(s)));
-        }
-        std::vector<std::string> compressions;
-        for (const std::string &z : args.getList("compression", {})) {
-            compressions.push_back(
-                comm::compressorName(comm::parseCompressor(z)));
-        }
-        std::erase_if(baseline, [&](const campaign::RunRecord &r) {
-            return (!models.empty() && !contains(models, r.model)) ||
-                   (!gpus.empty() && !contains(gpus, r.gpus)) ||
-                   (!batches.empty() && !contains(batches, r.batch)) ||
-                   (!methods.empty() && !contains(methods, r.method)) ||
-                   (!modes.empty() && !contains(modes, r.mode)) ||
-                   (!microbatches.empty() &&
-                    !contains(microbatches, r.microbatches)) ||
-                   (!platforms.empty() &&
-                    !contains(platforms, r.platform)) ||
-                   (!nodes.empty() && !contains(nodes, r.nodes)) ||
-                   (!interconnects.empty() &&
-                    !contains(interconnects, r.interconnect)) ||
-                   (!netAlgos.empty() &&
-                    !contains(netAlgos, r.netAlgo)) ||
-                   (!schedulers.empty() &&
-                    !contains(schedulers, r.scheduler)) ||
-                   (!compressions.empty() &&
-                    !contains(compressions, r.compression));
-        });
-    }
+    // Axis flags (--model, --gpus, --mode, ...) restrict the gate to
+    // a sub-grid of the committed baseline.
+    campaign::filterRecords(baseline, args);
     if (baseline.empty()) {
         std::fprintf(stderr,
                      "check: no baseline records match the filter\n");

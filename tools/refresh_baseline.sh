@@ -1,103 +1,33 @@
 #!/bin/sh
-# Regenerate the committed golden baselines from the current
-# simulator:
-#   results/baseline.json       — the full sync paper grid: 5
-#       networks x {1,2,4,8} GPUs x {16,32,64} batch x {p2p,nccl}
-#   results/baseline_modes.json — a small async_ps + model_parallel
-#       grid (lenet,alexnet x {2,4} GPUs x b16 x p2p) gating the
-#       non-sync strategies
-#   results/baseline_platforms.json — a non-default-platform grid
-#       (dgx1p,dgx2 x lenet,alexnet x {1,4} GPUs x b16 x {p2p,nccl})
-#       gating the platform registry
-#   results/baseline_sched.json — the gradient-scheduler grid
-#       (lenet,alexnet x {2,4,8} GPUs x b16 x {p2p,nccl} x
-#       {fifo,priority,partitioned}) gating the comm scheduling
-#       policies
-#   results/baseline_cluster.json — the multi-node grid
-#       (lenet,alexnet,resnet-50 x {2,4,8} nodes x 4 GPUs x b16 x
-#       nccl x {ring,tree}) gating the cluster fabric and the
-#       hierarchical collectives
-#   results/baseline_zoo.json  — the modern zoo x compression grid
-#       (vgg-16,resnet-101,bert-base,gpt2-small,lstm x {1,4} GPUs x
-#       b16 x nccl x {none,randomk,dgc,efsignsgd,onebit}) gating the
-#       modern layer cost models and the gradient-compression wire
-#   results/baseline_pipeline.json — the stage-schedule grid
-#       (lenet,alexnet,bert-base x {4,8} GPUs x b16 x
-#       {model_parallel,pipeline} x {8,16} microbatches) gating the
-#       gpipe and 1F1B schedules and the activation wire
-# Both are serialized with deterministic formatting so the diff
-# against the old baseline is reviewable like code.
+# Regenerate every golden grid listed in results/baselines.manifest
+# (one `<file> <dgxprof campaign arguments>` line each) from the
+# current simulator. The files are serialized deterministically, so
+# the diff against the old baselines is reviewable like code.
 #
-# Run this ONLY when a PR intentionally changes simulated numbers
-# (model recalibration, cost-model fixes); commit the refreshed file
-# together with the change so `dgxprof check` gates the next PR on
-# the new truth.
+# Run this ONLY when a change intentionally moves simulated numbers
+# (model recalibration, cost-model fixes) and commit the refreshed
+# files with it, so the golden ctest gates the next change on the new
+# truth. With an output directory the grids go there instead of
+# results/ (the golden ctest writes them into the build tree).
 #
-# Usage: tools/refresh_baseline.sh [build-dir]
+# Usage: tools/refresh_baseline.sh [build-dir [output-dir]]
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 builddir=${1:-"$repo/build"}
+outdir=${2:-"$repo/results"}
+dgxprof="$builddir/tools/dgxprof"
 
-if [ ! -x "$builddir/tools/dgxprof" ]; then
-    echo "error: $builddir/tools/dgxprof not built" >&2
+if [ ! -x "$dgxprof" ]; then
+    echo "error: $dgxprof not built" >&2
     exit 1
 fi
+mkdir -p "$outdir"
 
-"$builddir/tools/dgxprof" campaign \
-    --model lenet,alexnet,googlenet,inception-v3,resnet-50 \
-    --gpus 1,2,4,8 --batches 16,32,64 --method p2p,nccl \
-    --json "$repo/results/baseline.json" --quiet >/dev/null
-
-count=$(grep -c '"model"' "$repo/results/baseline.json")
-echo "results/baseline.json refreshed ($count records)"
-
-"$builddir/tools/dgxprof" campaign \
-    --model lenet,alexnet --gpus 2,4 --batches 16 --method p2p \
-    --mode async_ps,model_parallel \
-    --json "$repo/results/baseline_modes.json" --quiet >/dev/null
-
-count=$(grep -c '"model"' "$repo/results/baseline_modes.json")
-echo "results/baseline_modes.json refreshed ($count records)"
-
-"$builddir/tools/dgxprof" campaign \
-    --model lenet,alexnet --gpus 1,4 --batches 16 --method p2p,nccl \
-    --platform dgx1p,dgx2 \
-    --json "$repo/results/baseline_platforms.json" --quiet >/dev/null
-
-count=$(grep -c '"model"' "$repo/results/baseline_platforms.json")
-echo "results/baseline_platforms.json refreshed ($count records)"
-
-"$builddir/tools/dgxprof" campaign \
-    --model lenet,alexnet,resnet-50 --gpus 4 --batches 16 \
-    --method nccl --nodes 2,4,8 --netalgo ring,tree \
-    --json "$repo/results/baseline_cluster.json" --quiet >/dev/null
-
-count=$(grep -c '"model"' "$repo/results/baseline_cluster.json")
-echo "results/baseline_cluster.json refreshed ($count records)"
-
-"$builddir/tools/dgxprof" campaign \
-    --model lenet,alexnet --gpus 2,4,8 --batches 16 \
-    --method p2p,nccl --scheduler fifo,priority,partitioned \
-    --json "$repo/results/baseline_sched.json" --quiet >/dev/null
-
-count=$(grep -c '"model"' "$repo/results/baseline_sched.json")
-echo "results/baseline_sched.json refreshed ($count records)"
-
-"$builddir/tools/dgxprof" campaign \
-    --model vgg-16,resnet-101,bert-base,gpt2-small,lstm \
-    --gpus 1,4 --batches 16 --method nccl \
-    --compression none,randomk,dgc,efsignsgd,onebit \
-    --json "$repo/results/baseline_zoo.json" --quiet >/dev/null
-
-count=$(grep -c '"model"' "$repo/results/baseline_zoo.json")
-echo "results/baseline_zoo.json refreshed ($count records)"
-
-"$builddir/tools/dgxprof" campaign \
-    --model lenet,alexnet,bert-base --gpus 4,8 --batches 16 \
-    --method p2p --mode model_parallel,pipeline \
-    --microbatches 8,16 \
-    --json "$repo/results/baseline_pipeline.json" --quiet >/dev/null
-
-count=$(grep -c '"model"' "$repo/results/baseline_pipeline.json")
-echo "results/baseline_pipeline.json refreshed ($count records)"
+while read -r file args; do
+    case $file in '' | '#'*) continue ;; esac
+    # shellcheck disable=SC2086
+    "$dgxprof" campaign $args --json "$outdir/$file" --quiet \
+        >/dev/null </dev/null
+    echo "$file refreshed ($(grep -c '"model"' "$outdir/$file") records)"
+done <"$repo/results/baselines.manifest"

@@ -6,10 +6,10 @@
 # in the suite aborts the offending test).
 #
 # Every audited run's exit code is propagated: the build and ctest
-# phases abort the script immediately (set -e), and the determinism
-# spot checks all run to completion but any failure among them makes
-# the script exit non-zero — so CI can call this script directly and
-# gate on its status.
+# phases abort the script immediately (set -e), and the smoke rows
+# (tools/smoke.sh) all run to completion but any failure among them
+# makes the script exit non-zero — so CI can call this script
+# directly and gate on its status.
 #
 # Usage: tools/run_audit.sh [extra ctest args...]
 set -eu
@@ -22,10 +22,6 @@ fi
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 cd "$repo"
 
-# Grid lists shared with tools/run_determinism.sh (the CI
-# determinism job) so the audited spot checks track the same specs.
-. "$repo/tools/ci_grid.sh"
-
 builddir=build-asan
 if cmake --list-presets >/dev/null 2>&1; then
     cmake --preset asan-ubsan
@@ -35,8 +31,8 @@ else
     # same flags the asan-ubsan preset uses.
     cmake -B "$builddir" -S . \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer -fno-sanitize-recover=all" \
-        -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+        -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-omit-frame-pointer -fno-sanitize-recover=all" \
+        -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined,float-cast-overflow"
     cmake --build "$builddir" -j"$(nproc)"
 fi
 
@@ -44,38 +40,6 @@ echo "== ctest with DGXSIM_AUDIT=1 =="
 cd "$builddir"
 DGXSIM_AUDIT=1 ctest --output-on-failure -j"$(nproc)" "$@"
 
-echo "== determinism spot checks (audited) =="
-# Run every spot check even after a failure so one broken
-# configuration does not hide another; fail at the end if any did.
-failures=0
-while IFS= read -r spec; do
-    [ -n "$spec" ] || continue
-    set -- $spec
-    if ! DGXSIM_AUDIT=1 ./tools/dgxprof verify --model "$1" \
-        --gpus "$2" --batch "$3" --method "$4"; then
-        echo "FAILED: dgxprof verify --model $1 --gpus $2" \
-             "--batch $3 --method $4" >&2
-        failures=$((failures + 1))
-    fi
-done <<EOF
-$DGXSIM_CI_SPOT_SPECS
-EOF
-
-echo "== analysis spot check (audited) =="
-# One audited critical-path analysis: attribution must partition the
-# makespan tick-exactly (analyze aborts otherwise) and the standard
-# what-if projections must validate within 5% of the re-simulated
-# ground truth.
-if ! DGXSIM_AUDIT=1 ./tools/dgxprof analyze --model alexnet \
-    --gpus 4 --batch 16 --method nccl \
-    --what-if standard --max-error 5 > /dev/null; then
-    echo "FAILED: dgxprof analyze --model alexnet --gpus 4" \
-         "--batch 16 --method nccl --what-if standard" >&2
-    failures=$((failures + 1))
-fi
-
-if [ "$failures" -ne 0 ]; then
-    echo "audit sweep FAILED ($failures check(s))" >&2
-    exit 1
-fi
+echo "== smoke rows (audited) =="
+DGXSIM_AUDIT=1 "$repo/tools/smoke.sh" "$repo/$builddir"
 echo "audit sweep passed"
