@@ -12,7 +12,7 @@
  * lesson, forecast from the paper's machine model.
  */
 
-#include <benchmark/benchmark.h>
+#include <cstdio>
 
 #include "core/text_table.hh"
 #include "core/trainer.hh"
@@ -37,36 +37,9 @@ runCfg(const std::string &model, int gpus, bool allreduce,
 }
 
 void
-registerBenchmarks()
-{
-    for (const char *model : {"alexnet", "resnet-50", "inception-v3"}) {
-        for (int mode = 0; mode < 3; ++mode) {
-            const std::string name =
-                std::string("ablation_allreduce/") + model + "/" +
-                (mode == 0 ? "reduce+bcast"
-                           : (mode == 1 ? "allreduce"
-                                        : "allreduce+fusion"));
-            benchmark::RegisterBenchmark(
-                name.c_str(),
-                [model, mode](benchmark::State &state) {
-                    for (auto _ : state) {
-                        state.SetIterationTime(
-                            runCfg(model, 8, mode >= 1,
-                                   mode == 2 ? 16.0 : 0.0)
-                                .epochSeconds);
-                    }
-                })
-                ->UseManualTime()
-                ->Iterations(1)
-                ->Unit(benchmark::kSecond);
-        }
-    }
-}
-
-void
 printTable()
 {
-    std::printf("\n=== Extension: fused AllReduce and gradient "
+    std::printf("=== Extension: fused AllReduce and gradient "
                 "bucketing (NCCL, batch 16) ===\n");
     for (int gpus : {4, 8}) {
         std::printf("\n-- %d GPUs --\n", gpus);
@@ -95,11 +68,8 @@ printTable()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    registerBenchmarks();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printTable();
     return 0;
 }

@@ -11,7 +11,7 @@
  *     (flaky retimer), and the impact depends on *which* link it is.
  */
 
-#include <benchmark/benchmark.h>
+#include <cstdio>
 
 #include "core/text_table.hh"
 #include "core/trainer.hh"
@@ -50,35 +50,9 @@ runPlat(const std::string &model, CommMethod method,
 }
 
 void
-registerBenchmarks()
-{
-    for (const char *model : {"alexnet", "resnet-50"}) {
-        for (int uniform = 0; uniform < 2; ++uniform) {
-            const std::string name =
-                std::string("ablation_asym/") + model + "/" +
-                (uniform ? "uniform" : "cube-mesh");
-            benchmark::RegisterBenchmark(
-                name.c_str(),
-                [model, uniform](benchmark::State &state) {
-                    for (auto _ : state) {
-                        state.SetIterationTime(
-                            runPlat(model, CommMethod::NCCL,
-                                    uniform ? "dgx1v-uniform"
-                                            : "dgx1v")
-                                .epochSeconds);
-                    }
-                })
-                ->UseManualTime()
-                ->Iterations(1)
-                ->Unit(benchmark::kSecond);
-        }
-    }
-}
-
-void
 printTables()
 {
-    std::printf("\n=== Ablation: asymmetric cube-mesh vs. uniform "
+    std::printf("=== Ablation: asymmetric cube-mesh vs. uniform "
                 "links (equal aggregate BW, 8 GPUs, batch 16) ===\n");
     core::TextTable table({"network", "method", "cube-mesh (s)",
                            "uniform (s)", "uniform vs stock"});
@@ -132,11 +106,8 @@ printTables()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    registerBenchmarks();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printTables();
     return 0;
 }

@@ -7,7 +7,7 @@
  * software-overhead-bound components do not move.
  */
 
-#include <benchmark/benchmark.h>
+#include <cstdio>
 
 #include "core/text_table.hh"
 #include "core/trainer.hh"
@@ -35,33 +35,9 @@ runScaled(const std::string &model, CommMethod method, double bw_scale)
 const double kScales[] = {0.5, 1.0, 2.0, 4.0, 8.0};
 
 void
-registerBenchmarks()
-{
-    for (const char *model : {"lenet", "alexnet", "inception-v3"}) {
-        for (double scale : kScales) {
-            const std::string name =
-                std::string("ablation_bw/") + model + "/nccl/x" +
-                core::TextTable::num(scale, 1);
-            benchmark::RegisterBenchmark(
-                name.c_str(),
-                [model, scale](benchmark::State &state) {
-                    for (auto _ : state) {
-                        state.SetIterationTime(
-                            runScaled(model, CommMethod::NCCL, scale)
-                                .epochSeconds);
-                    }
-                })
-                ->UseManualTime()
-                ->Iterations(1)
-                ->Unit(benchmark::kSecond);
-        }
-    }
-}
-
-void
 printTable()
 {
-    std::printf("\n=== Ablation: NVLink bandwidth scaling, 8 GPUs, "
+    std::printf("=== Ablation: NVLink bandwidth scaling, 8 GPUs, "
                 "batch 16 ===\n");
     for (CommMethod method : {CommMethod::P2P, CommMethod::NCCL}) {
         std::printf("\n-- %s --\n", comm::commMethodName(method));
@@ -95,11 +71,8 @@ printTable()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    registerBenchmarks();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printTable();
     return 0;
 }

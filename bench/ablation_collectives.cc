@@ -11,7 +11,7 @@
  *     comparison the paper cites).
  */
 
-#include <benchmark/benchmark.h>
+#include <cstdio>
 
 #include "core/text_table.hh"
 #include "core/trainer.hh"
@@ -39,34 +39,9 @@ runCfg(const std::string &model, CommMethod method, sim::Bytes chunk,
 }
 
 void
-registerBenchmarks()
-{
-    for (sim::Bytes chunk :
-         {sim::Bytes(128) << 10, sim::Bytes(512) << 10,
-          sim::Bytes(2) << 20, sim::Bytes(64) << 20}) {
-        const std::string name =
-            "ablation_collectives/chunk/" +
-            std::to_string(chunk >> 10) + "KiB";
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [chunk](benchmark::State &state) {
-                for (auto _ : state) {
-                    state.SetIterationTime(
-                        runCfg("alexnet", CommMethod::NCCL, chunk,
-                               false, false)
-                            .epochSeconds);
-                }
-            })
-            ->UseManualTime()
-            ->Iterations(1)
-            ->Unit(benchmark::kSecond);
-    }
-}
-
-void
 printTables()
 {
-    std::printf("\n=== Ablation 1: NCCL ring chunk size (8 GPUs, "
+    std::printf("=== Ablation 1: NCCL ring chunk size (8 GPUs, "
                 "batch 16) ===\n");
     core::TextTable chunks({"network", "128 KiB", "512 KiB", "2 MiB",
                             "64 MiB (no pipeline)"});
@@ -127,11 +102,8 @@ printTables()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    registerBenchmarks();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printTables();
     return 0;
 }

@@ -8,7 +8,7 @@
  * as compute shrinks.
  */
 
-#include <benchmark/benchmark.h>
+#include <cstdio>
 
 #include "core/text_table.hh"
 #include "core/trainer.hh"
@@ -36,36 +36,9 @@ runGen(const std::string &model, const std::string &platform,
 }
 
 void
-registerBenchmarks()
-{
-    for (const char *model : {"alexnet", "resnet-50"}) {
-        for (int gen = 0; gen < 3; ++gen) {
-            const std::string name =
-                std::string("ablation_gen/") + model + "/" +
-                (gen == 0 ? "p100"
-                          : (gen == 1 ? "v100_fp32" : "v100_tensor"));
-            benchmark::RegisterBenchmark(
-                name.c_str(),
-                [model, gen](benchmark::State &state) {
-                    for (auto _ : state) {
-                        state.SetIterationTime(
-                            runGen(model,
-                                   gen == 0 ? "dgx1p" : "dgx1v",
-                                   gen == 2)
-                                .epochSeconds);
-                    }
-                })
-                ->UseManualTime()
-                ->Iterations(1)
-                ->Unit(benchmark::kSecond);
-        }
-    }
-}
-
-void
 printTable()
 {
-    std::printf("\n=== Ablation: GPU generation and tensor cores "
+    std::printf("=== Ablation: GPU generation and tensor cores "
                 "(8 GPUs, NCCL, batch 16) ===\n");
     core::TextTable table({"network", "config", "epoch (s)",
                            "FP+BP (s)", "WU (s)", "WU share"});
@@ -107,11 +80,8 @@ printTable()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    registerBenchmarks();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printTable();
     return 0;
 }

@@ -1,19 +1,20 @@
 /**
  * @file
- * Shared helpers for the benchmark harnesses that regenerate the
- * paper's tables and figures.
+ * Shared helpers for the programs that regenerate the paper's tables
+ * and figures.
  *
- * Every binary follows the same pattern: a set of Google Benchmark
- * cases (reporting the *simulated* time via manual timing) plus a
- * paper-style text table printed after the run. Simulation results
- * are memoized so the table reuses the benchmark runs' numbers.
+ * Every program is a plain main() that prints one paper-style text
+ * report to stdout and nothing else: its committed copy under
+ * results/ is named on a results/baselines.manifest line, and the
+ * dgxprof_golden_baselines ctest requires the two to match byte for
+ * byte. Simulation results are memoized, so a report that reads one
+ * cell several times simulates it once.
  */
 
 #ifndef DGXSIM_BENCH_BENCH_COMMON_HH
 #define DGXSIM_BENCH_BENCH_COMMON_HH
 
-#include <benchmark/benchmark.h>
-
+#include <cstdio>
 #include <string>
 
 #include "campaign/campaign.hh"
@@ -26,9 +27,9 @@ namespace dgxsim::bench {
 
 /**
  * Memoized training simulation, shared with the campaign subsystem:
- * campaign::cachedSimulate keys on the full configuration, so table
- * printers reuse the exact reports the benchmark cases produced (and
- * a campaign run in the same process would reuse both).
+ * campaign::cachedSimulate keys on the full configuration, so every
+ * table of a report (and a campaign run in the same process) reuses
+ * the same report per cell.
  */
 inline const core::TrainReport &
 run(const std::string &model, int gpus, int batch,
@@ -43,24 +44,6 @@ run(const std::string &model, int gpus, int batch,
     cfg.datasetImages = dataset_images;
     cfg.overlapBpWu = overlap;
     return campaign::cachedSimulate(cfg);
-}
-
-/**
- * Google-Benchmark body reporting the simulated epoch time as the
- * benchmark's manual time. Register with ->UseManualTime()
- * ->Iterations(1).
- */
-inline void
-epochBenchmark(benchmark::State &state, const std::string &model,
-               int gpus, int batch, comm::CommMethod method)
-{
-    for (auto _ : state) {
-        const core::TrainReport &r = run(model, gpus, batch, method);
-        state.SetIterationTime(r.oom ? 0.0 : r.epochSeconds);
-        state.counters["fpbp_s"] = r.fpBpSeconds;
-        state.counters["wu_s"] = r.wuSeconds;
-        state.counters["oom"] = r.oom ? 1 : 0;
-    }
 }
 
 /** The five paper workloads in Table I order. */

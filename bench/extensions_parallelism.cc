@@ -6,7 +6,7 @@
  * against the synchronous data-parallel baseline the paper profiles.
  */
 
-#include <benchmark/benchmark.h>
+#include <cstdio>
 
 #include "core/async_trainer.hh"
 #include "core/model_parallel_trainer.hh"
@@ -30,33 +30,9 @@ makeConfig(const std::string &model, int gpus)
 }
 
 void
-registerBenchmarks()
-{
-    for (const char *model : {"lenet", "alexnet", "resnet-50"}) {
-        for (int gpus : {2, 4, 8}) {
-            benchmark::RegisterBenchmark(
-                (std::string("ext/async/") + model + "/gpus:" +
-                 std::to_string(gpus))
-                    .c_str(),
-                [model, gpus](benchmark::State &state) {
-                    for (auto _ : state) {
-                        const auto r = core::AsyncTrainer::simulate(
-                            makeConfig(model, gpus));
-                        state.SetIterationTime(r.epochSeconds);
-                        state.counters["staleness"] = r.avgStaleness;
-                    }
-                })
-                ->UseManualTime()
-                ->Iterations(1)
-                ->Unit(benchmark::kSecond);
-        }
-    }
-}
-
-void
 printTables()
 {
-    std::printf("\n=== Extension: asynchronous SGD vs. the paper's "
+    std::printf("=== Extension: asynchronous SGD vs. the paper's "
                 "synchronous schedule (P2P, batch 16/GPU) ===\n");
     core::TextTable async_table(
         {"network", "gpus", "sync epoch (s)", "async epoch (s)",
@@ -116,11 +92,8 @@ printTables()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    registerBenchmarks();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printTables();
     return 0;
 }

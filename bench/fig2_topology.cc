@@ -6,7 +6,7 @@
  * paper makes about the hybrid cube-mesh.
  */
 
-#include <benchmark/benchmark.h>
+#include <cstdio>
 
 #include "core/text_table.hh"
 #include "hw/fabric.hh"
@@ -29,50 +29,10 @@ transferSeconds(hw::NodeId src, hw::NodeId dst, sim::Bytes bytes)
 }
 
 void
-benchTransfer(benchmark::State &state)
-{
-    const auto src = static_cast<hw::NodeId>(state.range(0));
-    const auto dst = static_cast<hw::NodeId>(state.range(1));
-    const sim::Bytes bytes = 256u << 20;
-    for (auto _ : state) {
-        const double secs = transferSeconds(src, dst, bytes);
-        state.SetIterationTime(secs);
-        state.counters["GBps"] = static_cast<double>(bytes) / 1e9 / secs;
-    }
-}
-
-void
-registerBenchmarks()
-{
-    // One representative pair per route class.
-    benchmark::RegisterBenchmark("fig2/direct_dual/0-1", benchTransfer)
-        ->Args({0, 1})
-        ->UseManualTime()
-        ->Iterations(1);
-    benchmark::RegisterBenchmark("fig2/direct_single/0-3",
-                                 benchTransfer)
-        ->Args({0, 3})
-        ->UseManualTime()
-        ->Iterations(1);
-    benchmark::RegisterBenchmark("fig2/cross_link/0-6", benchTransfer)
-        ->Args({0, 6})
-        ->UseManualTime()
-        ->Iterations(1);
-    benchmark::RegisterBenchmark("fig2/staged/0-7", benchTransfer)
-        ->Args({0, 7})
-        ->UseManualTime()
-        ->Iterations(1);
-    benchmark::RegisterBenchmark("fig2/staged/3-4", benchTransfer)
-        ->Args({3, 4})
-        ->UseManualTime()
-        ->Iterations(1);
-}
-
-void
 printFigure()
 {
     hw::Topology topo = hw::Topology::dgx1Volta();
-    std::printf("\n=== Fig. 2: DGX-1 topology — measured DMA bandwidth "
+    std::printf("=== Fig. 2: DGX-1 topology — measured DMA bandwidth "
                 "per GPU pair (256 MB, GB/s) ===\n");
     core::TextTable table({"pair", "route", "hops", "GB/s"});
     for (hw::NodeId a = 0; a < 8; ++a) {
@@ -100,11 +60,8 @@ printFigure()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    registerBenchmarks();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printFigure();
     return 0;
 }

@@ -18,37 +18,9 @@ using bench::run;
 using comm::CommMethod;
 
 void
-registerBenchmarks()
-{
-    for (const std::string &model : bench::paperModels()) {
-        for (CommMethod method : {CommMethod::P2P, CommMethod::NCCL}) {
-            for (int gpus : {1, 2, 4, 8}) {
-                for (int batch : {16, 32, 64}) {
-                    const std::string name =
-                        "fig3/" + model + "/" +
-                        comm::commMethodName(method) + "/gpus:" +
-                        std::to_string(gpus) + "/batch:" +
-                        std::to_string(batch);
-                    benchmark::RegisterBenchmark(
-                        name.c_str(),
-                        [model, gpus, batch,
-                         method](benchmark::State &state) {
-                            bench::epochBenchmark(state, model, gpus,
-                                                  batch, method);
-                        })
-                        ->UseManualTime()
-                        ->Iterations(1)
-                        ->Unit(benchmark::kSecond);
-                }
-            }
-        }
-    }
-}
-
-void
 printFigure()
 {
-    std::printf("\n=== Fig. 3: training time per epoch (seconds, 256K "
+    std::printf("=== Fig. 3: training time per epoch (seconds, 256K "
                 "images) ===\n");
     for (const std::string &model : bench::paperModels()) {
         for (CommMethod method : {CommMethod::P2P, CommMethod::NCCL}) {
@@ -89,11 +61,8 @@ printFigure()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    registerBenchmarks();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printFigure();
     return 0;
 }

@@ -14,29 +14,9 @@ using bench::run;
 using comm::CommMethod;
 
 void
-registerBenchmarks()
-{
-    for (const std::string &model : bench::paperModels()) {
-        for (int gpus : {1, 2, 4, 8}) {
-            const std::string name = "fig4/" + model + "/gpus:" +
-                                     std::to_string(gpus) + "/b16";
-            benchmark::RegisterBenchmark(
-                name.c_str(),
-                [model, gpus](benchmark::State &state) {
-                    bench::epochBenchmark(state, model, gpus, 16,
-                                          CommMethod::NCCL);
-                })
-                ->UseManualTime()
-                ->Iterations(1)
-                ->Unit(benchmark::kSecond);
-        }
-    }
-}
-
-void
 printFigure()
 {
-    std::printf("\n=== Fig. 4: epoch time split into FP+BP and WU "
+    std::printf("=== Fig. 4: epoch time split into FP+BP and WU "
                 "(NCCL) ===\n");
     for (const std::string &model : bench::paperModels()) {
         std::printf("\n-- %s --\n", model.c_str());
@@ -89,11 +69,8 @@ printFigure()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    registerBenchmarks();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printFigure();
     return 0;
 }

@@ -14,37 +14,9 @@ using bench::run;
 using comm::CommMethod;
 
 void
-registerBenchmarks()
-{
-    for (const std::string &model : bench::paperModels()) {
-        for (CommMethod method : {CommMethod::P2P, CommMethod::NCCL}) {
-            for (int gpus : {1, 2, 4, 8}) {
-                const std::string name =
-                    "fig5/" + model + "/" +
-                    comm::commMethodName(method) + "/weak/gpus:" +
-                    std::to_string(gpus);
-                benchmark::RegisterBenchmark(
-                    name.c_str(),
-                    [model, gpus, method](benchmark::State &state) {
-                        for (auto _ : state) {
-                            const core::TrainReport &r =
-                                run(model, gpus, 16, method,
-                                    256000ull * gpus);
-                            state.SetIterationTime(r.epochSeconds);
-                        }
-                    })
-                    ->UseManualTime()
-                    ->Iterations(1)
-                    ->Unit(benchmark::kSecond);
-            }
-        }
-    }
-}
-
-void
 printFigure()
 {
-    std::printf("\n=== Fig. 5: weak vs. strong scaling speedups "
+    std::printf("=== Fig. 5: weak vs. strong scaling speedups "
                 "(batch 16) ===\n");
     for (CommMethod method : {CommMethod::P2P, CommMethod::NCCL}) {
         std::printf("\n-- %s --\n", comm::commMethodName(method));
@@ -88,11 +60,8 @@ printFigure()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    registerBenchmarks();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printFigure();
     return 0;
 }

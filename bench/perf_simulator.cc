@@ -2,15 +2,14 @@
  * @file
  * Harness benchmark: how fast does the *simulator itself* run?
  *
- * Unlike the figure/table benches (which report simulated seconds via
- * manual timing), this binary measures wall-clock throughput of the
- * simulation engine: EventQueue scheduling under storm and
- * reschedule-churn loads, FlowNetwork::allocateRates under flow
- * churn, single training runs per (model, gpus, method) cell, and
- * the paper's full 120-run campaign grid, cold and memo-warm.
- *
- * Three driver modes bypass Google Benchmark so CI gets a single
- * deterministic artifact (campaign/benchfile.hh schema):
+ * Unlike the figure/table programs (which print simulated seconds),
+ * this program measures wall-clock throughput of the simulation
+ * engine: dgxbench's storm loops (dgxbench/perf_loops.hh: EventQueue
+ * storm and reschedule churn, FlowNetwork rate re-solves, the comm
+ * scheduler's chunk pump with and without codec math), single
+ * training runs per (model, gpus, method) cell, and the paper's full
+ * 120-run campaign grid, cold and memo-warm. Every mode writes or
+ * reads one deterministic artifact (campaign/benchfile.hh schema):
  *
  *   --emit-json=PATH [--smoke] [--label=NAME]
  *       Measure and write a BENCH file. --smoke shrinks workloads
@@ -24,16 +23,14 @@
  *       gate tracks code-speed ratios, not absolute host speed.
  *       Exit 1 on any regression beyond the tolerance (default 25%).
  *
- * Without those flags it runs as a normal Google Benchmark binary.
+ * Without a mode it prints this usage and exits 2.
  *
  * All workload shapes use a fixed-constant LCG, never libc rand, so
  * every mode on every host replays the identical event/flow stream.
  */
 
-#include <benchmark/benchmark.h>
-
-#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -43,35 +40,14 @@
 
 #include "campaign/benchfile.hh"
 #include "campaign/campaign.hh"
-#include "comm/compression.hh"
-#include "comm/scheduler.hh"
 #include "core/trainer_base.hh"
-#include "sim/event_queue.hh"
-#include "sim/flow_network.hh"
+#include "dgxbench/perf_loops.hh"
+#include "sim/suggest.hh"
 
 namespace {
 
 using namespace dgxsim;
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-/** Deterministic PRNG: bench inputs must not depend on libc rand. */
-struct Lcg
-{
-    std::uint64_t state;
-    explicit Lcg(std::uint64_t seed) : state(seed) {}
-    std::uint64_t operator()()
-    {
-        state = state * 6364136223846793005ULL +
-                1442695040888963407ULL;
-        return state >> 33;
-    }
-};
+using namespace dgxsim::bench;
 
 /** Workload sizes; smoke mode shrinks them for a fast schema test. */
 struct Sizes
@@ -97,167 +73,7 @@ smokeSizes()
     return s;
 }
 
-// --- measurement loops (shared by every mode) ----------------------
-
-/** Schedule at pseudo-random future ticks, draining as we go. */
-double
-measureEqStorm(int n)
-{
-    sim::EventQueue q;
-    Lcg lcg(99);
-    long sink = 0;
-    const auto t0 = Clock::now();
-    for (int i = 0; i < n; ++i) {
-        q.schedule(q.now() + 1 + lcg() % 1000, [&sink] { ++sink; });
-        if (i % 4 == 3)
-            q.step();
-    }
-    q.run();
-    return n / secondsSince(t0);
-}
-
-/**
- * The FlowNetwork completion pattern: K live handles cancelled and
- * rescheduled every round — the arena free-list's hot case.
- */
-double
-measureEqChurn(int rounds)
-{
-    sim::EventQueue q;
-    Lcg lcg(7);
-    const int K = 64;
-    long sink = 0;
-    std::vector<sim::EventHandle> handles(K);
-    const auto t0 = Clock::now();
-    for (int r = 0; r < rounds; ++r) {
-        for (int k = 0; k < K; ++k) {
-            q.cancel(handles[k]);
-            handles[k] =
-                q.schedule(q.now() + 1 + lcg() % 64, [&sink] { ++sink; });
-        }
-        q.step();
-    }
-    q.run();
-    return static_cast<double>(rounds) * K / secondsSince(t0);
-}
-
-/**
- * allocateRates under churn: a DGX-1-ish 64-channel substrate with
- * 48 long-lived background flows, then a stream of short flows whose
- * start/finish forces rate recomputation each time.
- */
-double
-measureFlowChurn(int churn)
-{
-    sim::EventQueue q;
-    sim::FlowNetwork net(q);
-    const std::size_t C = 64;
-    for (std::size_t c = 0; c < C; ++c)
-        net.addChannel(25.0, "ch");
-    Lcg lcg(0x2545F4914F6CDD1DULL);
-    for (int f = 0; f < 48; ++f) {
-        const sim::FlowNetwork::ChannelId a = lcg() % C;
-        sim::FlowNetwork::ChannelId b = lcg() % C;
-        if (b == a)
-            b = (a + 1) % C;
-        net.startFlow(static_cast<sim::Bytes>(1) << 40, {a, b},
-                      nullptr);
-    }
-    int done = 0;
-    const auto t0 = Clock::now();
-    for (int i = 0; i < churn; ++i) {
-        const sim::FlowNetwork::ChannelId a = lcg() % C;
-        sim::FlowNetwork::ChannelId b = lcg() % C;
-        if (b == a)
-            b = (a + 1) % C;
-        net.startFlow(1000, {a, b}, [&done] { ++done; });
-        while (done <= i && q.step()) {
-        }
-    }
-    return churn / secondsSince(t0);
-}
-
-/**
- * The partitioned policy's worst case: every round submits one jumbo
- * gradient (256 MiB -> 64 chunks) plus 63 small urgent buckets that
- * must all overtake it, then drains the queue chunk by chunk. This
- * exercises the priority heap, the credit window and the reassembly
- * audit on every admitted chunk.
- */
-double
-measureSchedStorm(int rounds)
-{
-    auto sched =
-        comm::makeScheduler(comm::SchedulerPolicy::Partitioned,
-                            comm::kDefaultPartitionBytes,
-                            comm::kDefaultCreditBytes, {});
-    long done = 0;
-    long chunks = 0;
-    const auto t0 = Clock::now();
-    for (int r = 0; r < rounds; ++r) {
-        sched->submit(comm::OpKind::Reduce, sim::Bytes(256) << 20, 0,
-                      [&done] { ++done; }, nullptr);
-        for (int i = 0; i < 63; ++i) {
-            sched->submit(comm::OpKind::Reduce, sim::Bytes(64) << 10,
-                          1 + i, [&done] { ++done; }, nullptr);
-        }
-        comm::SchedChunk chunk;
-        while (sched->next(chunk)) {
-            ++chunks;
-            if (sched->finishChunk(chunk))
-                chunk.op->done();
-        }
-    }
-    return chunks / secondsSince(t0);
-}
-
-/**
- * The compressed wire's hot path: the sched-storm drain with the
- * per-chunk codec math (wire shrink + encode/decode kernel costs for
- * a 4-GPU all-reduce) computed for every admitted chunk, the way
- * Communicator::dispatchCompressed does. Jumbo 256 MiB gradients
- * through the partitioned policy give the highest chunk rate and the
- * biggest shrink, so codec arithmetic dominates the loop.
- */
-double
-measureCompressStorm(int rounds)
-{
-    auto sched =
-        comm::makeScheduler(comm::SchedulerPolicy::Partitioned,
-                            comm::kDefaultPartitionBytes,
-                            comm::kDefaultCreditBytes, {});
-    long done = 0;
-    long chunks = 0;
-    double wireSink = 0;
-    const auto t0 = Clock::now();
-    for (int r = 0; r < rounds; ++r) {
-        sched->submit(comm::OpKind::Reduce, sim::Bytes(256) << 20, 0,
-                      [&done] { ++done; }, nullptr);
-        for (int i = 0; i < 63; ++i) {
-            sched->submit(comm::OpKind::Reduce, sim::Bytes(64) << 10,
-                          1 + i, [&done] { ++done; }, nullptr);
-        }
-        comm::SchedChunk chunk;
-        while (sched->next(chunk)) {
-            ++chunks;
-            const sim::Bytes wire = comm::compressedWireBytes(
-                comm::Compressor::Dgc, chunk.bytes, 0.01);
-            const auto enc = comm::compressKernelCost(
-                comm::Compressor::Dgc, chunk.bytes, wire);
-            const auto dec = comm::decompressKernelCost(
-                comm::Compressor::Dgc, chunk.bytes, wire);
-            // 4 senders encode + 4 receivers decode per all-reduce.
-            wireSink += static_cast<double>(wire) +
-                        4 * (enc.flops + dec.flops) +
-                        4 * (enc.bytes + dec.bytes);
-            if (sched->finishChunk(chunk))
-                chunk.op->done();
-        }
-    }
-    if (wireSink < 0) // defeat optimizing the codec math away
-        std::fprintf(stderr, "%f\n", wireSink);
-    return chunks / secondsSince(t0);
-}
+// --- measurements (the storm loops live in perf_loops.hh) ---------
 
 core::TrainConfig
 cellConfig(const std::string &model, int gpus, comm::CommMethod method)
@@ -554,106 +370,6 @@ checkMode(const std::string &path, double tolerance)
     return 1;
 }
 
-// --- Google Benchmark registrations --------------------------------
-
-void
-registerBenchmarks()
-{
-    benchmark::RegisterBenchmark("BM_EventQueueStorm",
-                                 [](benchmark::State &state) {
-                                     const Sizes s;
-                                     for (auto _ : state)
-                                         benchmark::DoNotOptimize(
-                                             measureEqStorm(
-                                                 s.stormEvents));
-                                     state.SetItemsProcessed(
-                                         state.iterations() *
-                                         s.stormEvents);
-                                 });
-    benchmark::RegisterBenchmark("BM_EventQueueChurn",
-                                 [](benchmark::State &state) {
-                                     const Sizes s;
-                                     for (auto _ : state)
-                                         benchmark::DoNotOptimize(
-                                             measureEqChurn(
-                                                 s.churnRounds));
-                                     state.SetItemsProcessed(
-                                         state.iterations() *
-                                         s.churnRounds * 64);
-                                 });
-    benchmark::RegisterBenchmark("BM_FlowNetworkChurn",
-                                 [](benchmark::State &state) {
-                                     const Sizes s;
-                                     for (auto _ : state)
-                                         benchmark::DoNotOptimize(
-                                             measureFlowChurn(
-                                                 s.flowChurn));
-                                     state.SetItemsProcessed(
-                                         state.iterations() *
-                                         s.flowChurn);
-                                 });
-    benchmark::RegisterBenchmark("BM_SchedStorm",
-                                 [](benchmark::State &state) {
-                                     const Sizes s;
-                                     for (auto _ : state)
-                                         benchmark::DoNotOptimize(
-                                             measureSchedStorm(
-                                                 s.schedRounds));
-                                     state.SetItemsProcessed(
-                                         state.iterations() *
-                                         s.schedRounds * 127);
-                                 });
-    benchmark::RegisterBenchmark("BM_CompressStorm",
-                                 [](benchmark::State &state) {
-                                     const Sizes s;
-                                     for (auto _ : state)
-                                         benchmark::DoNotOptimize(
-                                             measureCompressStorm(
-                                                 s.schedRounds));
-                                     state.SetItemsProcessed(
-                                         state.iterations() *
-                                         s.schedRounds * 127);
-                                 });
-    for (const std::string &model : paperModels()) {
-        for (int gpus : {1, 8}) {
-            for (auto method :
-                 {comm::CommMethod::P2P, comm::CommMethod::NCCL}) {
-                const std::string name =
-                    "BM_SingleRun/" + singleRunMetric(model, gpus,
-                                                      method);
-                const core::TrainConfig cfg =
-                    cellConfig(model, gpus, method);
-                benchmark::RegisterBenchmark(
-                    name.c_str(), [cfg](benchmark::State &state) {
-                        for (auto _ : state)
-                            core::TrainerBase::simulate(cfg);
-                    });
-            }
-        }
-    }
-    benchmark::RegisterBenchmark(
-        "BM_Grid120Cold", [](benchmark::State &state) {
-            const auto configs = paperGrid();
-            for (auto _ : state) {
-                campaign::clearSimulationCache();
-                benchmark::DoNotOptimize(
-                    campaign::runCampaign(configs, 1));
-            }
-            state.SetItemsProcessed(state.iterations() *
-                                    configs.size());
-        });
-    benchmark::RegisterBenchmark(
-        "BM_Grid120Warm", [](benchmark::State &state) {
-            const auto configs = paperGrid();
-            campaign::runCampaign(configs, 1); // prime
-            for (auto _ : state)
-                benchmark::DoNotOptimize(
-                    campaign::runCampaign(configs, 1));
-            state.SetItemsProcessed(state.iterations() *
-                                    configs.size());
-        });
-}
-
 const char *
 flagValue(const char *arg, const char *flag)
 {
@@ -682,9 +398,13 @@ main(int argc, char **argv)
         else if (const char *v = flagValue(argv[i], "--label"))
             label = v;
         else if (const char *v = flagValue(argv[i], "--tolerance"))
-            tolerance = std::atof(v);
+            tolerance = sim::parseFinite(v).value_or(-1);
         else if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;
+    }
+    if (!(tolerance >= 0)) {
+        std::fprintf(stderr, "--tolerance expects a finite number >= 0\n");
+        return 2;
     }
     if (!validatePath.empty())
         return validateMode(validatePath);
@@ -693,8 +413,11 @@ main(int argc, char **argv)
     if (!checkPath.empty())
         return checkMode(checkPath, tolerance);
 
-    registerBenchmarks();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    std::fprintf(stderr,
+                 "usage: perf_simulator --emit-json=PATH [--smoke] "
+                 "[--label=NAME]\n"
+                 "       perf_simulator --validate=PATH\n"
+                 "       perf_simulator --check-against=PATH "
+                 "[--tolerance=F]\n");
+    return 2;
 }

@@ -6,7 +6,7 @@
  * gradient buckets, stored activations).
  */
 
-#include <benchmark/benchmark.h>
+#include <cstdio>
 
 #include "core/text_table.hh"
 #include "dnn/models.hh"
@@ -16,30 +16,9 @@ namespace {
 using namespace dgxsim;
 
 void
-benchBuild(benchmark::State &state, const std::string &model)
-{
-    for (auto _ : state) {
-        dnn::Network net = dnn::buildByName(model);
-        benchmark::DoNotOptimize(net.paramCount());
-    }
-}
-
-void
-registerBenchmarks()
-{
-    for (const std::string &model : dnn::modelNames()) {
-        benchmark::RegisterBenchmark(
-            ("table1/build/" + model).c_str(),
-            [model](benchmark::State &state) {
-                benchBuild(state, model);
-            });
-    }
-}
-
-void
 printTable()
 {
-    std::printf("\n=== Table I: description of the networks ===\n");
+    std::printf("=== Table I: description of the networks ===\n");
     core::TextTable table({"Network", "Conv Layers", "Incep Layers",
                            "FC Layers", "Weights", "fwd GFLOPs/img",
                            "grad buckets", "act MB/img"});
@@ -65,11 +44,8 @@ printTable()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    registerBenchmarks();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printTable();
     return 0;
 }

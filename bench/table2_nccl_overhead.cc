@@ -24,33 +24,9 @@ overheadPercent(const std::string &model, int batch)
 }
 
 void
-registerBenchmarks()
-{
-    for (const std::string &model : bench::paperModels()) {
-        for (int batch : {16, 32, 64}) {
-            for (CommMethod method :
-                 {CommMethod::P2P, CommMethod::NCCL}) {
-                const std::string name =
-                    "table2/" + model + "/b" + std::to_string(batch) +
-                    "/" + comm::commMethodName(method);
-                benchmark::RegisterBenchmark(
-                    name.c_str(),
-                    [model, batch, method](benchmark::State &state) {
-                        bench::epochBenchmark(state, model, 1, batch,
-                                              method);
-                    })
-                    ->UseManualTime()
-                    ->Iterations(1)
-                    ->Unit(benchmark::kSecond);
-            }
-        }
-    }
-}
-
-void
 printTable()
 {
-    std::printf("\n=== Table II: NCCL overhead vs. P2P on one GPU "
+    std::printf("=== Table II: NCCL overhead vs. P2P on one GPU "
                 "===\n");
     core::TextTable table({"Network", "Batch Size",
                            "NCCL Overhead (%)"});
@@ -75,11 +51,8 @@ printTable()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    registerBenchmarks();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printTable();
     return 0;
 }

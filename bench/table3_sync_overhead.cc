@@ -16,35 +16,9 @@ using bench::run;
 using comm::CommMethod;
 
 void
-registerBenchmarks()
-{
-    for (int batch : {16, 32, 64}) {
-        for (int gpus : {1, 2, 4, 8}) {
-            const std::string name = "table3/lenet/b" +
-                                     std::to_string(batch) + "/gpus:" +
-                                     std::to_string(gpus);
-            benchmark::RegisterBenchmark(
-                name.c_str(),
-                [batch, gpus](benchmark::State &state) {
-                    for (auto _ : state) {
-                        const core::TrainReport &r = run(
-                            "lenet", gpus, batch, CommMethod::NCCL);
-                        state.SetIterationTime(r.epochSeconds);
-                        state.counters["sync_frac"] =
-                            r.syncApiFraction;
-                    }
-                })
-                ->UseManualTime()
-                ->Iterations(1)
-                ->Unit(benchmark::kSecond);
-        }
-    }
-}
-
-void
 printTable()
 {
-    std::printf("\n=== Table III: cudaStreamSynchronize share of CUDA "
+    std::printf("=== Table III: cudaStreamSynchronize share of CUDA "
                 "API time, LeNet (NCCL) ===\n");
     core::TextTable table(
         {"Batch Size", "GPU Count", "Time (%)"});
@@ -70,11 +44,8 @@ printTable()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    registerBenchmarks();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printTable();
     return 0;
 }

@@ -14,37 +14,9 @@ using bench::run;
 using comm::CommMethod;
 
 void
-registerBenchmarks()
-{
-    for (const std::string &model : bench::paperModels()) {
-        for (int batch : {16, 32, 64}) {
-            const std::string name =
-                "table4/" + model + "/b" + std::to_string(batch);
-            benchmark::RegisterBenchmark(
-                name.c_str(),
-                [model, batch](benchmark::State &state) {
-                    for (auto _ : state) {
-                        const core::TrainReport &r =
-                            run(model, 4, batch, CommMethod::NCCL);
-                        state.SetIterationTime(
-                            r.oom ? 1e-9 : r.epochSeconds);
-                        state.counters["gpu0_gb"] =
-                            r.gpu0.trainingGB();
-                        state.counters["gpux_gb"] =
-                            r.gpux.trainingGB();
-                    }
-                })
-                ->UseManualTime()
-                ->Iterations(1)
-                ->Unit(benchmark::kSecond);
-        }
-    }
-}
-
-void
 printTable()
 {
-    std::printf("\n=== Table IV: memory usage, 4 GPUs, NCCL ===\n");
+    std::printf("=== Table IV: memory usage, 4 GPUs, NCCL ===\n");
     core::TextTable table({"Network", "Batch", "Pre-train GPUz (GB)",
                            "Train GPU0 (GB)", "Train GPUx (GB)",
                            "GPU0 extra (%)", "vs b16 (%)"});
@@ -98,11 +70,8 @@ printTable()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    registerBenchmarks();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     printTable();
     return 0;
 }

@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "core/text_table.hh"
 #include "core/trainer_base.hh"
 #include "sim/logging.hh"
+#include "sim/suggest.hh"
 
 namespace dgxsim::analysis {
 
@@ -130,12 +133,13 @@ parseWhatIfSpecs(const std::string &spec)
                        "': expected key=value or 'standard'");
         }
         const std::string key = token.substr(0, eq);
-        double value = 0;
-        try {
-            value = std::stod(token.substr(eq + 1));
-        } catch (const std::exception &) {
-            sim::fatal("bad what-if value in '", token, "'");
+        const std::optional<double> parsed =
+            sim::parseFinite(std::string_view(token).substr(eq + 1));
+        if (!parsed) {
+            sim::fatal("bad what-if value in '", token,
+                       "': expected a finite number");
         }
+        const double value = *parsed;
         WhatIfCase c;
         c.label = token;
         if (key == "nvlink_bw") {

@@ -1,8 +1,10 @@
 #include "campaign/json.hh"
 
 #include <cctype>
+#include <optional>
 
 #include "sim/logging.hh"
+#include "sim/suggest.hh"
 
 namespace dgxsim::campaign {
 
@@ -19,6 +21,8 @@ JsonValue::asNumber() const
 {
     if (kind_ != Kind::Number)
         sim::fatal("JSON value is not a number");
+    if (!string_.empty())
+        sim::fatal("'", string_, "' is not a finite number");
     return number_;
 }
 
@@ -193,13 +197,12 @@ class JsonParser
         if (pos_ == start)
             fail("expected a value");
         const std::string token = text_.substr(start, pos_ - start);
-        char *end = nullptr;
-        const double v = std::strtod(token.c_str(), &end);
-        if (end != token.c_str() + token.size())
-            fail("malformed number '" + token + "'");
         JsonValue out;
         out.kind_ = JsonValue::Kind::Number;
-        out.number_ = v;
+        if (const std::optional<double> v = sim::parseFinite(token))
+            out.number_ = *v;
+        else
+            out.string_ = token; // asNumber() fails naming the token
         return out;
     }
 

@@ -9,7 +9,9 @@
  * recursive-descent parser over that subset: objects, arrays,
  * strings (with \" \\ \/ \b \f \n \r \t \uXXXX escapes), numbers,
  * booleans and null. Malformed input raises sim::FatalError with the
- * byte offset of the problem.
+ * byte offset of the problem. A number token that is not a finite
+ * double (1e400, 1.2.3) parses, and asNumber() rejects it, so the
+ * reader that asks for it can say which member holds it.
  */
 
 #ifndef DGXSIM_CAMPAIGN_JSON_HH
@@ -37,7 +39,8 @@ class JsonValue
     /** @return the boolean payload (fatal if not a Bool). */
     bool asBool() const;
 
-    /** @return the numeric payload (fatal if not a Number). */
+    /** @return the numeric payload (fatal if not a Number, or not a
+     * finite double). */
     double asNumber() const;
 
     /** @return the string payload (fatal if not a String). */

@@ -13,6 +13,7 @@
 #include <variant>
 
 #include "campaign/json.hh"
+#include "comm/compression.hh"
 #include "comm/factory.hh"
 #include "hw/platform.hh"
 #include "sim/logging.hh"
@@ -450,6 +451,12 @@ recordsFromJson(const std::string &text)
             if (!(present >> k & 1) && holds(kFields[k].when, r))
                 sim::fatal("record ", i, " has no member '",
                            kFields[k].name, "'");
+        }
+        // The CLI's --compress-ratio rule: a ratio outside (0, 1]
+        // would re-simulate a run no command line can ask for.
+        if (holds(When::Compressed, r)) {
+            comm::checkCompressRatio(r.compressRatio, "record ", i,
+                                     " member 'compress_ratio'");
         }
     }
     return records;

@@ -65,9 +65,24 @@ const char *compressorName(Compressor comp);
 Compressor parseCompressor(const std::string &name);
 
 /**
+ * The one rule for a kept-element fraction, shared by the CLI's
+ * --compress-ratio and the record reader: fatal unless @p ratio is in
+ * (0, 1] (NaN included), naming @p what (the option, or the record
+ * and member).
+ */
+template <typename... What>
+void
+checkCompressRatio(double ratio, const What &...what)
+{
+    if (!(ratio > 0.0 && ratio <= 1.0))
+        sim::fatal(what..., " must be in (0, 1], got ", ratio);
+}
+
+/**
  * @return the bytes @p comp puts on the wire for a @p payload-byte
  * fp32 gradient chunk. @p ratio is the kept-element fraction of the
- * sparsifying compressors (randomk/dgc); the quantizers ignore it.
+ * sparsifying compressors (randomk/dgc), in (0, 1]; the quantizers
+ * ignore it.
  * Deterministic, monotone in @p payload, never larger than @p payload
  * and zero only for a zero payload.
  */

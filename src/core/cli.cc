@@ -1,8 +1,8 @@
 #include "core/cli.hh"
 
 #include <charconv>
-#include <cstdlib>
 #include <limits>
+#include <optional>
 
 #include "comm/compression.hh"
 #include "comm/scheduler.hh"
@@ -94,12 +94,11 @@ Args::getDouble(const std::string &name, double fallback) const
     auto it = opts_.find(name);
     if (it == opts_.end())
         return fallback;
-    char *end = nullptr;
-    const double value = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
-        sim::fatal("--", name, " expects a number, got '", it->second,
-                   "'");
-    return value;
+    const std::optional<double> value = sim::parseFinite(it->second);
+    if (!value)
+        sim::fatal("--", name, " expects a finite number, got '",
+                   it->second, "'");
+    return *value;
 }
 
 std::uint64_t
@@ -175,6 +174,11 @@ baseConfigFromArgs(const Args &args)
     cfg.overlapBpWu = args.has("overlap");
     cfg.useAllReduce = args.has("allreduce");
     cfg.bucketFusionMB = args.getDouble("fusion-mb", 0.0);
+    // The trainer casts the fusion threshold to a 64-bit byte count.
+    if (!(cfg.bucketFusionMB >= 0 && cfg.bucketFusionMB * 1e6 < 0x1p64)) {
+        sim::fatal("--fusion-mb must be >= 0 and under 2^64 bytes, got ",
+                   cfg.bucketFusionMB);
+    }
     cfg.audit = args.has("audit");
     // --mode, --platform and --microbatches are parsed by
     // configFromArgs (scalar commands) or by the grid commands
@@ -198,11 +202,8 @@ baseConfigFromArgs(const Args &args)
     // the kept-element ratio is a non-grid template value.
     cfg.commConfig.compressRatio =
         args.getDouble("compress-ratio", 0.01);
-    if (cfg.commConfig.compressRatio <= 0.0 ||
-        cfg.commConfig.compressRatio > 1.0) {
-        sim::fatal("--compress-ratio must be in (0, 1], got ",
-                   cfg.commConfig.compressRatio);
-    }
+    comm::checkCompressRatio(cfg.commConfig.compressRatio,
+                             "--compress-ratio");
     if (args.has("p100"))
         cfg.gpuSpec = hw::GpuSpec::pascalP100();
     return cfg;

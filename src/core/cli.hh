@@ -42,7 +42,8 @@ class Args
      * overflow). */
     int getInt(const std::string &name, int fallback) const;
 
-    /** @return the option parsed as double (fatal on garbage). */
+    /** @return the option parsed as a finite double (fatal on
+     * garbage, NaN or infinity). */
     double getDouble(const std::string &name, double fallback) const;
 
     /**

@@ -1,6 +1,8 @@
 #include "sim/suggest.hh"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 
 namespace dgxsim::sim {
 
@@ -65,6 +67,17 @@ didYouMean(const std::string &got,
     if (best.empty())
         return "";
     return " (did you mean '" + best + "'?)";
+}
+
+std::optional<double>
+parseFinite(std::string_view text)
+{
+    double value = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end || !std::isfinite(value))
+        return std::nullopt;
+    return value;
 }
 
 } // namespace dgxsim::sim

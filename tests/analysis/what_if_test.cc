@@ -154,6 +154,22 @@ TEST(WhatIfTest, SpecParsing)
                  sim::FatalError);
     EXPECT_THROW(analysis::parseWhatIfSpecs("nvlink_bw=fast"),
                  sim::FatalError);
+    // The value is all of the text after '=', and finite: inf once
+    // reached the max-min solver as an infinite capacity (a panic),
+    // and 2abc ran as 2.
+    for (const char *bad : {"nvlink_bw=inf", "ib_bw=inf", "nvlink_bw=2abc",
+                            "kernel_speedup=nan", "api_overhead=1e400",
+                            "nvlink_bw=", "nvlink_bw= 2"}) {
+        try {
+            analysis::parseWhatIfSpecs(bad);
+            ADD_FAILURE() << bad << " parsed";
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("'") + bad +
+                                                 "': expected a finite"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 /** Two identical fresh runs must render byte-identical JSON — the

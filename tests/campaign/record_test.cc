@@ -266,6 +266,32 @@ TEST(RunRecord, MalformedJsonIsFatal)
                                   "\"mode\": \"async_ps\", \"images\""))
                   .find("record 1 has no member 'throughput_img_s'"),
               std::string::npos);
+    // Doubles are finite: 1e400 once loaded as inf.
+    EXPECT_NE(parseError(tampered("\"setup_s\": 0.5",
+                                  "\"setup_s\": 1e400"))
+                  .find("record 1 member 'setup_s': '1e400' is not a "
+                        "finite number"),
+              std::string::npos);
+    EXPECT_NE(parseError(tampered("\"images\": 256000",
+                                  "\"images\": 1.2.3"))
+                  .find("record 1 member 'images': '1.2.3'"),
+              std::string::npos);
+    // A compressed record's ratio obeys the CLI's (0, 1] rule instead
+    // of re-simulating a run no command line can ask for (-1 cast a
+    // negative double to a byte count).
+    const auto dgc = [](const std::string &ratio) {
+        return tampered("\"images\"", "\"compression\": \"dgc\", "
+                                      "\"compress_ratio\": " +
+                                          ratio + ", \"images\"");
+    };
+    for (const char *bad : {"-1", "0", "5", "1e400"}) {
+        EXPECT_NE(parseError(dgc(bad)).find(
+                      "record 1 member 'compress_ratio'"),
+                  std::string::npos)
+            << bad;
+    }
+    EXPECT_EQ(parseError(dgc("1")), "");
+    EXPECT_EQ(parseError(dgc("0.01")), "");
 }
 
 TEST(RunRecord, EveryGroupRoundTrips)

@@ -98,6 +98,39 @@ TEST(CliArgsTest, GarbageNumbersAreFatal)
     EXPECT_EQ(Args::parse({"--partition-bytes", "17179869183g"})
                   .getBytes("partition-bytes", 0),
               17179869183ull << 30);
+
+    // A double is all of its text, and finite: NaN slips past every
+    // range check (it compares false), inf and 1e400 (read as inf)
+    // overflow the integer casts downstream, and trailing text would
+    // run a different value.
+    const auto real = [](const Args &a) {
+        return a.getDouble("max-error", 0);
+    };
+    for (const char *bad : {"nan", "inf", "-inf", "1e400", "2abc", "+2",
+                            " 2", ""}) {
+        EXPECT_NE(error({"--max-error", bad}, real)
+                      .find("--max-error expects a finite number"),
+                  std::string::npos)
+            << bad;
+    }
+    EXPECT_DOUBLE_EQ(real(Args::parse({"--max-error", "2.5e-1"})), 0.25);
+    EXPECT_DOUBLE_EQ(real(Args::parse({"--max-error", "-3"})), -3.0);
+
+    // Ranged doubles hold their range: the fusion threshold becomes a
+    // 64-bit byte count, and the kept-element ratio is in (0, 1].
+    for (const char *bad : {"-1", "-0.5", "1e30", "nan"}) {
+        EXPECT_NE(error({"--fusion-mb", bad}, config).find("--fusion-mb"),
+                  std::string::npos)
+            << bad;
+    }
+    EXPECT_EQ(error({"--fusion-mb", "18446744"}, config), "");
+    for (const char *bad : {"-1", "0", "1.0000001", "5", "nan", "1e400"}) {
+        EXPECT_NE(error({"--compress-ratio", bad}, config)
+                      .find("--compress-ratio"),
+                  std::string::npos)
+            << bad;
+    }
+    EXPECT_EQ(error({"--compress-ratio", "1"}, config), "");
 }
 
 TEST(CliConfigTest, MapsAllTrainingOptions)

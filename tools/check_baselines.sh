@@ -1,10 +1,13 @@
 #!/bin/sh
-# Regenerate every golden grid of results/baselines.manifest into
-# <build-dir>/golden and require each to match its committed file
-# byte for byte. Then replay the paper grid with the scheduler and the
-# compressor pinned to their defaults, which must not move a byte
-# either. Registered as the dgxprof_golden_baselines ctest; on drift
-# the regenerated files stay in <build-dir>/golden for the diff.
+# Regenerate every output of results/baselines.manifest (the golden
+# grids and the paper's tables and figures) into <build-dir>/golden
+# and require each to match its committed file byte for byte; a
+# committed results/baseline*.json or results/*.txt with no manifest
+# line fails too, so no output can drop out of the gate unnoticed.
+# Then replay the paper grid with the scheduler and the compressor
+# pinned to their defaults, which must not move a byte either.
+# Registered as the dgxprof_golden_baselines ctest; on drift the
+# regenerated files stay in <build-dir>/golden for the diff.
 #
 # Usage: tools/check_baselines.sh [build-dir]
 set -eu
@@ -16,8 +19,17 @@ out="$builddir/golden"
 rm -rf "$out"
 "$repo/tools/refresh_baseline.sh" "$builddir" "$out"
 status=0
-for regen in "$out"/*.json; do
+count=0
+for regen in "$out"/*; do
+    count=$((count + 1))
     cmp "$regen" "$repo/results/${regen##*/}" || status=1
+done
+for committed in "$repo"/results/baseline*.json "$repo"/results/*.txt; do
+    if [ ! -e "$out/${committed##*/}" ]; then
+        echo "results/${committed##*/} has no line in" \
+            "results/baselines.manifest" >&2
+        status=1
+    fi
 done
 
 args=$(sed -n 's/^baseline\.json //p' "$repo/results/baselines.manifest")
@@ -27,5 +39,5 @@ args=$(sed -n 's/^baseline\.json //p' "$repo/results/baselines.manifest")
     >/dev/null
 cmp "$out/baseline.json.replay" "$repo/results/baseline.json" || status=1
 
-[ "$status" -eq 0 ] && echo "golden grids byte-identical"
+[ "$status" -eq 0 ] && echo "all $count committed outputs byte-identical"
 exit "$status"

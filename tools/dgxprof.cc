@@ -248,6 +248,11 @@ int
 cmdAnalyze(const Args &args)
 {
     core::TrainConfig cfg = core::cli::configFromArgs(args);
+    // Bad values fail before the run, not after it.
+    const double max_error_pct = args.getDouble("max-error", 0.0);
+    std::vector<analysis::WhatIfCase> cases;
+    if (args.has("what-if"))
+        cases = analysis::parseWhatIfSpecs(args.get("what-if", "standard"));
     auto trainer = core::TrainerBase::make(cfg);
     const core::TrainReport base = trainer->run();
     if (base.oom) {
@@ -266,11 +271,10 @@ cmdAnalyze(const Args &args)
         static_cast<std::size_t>(args.getInt("top", 10));
 
     std::vector<analysis::WhatIfResult> results;
-    if (args.has("what-if")) {
+    if (!cases.empty()) {
         const analysis::WhatIf what_if(dag, cfg, base);
         const bool validate = !args.has("no-validate");
-        for (const analysis::WhatIfCase &c :
-             analysis::parseWhatIfSpecs(args.get("what-if", "standard")))
+        for (const analysis::WhatIfCase &c : cases)
             results.push_back(what_if.evaluate(c, validate));
     }
 
@@ -354,7 +358,6 @@ cmdAnalyze(const Args &args)
 
     // CI gate: fail when any validated projection misses the
     // re-simulated ground truth by more than --max-error percent.
-    const double max_error_pct = args.getDouble("max-error", 0.0);
     if (max_error_pct > 0) {
         int failures = 0;
         for (const analysis::WhatIfResult &r : results) {

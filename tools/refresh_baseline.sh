@@ -1,13 +1,16 @@
 #!/bin/sh
-# Regenerate every golden grid listed in results/baselines.manifest
-# (one `<file> <dgxprof campaign arguments>` line each) from the
-# current simulator. The files are serialized deterministically, so
-# the diff against the old baselines is reviewable like code.
+# Regenerate every committed output listed in
+# results/baselines.manifest from the current build: each golden grid
+# (`<file>.json <dgxprof campaign arguments>`) through dgxprof
+# campaign, and each paper table or figure (`<file>.txt <program>`)
+# as the stdout of its program under the build directory. Every
+# output is deterministic, so the diff against the old files is
+# reviewable like code.
 #
 # Run this ONLY when a change intentionally moves simulated numbers
 # (model recalibration, cost-model fixes) and commit the refreshed
 # files with it, so the golden ctest gates the next change on the new
-# truth. With an output directory the grids go there instead of
+# truth. With an output directory the files go there instead of
 # results/ (the golden ctest writes them into the build tree).
 #
 # Usage: tools/refresh_baseline.sh [build-dir [output-dir]]
@@ -25,9 +28,17 @@ fi
 mkdir -p "$outdir"
 
 while read -r file args; do
-    case $file in '' | '#'*) continue ;; esac
-    # shellcheck disable=SC2086
-    "$dgxprof" campaign $args --json "$outdir/$file" --quiet \
-        >/dev/null </dev/null
-    echo "$file refreshed ($(grep -c '"model"' "$outdir/$file") records)"
+    case $file in
+    '' | '#'*) continue ;;
+    *.txt)
+        "$builddir/$args" >"$outdir/$file" </dev/null
+        echo "$file refreshed ($args)"
+        ;;
+    *)
+        # shellcheck disable=SC2086
+        "$dgxprof" campaign $args --json "$outdir/$file" --quiet \
+            >/dev/null </dev/null
+        echo "$file refreshed ($(grep -c '"model"' "$outdir/$file") records)"
+        ;;
+    esac
 done <"$repo/results/baselines.manifest"
