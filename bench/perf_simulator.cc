@@ -100,8 +100,8 @@ std::vector<core::TrainConfig>
 paperGrid()
 {
     campaign::CampaignSpec spec;
-    spec.models = {"lenet", "alexnet", "googlenet", "inception-v3",
-                   "resnet-50"};
+    spec[core::cli::Axis::Model] = {"lenet", "alexnet", "googlenet",
+                                    "inception-v3", "resnet-50"};
     return spec.expand();
 }
 

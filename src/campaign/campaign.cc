@@ -1,5 +1,6 @@
 #include "campaign/campaign.hh"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <deque>
@@ -11,158 +12,77 @@
 #include "comm/factory.hh"
 #include "core/layer_costs.hh"
 #include "core/trainer_base.hh"
-#include "hw/cluster.hh"
 #include "hw/platform.hh"
 #include "sim/logging.hh"
-#include "sim/suggest.hh"
 
 namespace dgxsim::campaign {
+
+CampaignSpec::CampaignSpec()
+{
+    for (std::size_t i = 0; i < values.size(); ++i)
+        values[i] = core::cli::axes()[i].gridDefault;
+}
 
 std::vector<core::TrainConfig>
 CampaignSpec::expand() const
 {
-    const std::vector<std::string> plats =
-        platforms.empty() ? std::vector<std::string>{base.platform}
-                          : platforms;
-    const std::vector<std::string> nets =
-        interconnects.empty()
-            ? std::vector<std::string>{base.interconnect}
-            : interconnects;
-    for (const std::string &name : nets) {
-        if (!hw::isInterconnect(name)) {
-            sim::fatal("unknown interconnect '", name, "'",
-                       sim::didYouMean(name, hw::interconnectNames()),
-                       " in campaign grid");
-        }
+    const auto &rows = core::cli::axes();
+    // Read every listed value up front, so a bad one fails the grid
+    // even where each cell pins its row.
+    core::TrainConfig scratch;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        for (const std::string &value : values[i])
+            rows[i].read(scratch, value);
     }
-    for (int n : nodeCounts) {
-        if (n < 1)
-            sim::fatal("node count must be positive, got ", n);
-    }
-    // Validate the platform axis up front: unknown names and GPU
-    // requests beyond a platform's capacity fail here with a clear
-    // message instead of mid-campaign on a worker thread.
-    for (const std::string &name : plats) {
-        const hw::Platform plat = hw::makePlatform(name);
-        for (int g : gpus) {
-            if (g < 1 || g > plat.topology.numGpus()) {
-                sim::fatal("platform '", name, "' has ",
-                           plat.topology.numGpus(), " GPUs; grid asks "
-                           "for ", g);
+    std::vector<core::TrainConfig> cells = {base};
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const core::cli::AxisRow &row = rows[i];
+        const std::vector<std::string> baseValue = {row.spell(base)};
+        const std::vector<std::string> pin =
+            row.pinValue ? std::vector<std::string>{row.pinValue}
+                         : baseValue;
+        const std::vector<std::string> &walk =
+            values[i].empty() ? baseValue : values[i];
+        std::vector<core::TrainConfig> next;
+        for (const core::TrainConfig &cell : cells) {
+            const bool pinned = row.pinned && row.pinned(cell);
+            for (const std::string &value : pinned ? pin : walk) {
+                next.push_back(cell);
+                row.read(next.back(), value);
             }
         }
+        cells = std::move(next);
     }
+    // The multi-node rule: non-sync modes contribute no cell at
+    // nodes > 1, and a grid left with none fails as its runs would.
+    const auto offCluster = [](const core::TrainConfig &c) {
+        return c.nodes > 1 && c.mode != core::ParallelismMode::SyncDp;
+    };
+    if (std::all_of(cells.begin(), cells.end(), offCluster))
+        core::checkClusterMode(cells.front().mode, cells.front().nodes);
+    std::erase_if(cells, offCluster);
+    // GPU counts beyond a platform fail here, not mid-campaign on a
+    // worker thread.
+    std::map<std::string, int> platformGpus;
+    for (const core::TrainConfig &cell : cells) {
+        auto [it, fresh] = platformGpus.try_emplace(cell.platform);
+        if (fresh)
+            it->second = hw::makePlatform(cell.platform).topology.numGpus();
+        core::cli::checkGpusFit(cell, it->second);
+    }
+    return cells;
+}
 
-    std::vector<core::TrainConfig> configs;
-    configs.reserve(plats.size() * nodeCounts.size() * modes.size() *
-                    models.size() * gpus.size() * batches.size() *
-                    methods.size() * schedulers.size() *
-                    compressors.size());
-    for (const std::string &platform : plats) {
-        for (int nodes : nodeCounts) {
-            // Without an inter-node fabric the interconnect and
-            // schedule axes cannot change anything, so the grid
-            // collapses them to a single cell at nodes == 1 (same
-            // idea as the method collapse for non-sync modes).
-            const std::vector<std::string> cellNets =
-                nodes > 1 ? nets
-                          : std::vector<std::string>{
-                                base.interconnect};
-            const std::vector<comm::NetAlgo> cellAlgos =
-                nodes > 1 ? netAlgos
-                          : std::vector<comm::NetAlgo>{base.netAlgo};
-            for (const std::string &net : cellNets) {
-                for (comm::NetAlgo algo : cellAlgos) {
-                    for (core::ParallelismMode mode : modes) {
-                        // Collectives are inherently synchronous:
-                        // the non-sync strategies always use the P2P
-                        // fabric path, so the method axis collapses
-                        // to a single column for them. Clusters
-                        // support only sync_dp, so non-sync modes
-                        // contribute nothing at nodes > 1.
-                        const bool sync =
-                            mode == core::ParallelismMode::SyncDp;
-                        if (nodes > 1 && !sync)
-                            continue;
-                        const std::vector<comm::CommMethod>
-                            cellMethods =
-                                sync ? methods
-                                     : std::vector<comm::CommMethod>{
-                                           comm::CommMethod::P2P};
-                        // The non-sync strategies bypass the
-                        // collective queue entirely, so the
-                        // scheduler axis collapses alongside the
-                        // method axis.
-                        const std::vector<comm::SchedulerPolicy>
-                            cellScheds =
-                                sync
-                                    ? schedulers
-                                    : std::vector<
-                                          comm::SchedulerPolicy>{
-                                          comm::SchedulerPolicy::
-                                              Fifo};
-                        // Compression also rides the collective
-                        // queue, so its axis collapses with the
-                        // scheduler's for non-sync modes.
-                        const std::vector<comm::Compressor>
-                            cellComps =
-                                sync ? compressors
-                                     : std::vector<comm::Compressor>{
-                                           comm::Compressor::None};
-                        // Microbatches are a stage-schedule knob:
-                        // the axis collapses for every mode without
-                        // a pipeline (sync_dp, async_ps).
-                        const bool staged =
-                            mode ==
-                                core::ParallelismMode::ModelParallel ||
-                            mode == core::ParallelismMode::Pipeline;
-                        const std::vector<int> cellUbs =
-                            staged && !microbatchCounts.empty()
-                                ? microbatchCounts
-                                : std::vector<int>{base.microbatches};
-                        for (const std::string &model : models) {
-                            for (int g : gpus) {
-                                for (int b : batches) {
-                                  for (int ub : cellUbs) {
-                                    for (comm::CommMethod m :
-                                         cellMethods) {
-                                        for (comm::SchedulerPolicy s :
-                                             cellScheds) {
-                                            for (comm::Compressor z :
-                                                 cellComps) {
-                                                core::TrainConfig
-                                                    cfg = base;
-                                                cfg.platform =
-                                                    platform;
-                                                cfg.nodes = nodes;
-                                                cfg.interconnect =
-                                                    net;
-                                                cfg.netAlgo = algo;
-                                                cfg.mode = mode;
-                                                cfg.model = model;
-                                                cfg.numGpus = g;
-                                                cfg.batchPerGpu = b;
-                                                cfg.microbatches = ub;
-                                                cfg.method = m;
-                                                cfg.commConfig
-                                                    .scheduler = s;
-                                                cfg.commConfig
-                                                    .compression = z;
-                                                configs.push_back(
-                                                    std::move(cfg));
-                                            }
-                                        }
-                                    }
-                                  }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+CampaignSpec
+campaignSpecFromArgs(const core::cli::Args &args)
+{
+    CampaignSpec spec;
+    spec.base = core::cli::baseConfigFromArgs(args);
+    for (std::size_t i = 0; i < spec.values.size(); ++i) {
+        spec.values[i] = core::cli::axisValues(
+            args, core::cli::axes()[i], spec.values[i]);
     }
-    return configs;
+    return spec;
 }
 
 std::string

@@ -21,93 +21,53 @@
 #ifndef DGXSIM_CAMPAIGN_CAMPAIGN_HH
 #define DGXSIM_CAMPAIGN_CAMPAIGN_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "campaign/record.hh"
+#include "core/cli.hh"
 #include "core/train_config.hh"
 
 namespace dgxsim::campaign {
 
-/** A grid of training configurations (the paper's sweep axes). */
+/**
+ * A grid of training configurations: a base config plus one value
+ * list per run axis (core::cli::axes()), spelled as on the command
+ * line; an empty list means the base config's value. The defaults are
+ * the rows' grid defaults: the paper's grid of base.model.
+ */
 struct CampaignSpec
 {
-    std::vector<std::string> models = {"resnet-50"};
-    std::vector<int> gpus = {1, 2, 4, 8};
-    std::vector<int> batches = {16, 32, 64};
-    std::vector<comm::CommMethod> methods = {comm::CommMethod::P2P,
-                                             comm::CommMethod::NCCL};
-    /**
-     * Parallelization strategies to sweep. Non-sync modes ignore the
-     * methods axis (async_ps and model_parallel use the P2P fabric
-     * path exclusively), so each contributes one configuration per
-     * (model, gpus, batch) cell instead of one per method.
-     */
-    std::vector<core::ParallelismMode> modes = {
-        core::ParallelismMode::SyncDp};
-    /**
-     * Hardware platforms to sweep (hw::platformNames). Empty means
-     * "whatever base.platform says" — the historical single-machine
-     * grid.
-     */
-    std::vector<std::string> platforms;
-    /**
-     * Cluster node counts to sweep (hw/cluster.hh). The default {1}
-     * is the historical single-box grid. Multi-node cells exist only
-     * for the sync_dp mode (the cluster substrate's constraint), so
-     * non-sync modes contribute nothing at nodes > 1.
-     */
-    std::vector<int> nodeCounts = {1};
-    /**
-     * Inter-node networks to sweep (hw::interconnectNames). Empty
-     * means "whatever base.interconnect says". The axis collapses at
-     * nodes == 1, where no inter-node fabric exists.
-     */
-    std::vector<std::string> interconnects;
-    /**
-     * Inter-node all-reduce schedules to sweep. Collapses to a
-     * single column at nodes == 1 for the same reason.
-     */
-    std::vector<comm::NetAlgo> netAlgos = {comm::NetAlgo::Ring};
-    /**
-     * Gradient-bucket schedulers to sweep (comm/scheduler.hh). The
-     * default {Fifo} is the historical per-layer queue. Non-sync
-     * modes never issue collectives, so the axis collapses to a
-     * single fifo column for them.
-     */
-    std::vector<comm::SchedulerPolicy> schedulers = {
-        comm::SchedulerPolicy::Fifo};
-    /**
-     * Gradient compressors to sweep (comm/compression.hh). The
-     * default {None} is the historical raw-fp32 wire. Non-sync modes
-     * never issue collectives, so the axis collapses to a single
-     * none column for them, like the scheduler axis.
-     */
-    std::vector<comm::Compressor> compressors = {
-        comm::Compressor::None};
-    /**
-     * Microbatch counts to sweep (pipeline depth). Empty means
-     * "whatever base.microbatches says" — 0 there selects numGpus.
-     * Only the stage-scheduled modes (model_parallel, pipeline)
-     * have microbatches, so the axis collapses to a single column
-     * for every other mode.
-     */
-    std::vector<int> microbatchCounts;
-    /** Template for every non-grid knob (images, overlap, ...). */
     core::TrainConfig base;
+    std::array<std::vector<std::string>, core::cli::kAxisCount> values;
+
+    CampaignSpec();
+
+    /** @return the value list of @p axis. */
+    std::vector<std::string> &
+    operator[](core::cli::Axis axis)
+    {
+        return values[static_cast<std::size_t>(axis)];
+    }
 
     /**
-     * @return the grid expanded to configurations in deterministic
-     * platform-major order: platform, then nodes, then interconnect,
-     * then net algo, then mode, then model, then gpus, then batch,
-     * then microbatches, then method, then scheduler, then
-     * compressor. Fatal when a platform or interconnect is unknown
-     * or a platform has fewer GPUs than the gpus axis requests.
+     * @return the grid expanded to configurations, in grid order
+     * (platform outermost, compression innermost). One walk over the
+     * axis rows: a cell takes each value of a row's list, or the one
+     * value of a row it pins. Non-sync modes contribute no cell at
+     * nodes > 1. Fatal when a row rejects a listed value, a GPU count
+     * exceeds its platform, or no cell is left.
      */
     std::vector<core::TrainConfig> expand() const;
 };
+
+/** @return the grid the axis options of @p args list, over
+ * baseConfigFromArgs(@p args); an absent option keeps its row's grid
+ * default. */
+CampaignSpec campaignSpecFromArgs(const core::cli::Args &args);
 
 /**
  * Simulate @p cfg through a process-wide thread-safe memo cache.

@@ -9,18 +9,20 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <type_traits>
 #include <variant>
 
 #include "campaign/json.hh"
 #include "comm/compression.hh"
-#include "comm/factory.hh"
 #include "hw/platform.hh"
 #include "sim/logging.hh"
 
 namespace dgxsim::campaign {
 
 namespace {
+
+using core::cli::Axis;
 
 /** When a member is serialized (see holds()): each optional group
  * shares a rule. */
@@ -39,8 +41,8 @@ enum class When : std::uint8_t
     AnalysisMultiNode,
 };
 
-/** One serialized RunRecord member. A row with a key() slot is a
- * configuration axis; every other row is an outcome. */
+/** One serialized RunRecord member. A row with a key() slot is part
+ * of the configuration; every other row is an outcome. */
 struct Field
 {
     /** JSON member and CSV column. */
@@ -56,8 +58,8 @@ struct Field
     const char *keyPrefix = "";
     /** Condition for the key() token on top of `when`. */
     When keyWhen = When::Always;
-    /** `dgxprof check` flags filtering on the axis; first given wins. */
-    std::array<const char *, 2> options = {};
+    /** The run axis (core::cli::axes()) the member records, if any. */
+    std::optional<Axis> axis = std::nullopt;
     /** Written as 16 hex digits in a JSON string (the digest). */
     bool hex = false;
     /** JSON continues on a new line after this member. */
@@ -73,32 +75,32 @@ struct Field
 constexpr Field kFields[] = {
     // --- axes ---
     {.name = "model", .member = &RunRecord::model, .keySlot = 0,
-     .options = {"model"}},
+     .axis = Axis::Model},
     {.name = "gpus", .member = &RunRecord::gpus, .keySlot = 1,
-     .keyPrefix = "x", .options = {"gpus"}},
+     .keyPrefix = "x", .axis = Axis::Gpus},
     {.name = "batch", .member = &RunRecord::batch, .keySlot = 2,
-     .keyPrefix = "b", .options = {"batches", "batch"}},
+     .keyPrefix = "b", .axis = Axis::Batch},
     {.name = "method", .member = &RunRecord::method, .keySlot = 3,
-     .options = {"method"}},
+     .axis = Axis::Method},
     {.name = "mode", .member = &RunRecord::mode, .when = When::NotSyncDp,
-     .keySlot = 5, .options = {"mode"}},
+     .keySlot = 5, .axis = Axis::Mode},
     {.name = "platform", .member = &RunRecord::platform,
      .when = When::NotDefaultPlatform, .keySlot = 7,
-     .options = {"platform"}},
+     .axis = Axis::Platform},
     {.name = "nodes", .member = &RunRecord::nodes, .when = When::MultiNode,
-     .keySlot = 8, .keyPrefix = "n", .options = {"nodes"}},
+     .keySlot = 8, .keyPrefix = "n", .axis = Axis::Nodes},
     {.name = "interconnect", .member = &RunRecord::interconnect,
-     .when = When::MultiNode, .keySlot = 9, .options = {"interconnect"}},
+     .when = When::MultiNode, .keySlot = 9, .axis = Axis::Interconnect},
     {.name = "net_algo", .member = &RunRecord::netAlgo,
-     .when = When::MultiNode, .keySlot = 10, .options = {"netalgo"}},
+     .when = When::MultiNode, .keySlot = 10, .axis = Axis::NetAlgo},
     {.name = "scheduler", .member = &RunRecord::scheduler,
-     .when = When::NotFifo, .keySlot = 11, .options = {"scheduler"}},
+     .when = When::NotFifo, .keySlot = 11, .axis = Axis::Scheduler},
     {.name = "partition_bytes", .member = &RunRecord::partitionBytes,
      .when = When::NotFifo, .keySlot = 12, .keyPrefix = "pb"},
     {.name = "credit_bytes", .member = &RunRecord::creditBytes,
      .when = When::NotFifo, .keySlot = 13, .keyPrefix = "cb"},
     {.name = "compression", .member = &RunRecord::compression,
-     .when = When::Compressed, .keySlot = 14, .options = {"compression"}},
+     .when = When::Compressed, .keySlot = 14, .axis = Axis::Compression},
     {.name = "compress_ratio", .member = &RunRecord::compressRatio,
      .when = When::Compressed, .keySlot = 15, .keyPrefix = "r"},
     {.name = "images", .member = &RunRecord::images, .keySlot = 4,
@@ -129,7 +131,7 @@ constexpr Field kFields[] = {
     // ran exactly gpus microbatches.
     {.name = "microbatches", .member = &RunRecord::microbatches,
      .when = When::Staged, .keySlot = 6, .keyPrefix = "ub",
-     .keyWhen = When::OffDepth, .options = {"microbatches"}},
+     .keyWhen = When::OffDepth, .axis = Axis::Microbatches},
     {.name = "bubble_fraction", .member = &RunRecord::bubbleFraction,
      .when = When::Staged, .lineBreak = true},
     {.name = "cp_compute_s", .member = &RunRecord::cpComputeSeconds,
@@ -152,6 +154,11 @@ constexpr Field kFields[] = {
 
 constexpr std::size_t kFieldCount = std::size(kFields);
 static_assert(kFieldCount <= 64, "presence is tracked in 64 bits");
+static_assert(std::count_if(std::begin(kFields), std::end(kFields),
+                            [](const Field &f) {
+                                return f.axis && f.member.index() < 2;
+                            }) == core::cli::kAxisCount,
+              "every run axis is recorded once, as a string or an int");
 
 bool
 holds(When when, const RunRecord &r)
@@ -211,6 +218,18 @@ text(const Field &f, const RunRecord &r)
             }
         },
         f.member);
+}
+
+/** Set @p f's string or int member of @p r to @p value, as text()
+ * shows it. */
+void
+setText(const Field &f, RunRecord &r, const std::string &value)
+{
+    if (const auto s = std::get_if<std::string RunRecord::*>(&f.member))
+        r.**s = value;
+    else
+        std::from_chars(value.data(), value.data() + value.size(),
+                        r.*std::get<int RunRecord::*>(f.member));
 }
 
 /** Append @p s as the body of a JSON string. */
@@ -309,21 +328,13 @@ core::TrainConfig
 RunRecord::toConfig() const
 {
     core::TrainConfig cfg;
-    cfg.model = model;
-    cfg.numGpus = gpus;
-    cfg.batchPerGpu = batch;
-    cfg.method = comm::parseCommMethod(method);
-    cfg.mode = core::parseParallelismMode(mode);
-    cfg.platform = platform;
-    cfg.nodes = nodes;
-    cfg.interconnect = interconnect;
-    cfg.netAlgo = comm::parseNetAlgo(netAlgo);
-    cfg.commConfig.scheduler = comm::parseScheduler(scheduler);
+    for (const Field &f : kFields) {
+        if (f.axis)
+            core::cli::axisRow(*f.axis).read(cfg, text(f, *this));
+    }
     cfg.commConfig.partitionBytes = partitionBytes;
     cfg.commConfig.creditBytes = creditBytes;
-    cfg.commConfig.compression = comm::parseCompressor(compression);
     cfg.commConfig.compressRatio = compressRatio;
-    cfg.microbatches = microbatches;
     cfg.datasetImages = images;
     return cfg;
 }
@@ -332,21 +343,14 @@ RunRecord
 recordFromReport(const core::TrainReport &report)
 {
     RunRecord r;
-    r.model = report.config.model;
-    r.gpus = report.config.numGpus;
-    r.batch = report.config.batchPerGpu;
-    r.method = comm::commMethodName(report.config.method);
-    r.mode = core::parallelismModeName(report.config.mode);
-    r.platform = report.config.platform;
-    r.nodes = report.config.nodes;
-    r.interconnect = report.config.interconnect;
-    r.netAlgo = comm::netAlgoName(report.config.netAlgo);
-    r.scheduler =
-        comm::schedulerName(report.config.commConfig.scheduler);
+    for (const Field &f : kFields) {
+        if (f.axis)
+            setText(f, r, core::cli::axisRow(*f.axis).spell(report.config));
+    }
+    // The depth the run used: a config's 0 asks for gpus stages.
+    r.microbatches = report.microbatches;
     r.partitionBytes = report.config.commConfig.partitionBytes;
     r.creditBytes = report.config.commConfig.creditBytes;
-    r.compression =
-        comm::compressorName(report.config.commConfig.compression);
     r.compressRatio = report.config.commConfig.compressRatio;
     r.images = report.config.datasetImages;
     r.oom = report.oom;
@@ -366,7 +370,6 @@ recordFromReport(const core::TrainReport &report)
     r.throughputImagesPerSec = report.throughputImagesPerSec;
     r.avgStaleness = report.avgStaleness;
     r.maxStaleness = report.maxStaleness;
-    r.microbatches = report.microbatches;
     r.bubbleFraction = report.bubbleFraction;
     return r;
 }
@@ -501,26 +504,19 @@ void
 filterRecords(std::vector<RunRecord> &records, const core::cli::Args &args)
 {
     for (const Field &f : kFields) {
-        const auto flag =
-            std::find_if(f.options.begin(), f.options.end(),
-                         [&](const char *o) { return o && args.has(o); });
-        if (flag == f.options.end())
+        if (!f.axis)
             continue;
+        const core::cli::AxisRow &row = core::cli::axisRow(*f.axis);
+        // Spell each value the way a run configured with it records
+        // it, so registry aliases match.
         std::vector<std::string> accepted;
-        if (std::holds_alternative<int RunRecord::*>(f.member)) {
-            for (int v : args.getIntList(*flag, {}))
-                accepted.push_back(std::to_string(v));
-        } else {
-            for (const std::string &v : args.getList(*flag, {})) {
-                // Spell the value the way a run configured with it
-                // records it, so registry aliases match.
-                RunRecord probe;
-                probe.*std::get<std::string RunRecord::*>(f.member) = v;
-                core::TrainReport report;
-                report.config = probe.toConfig();
-                accepted.push_back(text(f, recordFromReport(report)));
-            }
+        for (const std::string &v : core::cli::axisValues(args, row, {})) {
+            core::TrainConfig probe;
+            row.read(probe, v);
+            accepted.push_back(row.spell(probe));
         }
+        if (accepted.empty())
+            continue;
         std::erase_if(records, [&](const RunRecord &r) {
             return std::find(accepted.begin(), accepted.end(),
                              text(f, r)) == accepted.end();

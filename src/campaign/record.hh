@@ -10,12 +10,13 @@
  * traffic, peak memory, and the determinism digest.
  *
  * Every serialized member is described once, by one row of the field
- * table in record.cc. key(), JSON, CSV, the drift gate of `dgxprof
- * check` and its axis filter are loops over that table, so a new run
- * axis is one row. Serialization is deterministic: the same records
- * always produce byte-identical text, so a campaign run at --jobs 8
- * emits the same file as --jobs 1 and a golden baseline can be
- * diffed textually.
+ * table in record.cc; a row recording a run axis names its row of the
+ * axis table (core::cli::axes()). key(), JSON, CSV, the drift gate of
+ * `dgxprof check`, its axis filter, toConfig() and recordFromReport()
+ * are loops over those tables. Serialization is deterministic: the
+ * same records always produce byte-identical text, so a campaign run
+ * at --jobs 8 emits the same file as --jobs 1 and a golden baseline
+ * can be diffed textually.
  */
 
 #ifndef DGXSIM_CAMPAIGN_RECORD_HH

@@ -72,6 +72,13 @@ Args::has(const std::string &name) const
     return opts_.count(name) != 0;
 }
 
+const std::string *
+Args::find(std::string_view name) const
+{
+    auto it = opts_.find(name);
+    return it == opts_.end() ? nullptr : &it->second;
+}
+
 std::string
 Args::get(const std::string &name, const std::string &fallback) const
 {
@@ -160,6 +167,187 @@ Args::getList(const std::string &name,
     return out;
 }
 
+std::vector<std::string>
+Args::names() const
+{
+    std::vector<std::string> out;
+    for (const auto &[name, value] : opts_)
+        out.push_back(name);
+    return out;
+}
+
+Args
+Args::without(const std::string &name) const
+{
+    Args out = *this;
+    out.opts_.erase(name);
+    return out;
+}
+
+namespace {
+
+int
+readInt(const char *name, const std::string &value)
+{
+    return parseWhole<int>(name, value, "an integer");
+}
+
+std::string
+readRegistered(const char *name, const std::string &value,
+               bool (*known)(const std::string &),
+               std::vector<std::string> (*names)(), const char *listing)
+{
+    if (!known(value)) {
+        sim::fatal("unknown --", name, " '", value, "'",
+                   sim::didYouMean(value, names()), " (run `dgxprof ",
+                   listing, "`)");
+    }
+    return value;
+}
+
+// When a grid cell pins an axis: without an inter-node fabric,
+// without a pipeline, or without collectives.
+bool
+singleNode(const TrainConfig &cell)
+{
+    return cell.nodes == 1;
+}
+
+bool
+unstaged(const TrainConfig &cell)
+{
+    return cell.mode != ParallelismMode::ModelParallel &&
+           cell.mode != ParallelismMode::Pipeline;
+}
+
+bool
+notSync(const TrainConfig &cell)
+{
+    return cell.mode != ParallelismMode::SyncDp;
+}
+
+} // namespace
+
+const std::array<AxisRow, kAxisCount> &
+axes()
+{
+    using C = TrainConfig;
+    using S = std::string;
+    using V = const std::string &;
+    static const std::array<AxisRow, kAxisCount> rows = {{
+        {.option = "platform",
+         .read = [](C &c, V v) {
+             c.platform = readRegistered("platform", v, hw::isPlatform,
+                                         hw::platformNames, "platforms");
+         },
+         .spell = [](const C &c) { return c.platform; }},
+        {.option = "nodes",
+         .read = [](C &c, V v) {
+             c.nodes = readInt("nodes", v);
+             if (c.nodes < 1)
+                 sim::fatal("--nodes must be positive, got ", c.nodes);
+         },
+         .spell = [](const C &c) { return std::to_string(c.nodes); }},
+        {.option = "interconnect",
+         .read = [](C &c, V v) {
+             c.interconnect =
+                 readRegistered("interconnect", v, hw::isInterconnect,
+                                hw::interconnectNames, "interconnects");
+         },
+         .spell = [](const C &c) { return c.interconnect; },
+         .pinned = singleNode},
+        {.option = "netalgo",
+         .read = [](C &c, V v) { c.netAlgo = comm::parseNetAlgo(v); },
+         .spell = [](const C &c) -> S { return comm::netAlgoName(c.netAlgo); },
+         .pinned = singleNode},
+        {.option = "mode",
+         .read = [](C &c, V v) { c.mode = parseParallelismMode(v); },
+         .spell = [](const C &c) -> S { return parallelismModeName(c.mode); }},
+        // An unknown model fails where its network is built, so a
+        // --model-file run can carry its own name.
+        {.option = "model",
+         .read = [](C &c, V v) { c.model = v; },
+         .spell = [](const C &c) { return c.model; }},
+        // The range check needs the platform (checkGpusFit).
+        {.option = "gpus",
+         .read = [](C &c, V v) { c.numGpus = readInt("gpus", v); },
+         .spell = [](const C &c) { return std::to_string(c.numGpus); },
+         .scalarDefault = "4",
+         .gridDefault = {"1", "2", "4", "8"}},
+        {.option = "batch",
+         .gridOption = "batches",
+         .read = [](C &c, V v) { c.batchPerGpu = readInt("batch", v); },
+         .spell = [](const C &c) { return std::to_string(c.batchPerGpu); },
+         .gridDefault = {"16", "32", "64"}},
+        {.option = "microbatches",
+         .read = [](C &c, V v) {
+             c.microbatches = readInt("microbatches", v);
+             if (c.microbatches < 0) {
+                 sim::fatal("--microbatches must be non-negative, got ",
+                            c.microbatches);
+             }
+         },
+         .spell = [](const C &c) { return std::to_string(c.microbatches); },
+         .pinned = unstaged},
+        {.option = "method",
+         .read = [](C &c, V v) { c.method = comm::parseCommMethod(v); },
+         .spell = [](const C &c) -> S {
+             return comm::commMethodName(c.method);
+         },
+         .pinned = notSync,
+         .pinValue = "p2p",
+         .gridDefault = {"p2p", "nccl"}},
+        {.option = "scheduler",
+         .read = [](C &c, V v) {
+             c.commConfig.scheduler = comm::parseScheduler(v);
+         },
+         .spell = [](const C &c) -> S {
+             return comm::schedulerName(c.commConfig.scheduler);
+         },
+         .pinned = notSync,
+         .pinValue = "fifo"},
+        {.option = "compression",
+         .read = [](C &c, V v) {
+             c.commConfig.compression = comm::parseCompressor(v);
+         },
+         .spell = [](const C &c) -> S {
+             return comm::compressorName(c.commConfig.compression);
+         },
+         .pinned = notSync,
+         .pinValue = "none"},
+    }};
+    return rows;
+}
+
+std::vector<std::string>
+axisValues(const Args &args, const AxisRow &row,
+           const std::vector<std::string> &fallback)
+{
+    if (row.gridOption && args.has(row.gridOption))
+        return args.getList(row.gridOption, {});
+    return args.getList(row.option, fallback);
+}
+
+void
+checkGpusFit(const TrainConfig &cfg, int platformGpus)
+{
+    if (cfg.numGpus < 1 || cfg.numGpus > platformGpus) {
+        sim::fatal("--gpus ", cfg.numGpus, " is out of range: platform '",
+                   cfg.platform, "' has ", platformGpus, " GPUs");
+    }
+}
+
+const std::vector<std::string> &
+baseOptions()
+{
+    static const std::vector<std::string> names = {
+        "images",      "tensor-cores",    "overlap",
+        "allreduce",   "fusion-mb",       "audit",
+        "async-iters", "rings",           "partition-bytes",
+        "credit-bytes", "compress-ratio", "p100"};
+    return names;
+}
+
 TrainConfig
 baseConfigFromArgs(const Args &args)
 {
@@ -180,16 +368,9 @@ baseConfigFromArgs(const Args &args)
                    cfg.bucketFusionMB);
     }
     cfg.audit = args.has("audit");
-    // --mode, --platform and --microbatches are parsed by
-    // configFromArgs (scalar commands) or by the grid commands
-    // themselves (campaign sweeps list-valued modes/platforms/
-    // microbatch counts).
     cfg.asyncItersPerWorker = args.getInt("async-iters", 30);
     if (args.has("rings"))
         cfg.commConfig.ncclRings = args.getInt("rings", 1);
-    // --scheduler is parsed by configFromArgs (scalar commands) or
-    // by the grid commands (campaign sweeps list-valued schedulers);
-    // the chunk/credit knobs are non-grid template values.
     cfg.commConfig.partitionBytes = args.getBytes(
         "partition-bytes", comm::kDefaultPartitionBytes);
     if (cfg.commConfig.partitionBytes == 0)
@@ -198,8 +379,6 @@ baseConfigFromArgs(const Args &args)
         args.getBytes("credit-bytes", comm::kDefaultCreditBytes);
     if (cfg.commConfig.creditBytes == 0)
         sim::fatal("--credit-bytes must be positive");
-    // --compression is parsed by configFromArgs / the grid commands;
-    // the kept-element ratio is a non-grid template value.
     cfg.commConfig.compressRatio =
         args.getDouble("compress-ratio", 0.01);
     comm::checkCompressRatio(cfg.commConfig.compressRatio,
@@ -213,50 +392,15 @@ TrainConfig
 configFromArgs(const Args &args)
 {
     TrainConfig cfg = baseConfigFromArgs(args);
-    cfg.model = args.get("model", "resnet-50");
-    cfg.numGpus = args.getInt("gpus", 4);
-    cfg.batchPerGpu = args.getInt("batch", 16);
-    cfg.method = comm::parseCommMethod(args.get("method", "nccl"));
-    if (args.has("mode"))
-        cfg.mode = parseParallelismMode(args.get("mode"));
-    cfg.microbatches = args.getInt("microbatches", 0);
-    if (cfg.microbatches < 0)
-        sim::fatal("--microbatches must be non-negative, got ",
-                   cfg.microbatches);
-    if (args.has("platform"))
-        cfg.platform = args.get("platform");
-    cfg.nodes = args.getInt("nodes", 1);
-    if (cfg.nodes < 1)
-        sim::fatal("--nodes must be positive, got ", cfg.nodes);
-    if (args.has("interconnect")) {
-        cfg.interconnect = args.get("interconnect");
-        if (!hw::isInterconnect(cfg.interconnect)) {
-            sim::fatal("unknown --interconnect '", cfg.interconnect,
-                       "'",
-                       sim::didYouMean(cfg.interconnect,
-                                       hw::interconnectNames()),
-                       " (run `dgxprof interconnects`)");
-        }
+    for (const AxisRow &row : axes()) {
+        if (const std::string *value = args.find(row.option))
+            row.read(cfg, *value);
+        else if (row.scalarDefault)
+            row.read(cfg, row.scalarDefault);
     }
-    if (args.has("netalgo"))
-        cfg.netAlgo = comm::parseNetAlgo(args.get("netalgo"));
-    if (args.has("scheduler")) {
-        cfg.commConfig.scheduler =
-            comm::parseScheduler(args.get("scheduler"));
-    }
-    if (args.has("compression")) {
-        cfg.commConfig.compression =
-            comm::parseCompressor(args.get("compression"));
-    }
-    // Validate up front: an unknown platform fatals inside
-    // makePlatform, and a GPU count beyond the platform's capacity
-    // gets a clear message here instead of indexing surprises later.
-    const hw::Platform plat = hw::makePlatform(cfg.platform);
-    if (cfg.numGpus < 1 || cfg.numGpus > plat.topology.numGpus()) {
-        sim::fatal("--gpus ", cfg.numGpus, " is out of range: "
-                   "platform '", cfg.platform, "' has ",
-                   plat.topology.numGpus(), " GPUs");
-    }
+    // The one platform built: a GPU count beyond its capacity fails
+    // here instead of indexing surprises later.
+    checkGpusFit(cfg, hw::makePlatform(cfg.platform).topology.numGpus());
     return cfg;
 }
 

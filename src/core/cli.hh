@@ -8,9 +8,11 @@
 #ifndef DGXSIM_CORE_CLI_HH
 #define DGXSIM_CORE_CLI_HH
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/train_config.hh"
@@ -33,6 +35,9 @@ class Args
 
     /** @return true if --name was given (with or without a value). */
     bool has(const std::string &name) const;
+
+    /** @return the option's value, or null when it is not given. */
+    const std::string *find(std::string_view name) const;
 
     /** @return the option's value or @p fallback. */
     std::string get(const std::string &name,
@@ -69,29 +74,94 @@ class Args
     getList(const std::string &name,
             const std::vector<std::string> &fallback) const;
 
+    /** @return the name of every option given, in sorted order. */
+    std::vector<std::string> names() const;
+
+    /** @return a copy without option @p name. */
+    Args without(const std::string &name) const;
+
   private:
     std::vector<std::string> pos_;
-    std::map<std::string, std::string> opts_;
+    std::map<std::string, std::string, std::less<>> opts_;
 };
 
+/** The run axes, in grid order (outermost first); indexes axes(). */
+enum class Axis : std::uint8_t
+{
+    Platform,
+    Nodes,
+    Interconnect,
+    NetAlgo,
+    Mode,
+    Model,
+    Gpus,
+    Batch,
+    Microbatches,
+    Method,
+    Scheduler,
+    Compression,
+};
+
+inline constexpr std::size_t kAxisCount = 12;
+
 /**
- * Build a TrainConfig from the non-grid options only: --images
- * --tensor-cores --overlap --allreduce --fusion-mb --audit
- * --async-iters --rings --partition-bytes --credit-bytes --p100.
- * Model, gpus, batch, method, mode, platform, microbatches and
- * scheduler keep their defaults; grid commands (campaign, sweep)
- * fill them per cell, so list-valued
- * --gpus/--batches/--method/--mode/--platform/--microbatches/
- * --scheduler never hit the scalar parsers.
+ * One run axis, stated once for the command line, the campaign grid
+ * and run records: its option, how a value is read (fatal, naming the
+ * option, on a bad one; building no platform or network) and spelled
+ * back, and when a grid cell pins it to one value.
+ */
+struct AxisRow
+{
+    const char *option;               ///< also `dgxprof check`'s filter
+    const char *gridOption = nullptr; ///< list spelling, read first
+    void (*read)(TrainConfig &cfg, const std::string &value) = nullptr;
+    std::string (*spell)(const TrainConfig &cfg) = nullptr;
+    bool (*pinned)(const TrainConfig &cell) = nullptr; ///< null: never
+    const char *pinValue = nullptr; ///< null: the base config's value
+    /** configFromArgs's value without the option; null: TrainConfig's */
+    const char *scalarDefault = nullptr;
+    /** A grid's values without the option; empty: the base value. */
+    std::vector<std::string> gridDefault = {};
+};
+
+/** @return the axis rows, in grid order. */
+const std::array<AxisRow, kAxisCount> &axes();
+
+/** @return the row of @p axis. */
+inline const AxisRow &
+axisRow(Axis axis)
+{
+    return axes()[static_cast<std::size_t>(axis)];
+}
+
+/**
+ * @return the comma-separated values given for @p row, under its grid
+ * spelling first, or @p fallback when neither option is given.
+ */
+std::vector<std::string>
+axisValues(const Args &args, const AxisRow &row,
+           const std::vector<std::string> &fallback);
+
+/** Fatal unless @p cfg's GPU count fits its platform, which has
+ * @p platformGpus GPUs. */
+void checkGpusFit(const TrainConfig &cfg, int platformGpus);
+
+/** @return the options baseConfigFromArgs reads. */
+const std::vector<std::string> &baseOptions();
+
+/**
+ * Build a TrainConfig from the non-grid options only (baseOptions()):
+ * --images --tensor-cores --overlap --allreduce --fusion-mb --audit
+ * --async-iters --rings --partition-bytes --credit-bytes
+ * --compress-ratio --p100. Every axis keeps its TrainConfig default;
+ * grid commands fill the axes per cell from their value lists.
  */
 TrainConfig baseConfigFromArgs(const Args &args);
 
 /**
- * Build a TrainConfig from common options: --model --gpus --batch
- * --method --mode --platform --scheduler --images --tensor-cores
- * --overlap --allreduce --fusion-mb --microbatches --async-iters.
- * Fatal when --platform is unknown or --gpus exceeds the platform's
- * GPU count.
+ * Build a TrainConfig from baseConfigFromArgs plus one value per axis
+ * row (axes()). Fatal when a value is bad or --gpus exceeds the
+ * platform's GPU count.
  */
 TrainConfig configFromArgs(const Args &args);
 

@@ -61,10 +61,7 @@ Machine::Machine(const TrainConfig &cfg, const hw::Cluster &cluster)
         sim::fatal("numGpus must be in [1, ", cluster.gpusPerNode,
                    "], got ", cfg_.numGpus);
     }
-    if (cfg_.nodes > 1 && cfg_.mode != ParallelismMode::SyncDp) {
-        sim::fatal("multi-node clusters support only the sync_dp "
-                   "mode, got ", parallelismModeName(cfg_.mode));
-    }
+    checkClusterMode(cfg_.mode, cfg_.nodes);
     commonInit();
     gpus_ = cluster.gpuSet(cfg_.numGpus);
     for (hw::NodeId gpu : gpus_) {

@@ -50,4 +50,13 @@ allParallelismModes()
     return modes;
 }
 
+void
+checkClusterMode(ParallelismMode mode, int nodes)
+{
+    if (nodes > 1 && mode != ParallelismMode::SyncDp) {
+        sim::fatal("multi-node clusters support only the sync_dp "
+                   "mode, got ", parallelismModeName(mode));
+    }
+}
+
 } // namespace dgxsim::core

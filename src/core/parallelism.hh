@@ -42,6 +42,10 @@ ParallelismMode parseParallelismMode(const std::string &name);
 /** @return every mode, in enum order. */
 const std::vector<ParallelismMode> &allParallelismModes();
 
+/** Fatal unless @p mode runs on @p nodes cluster nodes: multi-node
+ * clusters support only sync_dp. */
+void checkClusterMode(ParallelismMode mode, int nodes);
+
 } // namespace dgxsim::core
 
 #endif // DGXSIM_CORE_PARALLELISM_HH

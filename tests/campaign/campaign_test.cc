@@ -8,24 +8,28 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <set>
 
 #include "campaign/campaign.hh"
 #include "campaign/thread_pool.hh"
+#include "core/cli.hh"
 #include "core/trainer.hh"
 #include "sim/logging.hh"
 
 namespace dgxsim::campaign {
 namespace {
 
+using core::cli::Axis;
+
 CampaignSpec
 smallSpec()
 {
     CampaignSpec spec;
-    spec.models = {"lenet", "alexnet"};
-    spec.gpus = {1, 2};
-    spec.batches = {16};
-    spec.methods = {comm::CommMethod::P2P, comm::CommMethod::NCCL};
+    spec[Axis::Model] = {"lenet", "alexnet"};
+    spec[Axis::Gpus] = {"1", "2"};
+    spec[Axis::Batch] = {"16"};
+    spec[Axis::Method] = {"p2p", "nccl"};
     return spec;
 }
 
@@ -73,8 +77,8 @@ TEST(Campaign, RecordOrderIsIndependentOfJobs)
 TEST(Campaign, RecordsMatchDirectSimulation)
 {
     CampaignSpec spec = smallSpec();
-    spec.models = {"lenet"};
-    spec.gpus = {2};
+    spec[Axis::Model] = {"lenet"};
+    spec[Axis::Gpus] = {"2"};
     const auto records = runCampaign(spec.expand(), 2);
     ASSERT_EQ(records.size(), 2u);
     const core::TrainReport direct =
@@ -241,7 +245,7 @@ TEST(Campaign, UnboundedDefaultMakesTrimANoOp)
 TEST(CampaignSpec, PlatformAxisIsOutermost)
 {
     CampaignSpec spec = smallSpec();
-    spec.platforms = {"dgx1v", "dgx2"};
+    spec[Axis::Platform] = {"dgx1v", "dgx2"};
     const auto configs = spec.expand();
     ASSERT_EQ(configs.size(), 16u);
     for (std::size_t i = 0; i < 8; ++i) {
@@ -265,16 +269,128 @@ TEST(CampaignSpec, EmptyPlatformsMeansTheBasePlatform)
 TEST(CampaignSpec, InvalidPlatformAxisIsFatal)
 {
     CampaignSpec bad = smallSpec();
-    bad.platforms = {"dgx1v", "dgx3"};
+    bad[Axis::Platform] = {"dgx1v", "dgx3"};
     EXPECT_THROW(bad.expand(), sim::FatalError);
     // A GPU request beyond a listed platform's capacity fails the
     // whole grid up front, not mid-campaign on a worker thread.
     CampaignSpec wide = smallSpec();
-    wide.platforms = {"dgx1v"};
-    wide.gpus = {8, 16};
+    wide[Axis::Platform] = {"dgx1v"};
+    wide[Axis::Gpus] = {"8", "16"};
     EXPECT_THROW(wide.expand(), sim::FatalError);
-    wide.platforms = {"dgx2"};
+    wide[Axis::Platform] = {"dgx2"};
     EXPECT_EQ(wide.expand().size(), 8u);
+}
+
+/** `dgxprof campaign --model lenet --gpus 2 --batches 16` with two
+ * values on every other axis (four modes): 90 cells. */
+CampaignSpec
+everyAxisSpec()
+{
+    return campaignSpecFromArgs(core::cli::Args::parse(
+        {"--model", "lenet", "--gpus", "2", "--batches", "16", "--method",
+         "p2p,nccl", "--mode", "sync_dp,async_ps,model_parallel,pipeline",
+         "--platform", "dgx1v,dgx1p", "--nodes", "1,2", "--interconnect",
+         "ib100,ib200", "--netalgo", "ring,tree", "--scheduler",
+         "fifo,priority", "--compression", "none,dgc", "--microbatches",
+         "2,4"}));
+}
+
+TEST(CampaignSpec, EveryAxisGridKeepsItsCellsInOrder)
+{
+    // Per platform: at one node, 8 sync cells (method x scheduler x
+    // compression), 1 async_ps and 2 + 2 staged (microbatches); at two
+    // nodes, 2 x 2 (interconnect x netalgo) x 8 sync cells only.
+    const auto cells = everyAxisSpec().expand();
+    ASSERT_EQ(cells.size(), 90u);
+    // FNV-1a over the ordered configKeys, one per line, pinned from
+    // the expansion that predates the axis table.
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    for (const core::TrainConfig &cell : cells) {
+        for (char c : configKey(cell) + "\n") {
+            digest ^= static_cast<unsigned char>(c);
+            digest *= 0x100000001b3ull;
+        }
+    }
+    EXPECT_EQ(digest, 0xa8ca1035361a85dfull);
+}
+
+TEST(CampaignSpec, OneValueListReadsLikeTheScalarOption)
+{
+    // Each row's values, the first one good, in a context where no
+    // cell pins the row: nodes 2 for the inter-node rows, a pipeline
+    // for microbatches, and method p2p, which non-sync cells pin.
+    struct Row
+    {
+        Axis axis;
+        std::vector<std::string> values;
+        std::map<std::string, std::string> context = {};
+    };
+    const std::vector<Row> rows = {
+        {Axis::Platform, {"dgx1p", "pcie8", "dgx3", ""}},
+        {Axis::Nodes, {"2", "1", "0", "-1", "x"}},
+        {Axis::Interconnect, {"ib200", "ib100", "ib999"}, {{"nodes", "2"}}},
+        {Axis::NetAlgo, {"tree", "ring", "star"}, {{"nodes", "2"}}},
+        {Axis::Mode, {"async", "mp", "1f1b", "sync_dp", "hybrid"}},
+        {Axis::Model, {"alexnet", "bert-base"}},
+        {Axis::Gpus, {"8", "1", "0", "9", "x", "4294967300"}},
+        {Axis::Batch, {"32", "x"}},
+        {Axis::Microbatches,
+         {"8", "0", "-1", "x"},
+         {{"mode", "pipeline"}}},
+        {Axis::Method, {"nccl", "device", "mpi"}},
+        {Axis::Scheduler, {"priority", "partitioned", "lifo"}},
+        {Axis::Compression, {"dgc", "onebit", "zip"}},
+    };
+    ASSERT_EQ(rows.size(), core::cli::kAxisCount);
+    const auto outcome = [](auto build) -> std::string {
+        try {
+            return configKey(build());
+        } catch (const sim::FatalError &) {
+            return "rejected";
+        }
+    };
+    for (const Row &row : rows) {
+        const char *option = core::cli::axisRow(row.axis).option;
+        for (const std::string &value : row.values) {
+            std::map<std::string, std::string> options = {
+                {"model", "lenet"},
+                {"gpus", "2"},
+                {"batch", "16"},
+                {"method", "p2p"}};
+            for (const auto &[k, v] : row.context)
+                options[k] = v;
+            options[option] = value;
+            std::vector<std::string> tokens;
+            for (const auto &[k, v] : options) {
+                tokens.push_back("--" + k);
+                tokens.push_back(v);
+            }
+            const core::cli::Args args = core::cli::Args::parse(tokens);
+            const std::string scalar =
+                outcome([&] { return core::cli::configFromArgs(args); });
+            const std::string grid = outcome([&] {
+                const auto cells = campaignSpecFromArgs(args).expand();
+                EXPECT_EQ(cells.size(), 1u) << option << " " << value;
+                return cells.front();
+            });
+            EXPECT_EQ(scalar, grid) << "--" << option << " " << value;
+            if (value == row.values.front()) {
+                EXPECT_NE(scalar, "rejected") << "--" << option;
+            }
+        }
+    }
+}
+
+TEST(CampaignSpec, RecordsGiveBackEveryAxis)
+{
+    for (const core::TrainConfig &cell : everyAxisSpec().expand()) {
+        core::TrainReport report;
+        report.config = cell;
+        // The depth a run reports: each staged cell names its own.
+        report.microbatches = cell.microbatches;
+        EXPECT_EQ(configKey(recordFromReport(report).toConfig()),
+                  configKey(cell));
+    }
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce)

@@ -15,14 +15,16 @@
 namespace dgxsim::campaign {
 namespace {
 
+using core::cli::Axis;
+
 std::vector<RunRecord>
 freshBaseline()
 {
     CampaignSpec spec;
-    spec.models = {"lenet"};
-    spec.gpus = {1, 2};
-    spec.batches = {16};
-    spec.methods = {comm::CommMethod::P2P, comm::CommMethod::NCCL};
+    spec[Axis::Model] = {"lenet"};
+    spec[Axis::Gpus] = {"1", "2"};
+    spec[Axis::Batch] = {"16"};
+    spec[Axis::Method] = {"p2p", "nccl"};
     return runCampaign(spec.expand(), 2);
 }
 
@@ -66,11 +68,11 @@ TEST(Check, InjectedDriftFailsAndToleranceForgives)
     // memory peaks, iteration count, setup time and the async
     // throughput and staleness each fail the check on their own.
     CampaignSpec async;
-    async.models = {"lenet"};
-    async.gpus = {2};
-    async.batches = {16};
-    async.methods = {comm::CommMethod::P2P};
-    async.modes = {core::ParallelismMode::AsyncPs};
+    async[Axis::Model] = {"lenet"};
+    async[Axis::Gpus] = {"2"};
+    async[Axis::Batch] = {"16"};
+    async[Axis::Method] = {"p2p"};
+    async[Axis::Mode] = {"async_ps"};
     const RunRecord asyncRun = runCampaign(async.expand(), 1).front();
     CheckOptions exact;
     exact.skipDigest = true;

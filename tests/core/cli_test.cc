@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "campaign/campaign.hh"
 #include "core/cli.hh"
 #include "sim/logging.hh"
 
@@ -43,6 +46,19 @@ TEST(CliArgsTest, DefaultsWhenMissing)
     EXPECT_DOUBLE_EQ(args.getDouble("fusion-mb", 2.5), 2.5);
     EXPECT_EQ(args.getIntList("gpus", {1, 2}),
               (std::vector<int>{1, 2}));
+}
+
+TEST(CliArgsTest, NamesListsEveryOptionAndWithoutDropsOne)
+{
+    const Args args = Args::parse(
+        {"train", "--model", "lenet", "--overlap", "--gpus=8"});
+    EXPECT_EQ(args.names(),
+              (std::vector<std::string>{"gpus", "model", "overlap"}));
+    const Args rest = args.without("model");
+    EXPECT_EQ(rest.names(),
+              (std::vector<std::string>{"gpus", "overlap"}));
+    EXPECT_EQ(rest.getInt("gpus", 1), 8);
+    EXPECT_EQ(rest.positional(), args.positional());
 }
 
 TEST(CliArgsTest, IntListParsing)
@@ -151,6 +167,35 @@ TEST(CliConfigTest, MapsAllTrainingOptions)
     EXPECT_TRUE(cfg.useAllReduce);
     EXPECT_DOUBLE_EQ(cfg.bucketFusionMB, 16.0);
     EXPECT_EQ(cfg.commConfig.ncclRings, 2);
+}
+
+TEST(CliConfigTest, EveryBaseOptionIsRead)
+{
+    // dgxprof accepts exactly baseOptions() on top of the axes, so
+    // each must steer the config.
+    const std::map<std::string, std::string> values = {
+        {"images", "1000"},        {"fusion-mb", "4"},
+        {"async-iters", "7"},      {"rings", "2"},
+        {"partition-bytes", "1m"}, {"credit-bytes", "1m"},
+        {"compress-ratio", "0.5"}};
+    const std::string plain =
+        campaign::configKey(core::cli::baseConfigFromArgs(Args::parse({})));
+    for (const std::string &name : core::cli::baseOptions()) {
+        const auto it = values.find(name);
+        const Args args = Args::parse(
+            {"--" + name, it == values.end() ? "" : it->second});
+        EXPECT_NE(campaign::configKey(core::cli::baseConfigFromArgs(args)),
+                  plain)
+            << "--" << name;
+    }
+}
+
+TEST(CliConfigTest, AxesDefaultToTheTrainConfigButFourGpus)
+{
+    core::TrainConfig expected;
+    expected.numGpus = 4;
+    EXPECT_EQ(campaign::configKey(core::cli::configFromArgs(Args::parse({}))),
+              campaign::configKey(expected));
 }
 
 TEST(CliConfigTest, P100FlagSwapsTheGpu)

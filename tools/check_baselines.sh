@@ -4,8 +4,8 @@
 # and require each to match its committed file byte for byte; a
 # committed results/baseline*.json or results/*.txt with no manifest
 # line fails too, so no output can drop out of the gate unnoticed.
-# Then replay the paper grid with the scheduler and the compressor
-# pinned to their defaults, which must not move a byte either.
+# Then replay the paper grid with every other axis named at its
+# default, which must not move a byte either.
 # Registered as the dgxprof_golden_baselines ctest; on drift the
 # regenerated files stay in <build-dir>/golden for the diff.
 #
@@ -34,9 +34,10 @@ done
 
 args=$(sed -n 's/^baseline\.json //p' "$repo/results/baselines.manifest")
 # shellcheck disable=SC2086
-"$builddir/tools/dgxprof" campaign $args --scheduler fifo \
-    --compression none --json "$out/baseline.json.replay" --quiet \
-    >/dev/null
+"$builddir/tools/dgxprof" campaign $args --mode sync_dp --platform dgx1v \
+    --nodes 1 --interconnect ib100 --netalgo ring --microbatches 0 \
+    --scheduler fifo --compression none \
+    --json "$out/baseline.json.replay" --quiet >/dev/null
 cmp "$out/baseline.json.replay" "$repo/results/baseline.json" || status=1
 
 [ "$status" -eq 0 ] && echo "all $count committed outputs byte-identical"

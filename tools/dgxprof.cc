@@ -5,7 +5,7 @@
  * Subcommands:
  *   train    simulate one training configuration, print the report
  *   analyze  critical-path attribution + validated what-if projections
- *   sweep    grid over GPUs x batch x method, print a table
+ *   sweep    grid over GPUs x batch, p2p and nccl side by side
  *   campaign parallel grid runner with JSON/CSV results
  *   check    re-run a campaign, diff against a golden baseline
  *   topo     show a platform's topology, routes and bandwidths
@@ -16,17 +16,14 @@
  *   models   list the model zoo
  *   verify   determinism check: run a config twice, compare digests
  *
- * train/analyze/sweep/campaign/check/verify take --mode
- * sync_dp|async_ps|model_parallel|pipeline to select the parallelization
- * strategy, and --platform to pick the hardware substrate from the
- * registry (campaign and check accept comma-separated lists of
- * both). --nodes N stands up an N-node cluster of the selected
- * platform joined by --interconnect (hw/cluster.hh), with the
- * inter-node all-reduce schedule picked by --netalgo ring|tree.
- *
- * Run `dgxprof help` (or any subcommand with --help) for usage.
+ * The commands that take a config read the run axes of
+ * core::cli::axes(), one value each or, for campaign and check, lists.
+ * Each subcommand names the options it reads; any other --option is
+ * a fatal error before anything runs. Run `dgxprof help` (or any
+ * subcommand with --help) for usage.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -53,39 +50,44 @@
 #include "hw/platform.hh"
 #include "hw/topology.hh"
 #include "sim/logging.hh"
+#include "sim/suggest.hh"
 
 namespace {
 
 using namespace dgxsim;
 using core::TextTable;
 using core::cli::Args;
+using core::cli::Axis;
 
 int
 usage()
 {
+    std::string axes;
+    for (std::size_t i = 0; i < core::cli::kAxisCount; ++i) {
+        axes += i % 6 ? " --" : "\n  --";
+        axes += core::cli::axes()[i].option;
+    }
     std::printf(
         "dgxprof — DNN training profiling on a simulated Volta DGX-1\n"
         "\n"
         "usage: dgxprof <command> [options]\n"
         "\n"
+        "run axes: one value each for train, analyze, advise, layers and "
+        "verify;\n"
+        "comma-separated lists for campaign and check (--batches or "
+        "--batch); sweep\n"
+        "lists only --gpus and --batches. --mode is sync_dp|async_ps|"
+        "model_parallel|\n"
+        "pipeline, --method p2p|nccl, --netalgo ring|tree; `dgxprof "
+        "platforms`,\n"
+        "`interconnects`, `schedulers`, `compressors` and `models` list "
+        "the rest.%s\n"
+        "\n"
         "commands:\n"
-        "  train     simulate one run      (--model | --model-file F; --gpus --batch "
-        "--method p2p|nccl\n"
-        "                                   [--mode "
-        "sync_dp|async_ps|model_parallel|pipeline]\n"
-        "                                   [--platform "
-        "dgx1v|dgx1p|dgx2|... ]\n"
-        "                                   [--nodes N] "
-        "[--interconnect ib100|ib200|...]\n"
-        "                                   [--netalgo ring|tree]\n"
-        "                                   [--scheduler "
-        "fifo|priority|partitioned]\n"
+        "  train     simulate one run      (run axes | --model-file F;\n"
         "                                   [--partition-bytes N[kmg]] "
         "[--credit-bytes N[kmg]]\n"
-        "                                   [--compression "
-        "none|randomk|dgc|efsignsgd|onebit]\n"
-        "                                   [--compress-ratio F]\n"
-        "                                   [--microbatches N] "
+        "                                   [--compress-ratio F] "
         "[--async-iters N]\n"
         "                                   [--allreduce] [--fusion-mb "
         "N] [--tensor-cores]\n"
@@ -105,65 +107,39 @@ usage()
         "N] [--json FILE]\n"
         "                                   [--record FILE] [--trace "
         "FILE])\n"
-        "  sweep    grid of runs          (--model [--gpus 1,2,4,8] "
-        "[--batches 16,32,64]\n"
-        "                                   [--mode M] [--platform P] "
+        "  sweep    p2p vs nccl table     (run axes but --method, "
         "[--jobs N])\n"
-        "  campaign  parallel grid runner  (--model M1,M2 [--gpus "
-        "1,2,4,8]\n"
-        "                                   [--batches 16,32,64] "
-        "[--method p2p,nccl]\n"
-        "                                   [--mode M1,M2] "
-        "[--platform P1,P2]\n"
-        "                                   [--nodes 1,2,4] "
-        "[--interconnect I1,I2]\n"
-        "                                   [--netalgo ring,tree]\n"
-        "                                   [--scheduler "
-        "fifo,priority,partitioned]\n"
-        "                                   [--compression "
-        "none,randomk,dgc,...]\n"
-        "                                   [--microbatches M1,M2]\n"
-        "                                   [--jobs N] [--json FILE]\n"
+        "  campaign  parallel grid runner  (run axes [--jobs N] "
+        "[--json FILE]\n"
         "                                   [--csv FILE] [--quiet])\n"
         "  check     regression gate       (--baseline "
         "results/baseline.json\n"
         "                                   [--tolerance PCT] [--jobs "
-        "N] [--no-digest]\n"
-        "                                   [--model ...] [--gpus ...] "
-        "[--batches ...]\n"
-        "                                   [--method ...] [--mode "
-        "...] [--platform ...]\n"
-        "                                   [--nodes ...] "
-        "[--interconnect ...] [--netalgo ...]\n"
-        "                                   [--scheduler ...] "
-        "[--compression ...]\n"
-        "                                   [--microbatches ...] to\n"
-        "                                   filter the baseline grid)\n"
+        "N] [--no-digest];\n"
+        "                                   run axes filter the "
+        "baseline grid)\n"
         "  topo      topology, routes, bandwidth matrix "
         "([--platform P])\n"
         "  platforms list the registered hardware platforms\n"
         "  interconnects list the registered inter-node networks\n"
         "  schedulers list the registered gradient-bucket schedulers\n"
         "  compressors list the registered gradient compressors\n"
-        "  advise    strategy search       (--model [--gpus N] "
-        "[--batch N]\n"
-        "                                   [--mode M] [--stages "
-        "S1,S2,...]\n"
-        "                                   [--microbatches "
-        "M1,M2,...]\n"
-        "                                   [--platforms P1,P2] "
-        "[--topk K];\n"
-        "                                   ranks sync_dp/"
+        "  advise    strategy search       (run axes, --microbatches "
+        "M1,M2,...\n"
+        "                                   [--stages S1,S2,...] "
+        "[--platforms P1,P2]\n"
+        "                                   [--topk K]; ranks sync_dp/"
         "model_parallel/pipeline\n"
         "                                   what-if-first, winner "
         "re-simulated)\n"
-        "  layers    per-layer cost breakdown (--model [--batch N] "
-        "[--top N])\n"
+        "  layers    per-layer cost breakdown (run axes or --model-file "
+        "F, [--top N])\n"
         "  models    list the model zoo\n"
-        "  verify    determinism check    (same options as train; "
-        "runs twice,\n"
-        "                                   compares digests, exits "
-        "non-zero on mismatch)\n");
+        "  verify    determinism check    (run axes; runs twice, "
+        "compares digests,\n"
+        "                                   exits non-zero on "
+        "mismatch)\n",
+        axes.c_str());
     return 2;
 }
 
@@ -377,44 +353,6 @@ cmdAnalyze(const Args &args)
     return 0;
 }
 
-/** Build the campaign grid from --model/--gpus/--batches/--method
- * (every non-grid knob comes from the usual train options). */
-campaign::CampaignSpec
-campaignSpecFromArgs(const Args &args)
-{
-    campaign::CampaignSpec spec;
-    spec.base = core::cli::baseConfigFromArgs(args);
-    spec.models = args.getList("model", {spec.base.model});
-    spec.gpus = args.getIntList("gpus", {1, 2, 4, 8});
-    spec.batches =
-        args.getIntList("batches", args.getIntList("batch", {16, 32, 64}));
-    spec.methods.clear();
-    for (const std::string &m : args.getList("method", {"p2p", "nccl"}))
-        spec.methods.push_back(comm::parseCommMethod(m));
-    spec.modes.clear();
-    for (const std::string &m : args.getList("mode", {"sync_dp"}))
-        spec.modes.push_back(core::parseParallelismMode(m));
-    // Empty means "base.platform only" (the default machine).
-    spec.platforms = args.getList("platform", {});
-    spec.nodeCounts = args.getIntList("nodes", {1});
-    // Empty means "base.interconnect only"; the axis only matters in
-    // multi-node cells anyway.
-    spec.interconnects = args.getList("interconnect", {});
-    spec.netAlgos.clear();
-    for (const std::string &a : args.getList("netalgo", {"ring"}))
-        spec.netAlgos.push_back(comm::parseNetAlgo(a));
-    spec.schedulers.clear();
-    for (const std::string &s : args.getList("scheduler", {"fifo"}))
-        spec.schedulers.push_back(comm::parseScheduler(s));
-    spec.compressors.clear();
-    for (const std::string &z : args.getList("compression", {"none"}))
-        spec.compressors.push_back(comm::parseCompressor(z));
-    // Empty means "base.microbatches only"; the axis collapses for
-    // modes without a pipeline.
-    spec.microbatchCounts = args.getIntList("microbatches", {});
-    return spec;
-}
-
 /** Run @p configs with a stderr progress line unless --quiet. */
 std::vector<campaign::RunRecord>
 runWithProgress(const std::vector<core::TrainConfig> &configs,
@@ -436,10 +374,11 @@ runWithProgress(const std::vector<core::TrainConfig> &configs,
 int
 cmdCampaign(const Args &args)
 {
-    campaign::CampaignSpec spec = campaignSpecFromArgs(args);
+    campaign::CampaignSpec spec = campaign::campaignSpecFromArgs(args);
     // Unlike sweep, an unqualified campaign covers the whole zoo
     // grid the paper measures.
-    spec.models = args.getList("model", dnn::modelNames());
+    if (!args.has("model"))
+        spec[Axis::Model] = dnn::modelNames();
     const auto configs = spec.expand();
     const auto records = runWithProgress(configs, args);
     TextTable table({"run", "epoch (s)", "fp+bp (s)", "wu (s)", "sync %",
@@ -498,26 +437,42 @@ cmdCheck(const Args &args)
     return report.pass ? 0 : 1;
 }
 
+/** @return @p images as a sweep header shows it: "256K" for 256000. */
+std::string
+imagesLabel(std::uint64_t images)
+{
+    return images % 1000 ? std::to_string(images)
+                         : std::to_string(images / 1000) + "K";
+}
+
 int
 cmdSweep(const Args &args)
 {
-    // The sweep is a campaign over one model and both methods,
-    // rendered as the classic p2p-vs-nccl table.
-    campaign::CampaignSpec spec = campaignSpecFromArgs(args);
-    spec.methods = {comm::CommMethod::P2P, comm::CommMethod::NCCL};
-    spec.modes = {core::parseParallelismMode(
-        args.get("mode", "sync_dp"))};
+    // The sweep is a campaign over (gpus, batch) pairs, rendered as
+    // the classic p2p-vs-nccl table: every other axis takes one
+    // value, and the two methods are the table's columns.
+    for (std::size_t i = 0; i < core::cli::kAxisCount; ++i) {
+        const core::cli::AxisRow &row = core::cli::axes()[i];
+        const auto axis = static_cast<Axis>(i);
+        if (axis != Axis::Gpus && axis != Axis::Batch &&
+            core::cli::axisValues(args, row, {}).size() > 1) {
+            sim::fatal("sweep takes one --", row.option, " value, got '",
+                       args.get(row.option), "'");
+        }
+    }
+    campaign::CampaignSpec spec = campaign::campaignSpecFromArgs(args);
+    spec[Axis::Method] = {"p2p", "nccl"};
     const auto configs = spec.expand();
     const auto records = campaign::runCampaign(
         configs, args.getInt("jobs", campaign::defaultJobs()));
-    if (spec.modes.front() != core::ParallelismMode::SyncDp) {
+    const core::TrainConfig &run = configs.front();
+    const std::string images = imagesLabel(run.datasetImages);
+    if (run.mode != core::ParallelismMode::SyncDp) {
         // Non-sync strategies have no method axis: one record per
         // (gpus, batch) cell, with the strategy's own headline metric.
-        const bool async =
-            spec.modes.front() == core::ParallelismMode::AsyncPs;
-        std::printf("sweep of %s (%s, 256K images):\n",
-                    spec.models.front().c_str(),
-                    core::parallelismModeName(spec.modes.front()));
+        const bool async = run.mode == core::ParallelismMode::AsyncPs;
+        std::printf("sweep of %s (%s, %s images):\n", run.model.c_str(),
+                    core::parallelismModeName(run.mode), images.c_str());
         TextTable table({"gpus", "batch", "epoch (s)",
                          async ? "avg staleness" : "bubble %"});
         for (const campaign::RunRecord &r : records) {
@@ -535,12 +490,12 @@ cmdSweep(const Args &args)
         std::printf("%s", table.str().c_str());
         return 0;
     }
-    std::printf("sweep of %s (256K images):\n",
-                spec.models.front().c_str());
+    std::printf("sweep of %s (%s images):\n", run.model.c_str(),
+                images.c_str());
     TextTable table({"gpus", "batch", "p2p epoch (s)", "nccl epoch (s)",
                      "best"});
-    // expand() orders method innermost: records come in (p2p, nccl)
-    // pairs per (gpus, batch) cell.
+    // Method is the innermost axis with more than one value: records
+    // come in (p2p, nccl) pairs per (gpus, batch) cell.
     for (std::size_t i = 0; i + 1 < records.size(); i += 2) {
         const campaign::RunRecord &p2p = records[i];
         const campaign::RunRecord &nccl = records[i + 1];
@@ -585,7 +540,7 @@ cmdTopo(const Args &args)
 }
 
 int
-cmdPlatforms()
+cmdPlatforms(const Args &)
 {
     TextTable table({"name", "gpus", "gpu", "description"});
     for (const std::string &name : hw::platformNames()) {
@@ -599,7 +554,7 @@ cmdPlatforms()
 }
 
 int
-cmdInterconnects()
+cmdInterconnects(const Args &)
 {
     TextTable table({"name", "GB/s per dir", "latency (us)",
                      "description"});
@@ -614,7 +569,7 @@ cmdInterconnects()
 }
 
 int
-cmdSchedulers()
+cmdSchedulers(const Args &)
 {
     TextTable table({"name", "description"});
     for (const comm::SchedulerInfo &info : comm::schedulerRegistry())
@@ -624,7 +579,7 @@ cmdSchedulers()
 }
 
 int
-cmdCompressors()
+cmdCompressors(const Args &)
 {
     TextTable table({"name", "uses ratio", "description"});
     for (const comm::CompressorInfo &info :
@@ -639,7 +594,21 @@ cmdCompressors()
 int
 cmdAdvise(const Args &args)
 {
-    core::TrainConfig cfg = core::cli::configFromArgs(args);
+    // --microbatches is the candidate list, read once here with each
+    // value checked by its axis row. A single value is also the base
+    // depth, which the largest-batch probe uses.
+    const core::cli::AxisRow &depth =
+        core::cli::axisRow(Axis::Microbatches);
+    core::TrainConfig cfg =
+        core::cli::configFromArgs(args.without(depth.option));
+    analysis::AdviseOptions opts;
+    for (const std::string &value : core::cli::axisValues(args, depth, {})) {
+        core::TrainConfig scratch;
+        depth.read(scratch, value);
+        opts.microbatchCounts.push_back(scratch.microbatches);
+    }
+    if (opts.microbatchCounts.size() == 1)
+        cfg.microbatches = opts.microbatchCounts.front();
     if (!args.has("batch")) {
         // Legacy behavior: with no --batch, advise first picks the
         // largest per-GPU batch that fits the base strategy, then
@@ -662,11 +631,9 @@ cmdAdvise(const Args &args)
         }
     }
 
-    analysis::AdviseOptions opts;
     if (args.has("mode"))
         opts.modes = {cfg.mode};
     opts.stageCounts = args.getIntList("stages", {});
-    opts.microbatchCounts = args.getIntList("microbatches", {});
     opts.platforms = args.getList("platforms", {});
     opts.topK =
         static_cast<std::size_t>(args.getInt("topk", 3));
@@ -732,7 +699,7 @@ cmdVerify(const Args &args)
 }
 
 int
-cmdModels()
+cmdModels(const Args &)
 {
     TextTable table({"name", "params (M)", "fwd GFLOPs/img", "layers"});
     for (const std::string &name : dnn::extendedModelNames()) {
@@ -743,6 +710,53 @@ cmdModels()
     }
     std::printf("%s", table.str().c_str());
     return 0;
+}
+
+using Names = std::vector<std::string>;
+
+Names
+operator+(Names a, const Names &b)
+{
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+}
+
+/** @return the axis rows' options, plus their grid spellings for a
+ * command that reads value lists. */
+Names
+axisOptions(bool grid)
+{
+    Names out;
+    for (const core::cli::AxisRow &row : core::cli::axes()) {
+        out.push_back(row.option);
+        if (grid && row.gridOption)
+            out.push_back(row.gridOption);
+    }
+    return out;
+}
+
+/** A subcommand: its handler and every option it reads. */
+struct Command
+{
+    const char *name;
+    int (*run)(const Args &);
+    Names options;
+};
+
+/** Fatal on an option @p known does not list, before anything runs:
+ * a typo must not silently run the default. */
+void
+checkOptions(const Args &args, const Names &known)
+{
+    for (const std::string &name : args.names()) {
+        if (std::find(known.begin(), known.end(), name) != known.end())
+            continue;
+        Names spelled;
+        for (const std::string &k : known)
+            spelled.push_back("--" + k);
+        sim::fatal("unknown option '--", name, "'",
+                   sim::didYouMean("--" + name, spelled));
+    }
 }
 
 } // namespace
@@ -758,35 +772,39 @@ main(int argc, char **argv)
     if (args.has("help") || command == "help")
         return usage();
 
+    const Names config = axisOptions(false) + core::cli::baseOptions();
+    const Names grid = axisOptions(true) + core::cli::baseOptions();
+    Names sweep = grid + Names{"jobs"};
+    std::erase(sweep, "method"); // both methods are its columns
+    const Command commands[] = {
+        {"train", cmdTrain,
+         config + Names{"model-file", "report", "trace", "csv"}},
+        {"sweep", cmdSweep, sweep},
+        {"campaign", cmdCampaign,
+         grid + Names{"jobs", "json", "csv", "quiet"}},
+        {"check", cmdCheck,
+         axisOptions(true) +
+             Names{"baseline", "tolerance", "jobs", "no-digest"}},
+        {"topo", cmdTopo, {"platform"}},
+        {"platforms", cmdPlatforms, {}},
+        {"interconnects", cmdInterconnects, {}},
+        {"schedulers", cmdSchedulers, {}},
+        {"compressors", cmdCompressors, {}},
+        {"advise", cmdAdvise, config + Names{"stages", "platforms", "topk"}},
+        {"analyze", cmdAnalyze,
+         config + Names{"what-if", "no-validate", "max-error", "top",
+                        "json", "record", "trace", "schedulers"}},
+        {"layers", cmdLayers, config + Names{"model-file", "top"}},
+        {"models", cmdModels, {}},
+        {"verify", cmdVerify, config},
+    };
     try {
-        if (command == "train")
-            return cmdTrain(args);
-        if (command == "sweep")
-            return cmdSweep(args);
-        if (command == "campaign")
-            return cmdCampaign(args);
-        if (command == "check")
-            return cmdCheck(args);
-        if (command == "topo")
-            return cmdTopo(args);
-        if (command == "platforms")
-            return cmdPlatforms();
-        if (command == "interconnects")
-            return cmdInterconnects();
-        if (command == "schedulers")
-            return cmdSchedulers();
-        if (command == "compressors")
-            return cmdCompressors();
-        if (command == "advise")
-            return cmdAdvise(args);
-        if (command == "analyze")
-            return cmdAnalyze(args);
-        if (command == "layers")
-            return cmdLayers(args);
-        if (command == "models")
-            return cmdModels();
-        if (command == "verify")
-            return cmdVerify(args);
+        for (const Command &c : commands) {
+            if (command == c.name) {
+                checkOptions(args, c.options);
+                return c.run(args);
+            }
+        }
     } catch (const dgxsim::sim::FatalError &err) {
         std::fprintf(stderr, "%s\n", err.what());
         return 1;
