@@ -52,7 +52,7 @@ isNvlinkRoute(const hw::Topology &topo, int src, int dst)
 {
     if (src < 0 || dst < 0)
         return false;
-    const hw::Route route =
+    const hw::Route &route =
         topo.findRoute(static_cast<hw::NodeId>(src),
                        static_cast<hw::NodeId>(dst));
     return route.kind == hw::RouteKind::DirectNvlink ||
@@ -65,7 +65,7 @@ isInterNodeRoute(const hw::Topology &topo, int src, int dst)
 {
     if (src < 0 || dst < 0)
         return false;
-    const hw::Route route =
+    const hw::Route &route =
         topo.findRoute(static_cast<hw::NodeId>(src),
                        static_cast<hw::NodeId>(dst));
     return route.kind == hw::RouteKind::InterNode;
@@ -142,7 +142,7 @@ Dag::Dag(const profiling::Profiler &prof, const hw::Topology &topo)
                 // uncontended PCIe staging legs cannot account for
                 // (max-min contention lives on the IB wire). Take
                 // the midpoint of the bracket.
-                const hw::Route route = topo.findRoute(
+                const hw::Route &route = topo.findRoute(
                     static_cast<hw::NodeId>(c.src),
                     static_cast<hw::NodeId>(c.dst));
                 double ib_secs = 0;

@@ -97,18 +97,17 @@ Fabric::linkBytesMoved(std::size_t link_index) const
 }
 
 void
-Fabric::runLegs(std::shared_ptr<TransferRecord> rec, Route route,
-                std::size_t leg, Callback done)
+Fabric::runLegs(Route route, std::size_t leg, sim::Bytes bytes,
+                sim::Tick start, Callback done)
 {
     if (leg >= route.legs.size()) {
-        rec->end = queue_.now();
         if (auditor_) {
-            auditor_->expect(rec->end >= rec->start, rec->end,
-                             "transfer ", topo_.nodeLabel(rec->src),
-                             "->", topo_.nodeLabel(rec->dst),
+            auditor_->expect(queue_.now() >= start, queue_.now(),
+                             "transfer ",
+                             topo_.nodeLabel(route.legs.front().from),
+                             "->", topo_.nodeLabel(route.legs.back().to),
                              " ends before it starts");
         }
-        records_.push_back(*rec);
         if (done)
             done();
         return;
@@ -127,10 +126,11 @@ Fabric::runLegs(std::shared_ptr<TransferRecord> rec, Route route,
         latency += sim::usToTicks(host_.stagingOverheadUs);
     }
     flows_.startFlow(
-        rec->bytes, {channelFor(hop.linkIndex, hop.from)},
-        [this, rec, route = std::move(route), leg,
+        bytes, {channelFor(hop.linkIndex, hop.from)},
+        [this, route = std::move(route), leg, bytes, start,
          done = std::move(done)]() mutable {
-            runLegs(rec, std::move(route), leg + 1, std::move(done));
+            runLegs(std::move(route), leg + 1, bytes, start,
+                    std::move(done));
         },
         latency);
 }
@@ -138,61 +138,13 @@ Fabric::runLegs(std::shared_ptr<TransferRecord> rec, Route route,
 void
 Fabric::transfer(NodeId src, NodeId dst, sim::Bytes bytes, Callback done)
 {
-    Route route = topo_.findRoute(src, dst);
-    auto rec = std::make_shared<TransferRecord>();
-    rec->src = src;
-    rec->dst = dst;
-    rec->bytes = bytes;
-    rec->kind = route.kind;
-    rec->start = queue_.now();
+    const Route &route = topo_.findRoute(src, dst);
     if (route.kind == RouteKind::Loopback) {
-        rec->end = queue_.now();
-        records_.push_back(*rec);
         if (done)
             done();
         return;
     }
-    runLegs(std::move(rec), std::move(route), 0, std::move(done));
-}
-
-void
-Fabric::transferDirect(NodeId src, NodeId dst, sim::Bytes bytes,
-                       Callback done)
-{
-    auto link = topo_.directLink(src, dst, LinkType::NVLink);
-    if (!link)
-        link = topo_.directLink(src, dst, LinkType::PCIe);
-    if (!link)
-        link = topo_.directLink(src, dst, LinkType::QPI);
-    if (!link) {
-        sim::fatal("transferDirect between non-neighbors ",
-                   topo_.nodeLabel(src), " and ", topo_.nodeLabel(dst));
-    }
-    auto rec = std::make_shared<TransferRecord>();
-    rec->src = src;
-    rec->dst = dst;
-    rec->bytes = bytes;
-    rec->kind = topo_.links()[*link].type == LinkType::NVLink
-                    ? RouteKind::DirectNvlink
-                    : RouteKind::HostPcie;
-    rec->start = queue_.now();
-    const Link &l = topo_.links()[*link];
-    flows_.startFlow(
-        bytes, {channelFor(*link, src)},
-        [this, rec, done = std::move(done)]() {
-            rec->end = queue_.now();
-            if (auditor_) {
-                auditor_->expect(rec->end >= rec->start, rec->end,
-                                 "direct transfer ",
-                                 topo_.nodeLabel(rec->src), "->",
-                                 topo_.nodeLabel(rec->dst),
-                                 " ends before it starts");
-            }
-            records_.push_back(*rec);
-            if (done)
-                done();
-        },
-        sim::usToTicks(l.latencyUs));
+    runLegs(route, 0, bytes, queue_.now(), std::move(done));
 }
 
 } // namespace dgxsim::hw

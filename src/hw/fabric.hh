@@ -3,7 +3,9 @@
  * The Fabric binds a Topology to the fluid FlowNetwork: every link
  * becomes two unidirectional channels, and transfers become flows
  * routed by Topology::findRoute() with store-and-forward at relays
- * (MXNet's staged transfers are two back-to-back cudaMemcpys).
+ * (MXNet's staged transfers are two back-to-back cudaMemcpys). The
+ * Fabric owns its topology, so each (src, dst) pair is resolved once
+ * per fabric and only this fabric's thread fills the route table.
  */
 
 #ifndef DGXSIM_HW_FABRIC_HH
@@ -19,17 +21,6 @@
 #include "sim/flow_network.hh"
 
 namespace dgxsim::hw {
-
-/** Observed properties of one completed transfer, for profiling. */
-struct TransferRecord
-{
-    NodeId src = -1;
-    NodeId dst = -1;
-    sim::Bytes bytes = 0;
-    RouteKind kind = RouteKind::Loopback;
-    sim::Tick start = 0;
-    sim::Tick end = 0;
-};
 
 /**
  * Transfer engine over a Topology. All DMA copies (P2P memcpy, NCCL
@@ -55,17 +46,11 @@ class Fabric
     /**
      * Move @p bytes from @p src to @p dst along the routing policy,
      * store-and-forwarding at relays. @p done fires when the last leg
-     * lands. Loopback completes after zero time.
+     * lands. Loopback completes after zero time. The transfer copies
+     * its route when it starts, so a scale* call that empties the
+     * route table does not reroute legs already in flight.
      */
     void transfer(NodeId src, NodeId dst, sim::Bytes bytes, Callback done);
-
-    /**
-     * Move @p bytes across the direct link between two neighbors.
-     * Used by ring collectives, which only ever talk to ring
-     * neighbors. Fatal if no direct NVLink/PCIe link exists.
-     */
-    void transferDirect(NodeId src, NodeId dst, sim::Bytes bytes,
-                        Callback done);
 
     /** Scale NVLink bandwidth (topology + live channels). Ablations. */
     void scaleNvlinkBandwidth(double factor);
@@ -78,12 +63,6 @@ class Fabric
 
     /** @return total payload bytes moved over a given link so far. */
     double linkBytesMoved(std::size_t link_index) const;
-
-    /** @return all completed transfers, in completion order. */
-    const std::vector<TransferRecord> &records() const { return records_; }
-
-    /** Discard accumulated transfer records. */
-    void clearRecords() { records_.clear(); }
 
     /**
      * Attach an invariant auditor: the flow network and transfer
@@ -108,9 +87,12 @@ class Fabric
     sim::FlowNetwork::ChannelId channelFor(std::size_t link,
                                            NodeId from) const;
 
-    /** Issue route legs sequentially starting at @p leg. */
-    void runLegs(std::shared_ptr<TransferRecord> rec, Route route,
-                 std::size_t leg, Callback done);
+    /**
+     * Issue route legs sequentially starting at @p leg; the transfer
+     * began at tick @p start.
+     */
+    void runLegs(Route route, std::size_t leg, sim::Bytes bytes,
+                 sim::Tick start, Callback done);
 
     sim::EventQueue &queue_;
     Topology topo_;
@@ -118,7 +100,6 @@ class Fabric
     sim::FlowNetwork flows_;
     /** Per link: channel a->b then b->a. */
     std::vector<std::array<sim::FlowNetwork::ChannelId, 2>> chans_;
-    std::vector<TransferRecord> records_;
     sim::Auditor *auditor_ = nullptr;
     /** Auditor created by enableAudit() when none was provided. */
     std::unique_ptr<sim::Auditor> ownedAuditor_;

@@ -36,6 +36,7 @@ routeKindName(RouteKind kind)
 NodeId
 Topology::addNode(NodeKind kind, std::string label)
 {
+    routes_.clear();
     nodes_.push_back(Node{kind, std::move(label)});
     if (kind == NodeKind::Gpu)
         ++numGpus_;
@@ -51,6 +52,7 @@ Topology::addLink(Link link)
     }
     if (link.baseGbpsPerLane == 0)
         link.baseGbpsPerLane = link.gbpsPerLane;
+    routes_.clear();
     links_.push_back(link);
     return links_.size() - 1;
 }
@@ -76,6 +78,7 @@ Topology::scaleNvlinkBandwidth(double factor)
 {
     if (factor <= 0)
         sim::fatal("bandwidth scale factor must be positive: ", factor);
+    routes_.clear();
     for (Link &link : links_) {
         if (link.type == LinkType::NVLink)
             link.gbpsPerLane = link.baseGbpsPerLane * factor;
@@ -89,6 +92,7 @@ Topology::scaleLinkBandwidth(std::size_t link_index, double factor)
         sim::fatal("unknown link ", link_index);
     if (factor <= 0)
         sim::fatal("bandwidth scale factor must be positive: ", factor);
+    routes_.clear();
     links_[link_index].gbpsPerLane =
         links_[link_index].baseGbpsPerLane * factor;
 }
@@ -98,6 +102,7 @@ Topology::scaleIbBandwidth(double factor)
 {
     if (factor <= 0)
         sim::fatal("bandwidth scale factor must be positive: ", factor);
+    routes_.clear();
     for (Link &link : links_) {
         if (link.type == LinkType::IB)
             link.gbpsPerLane = link.baseGbpsPerLane * factor;
@@ -312,8 +317,22 @@ Topology::nvlinkConnected(NodeId a, NodeId b) const
         .has_value();
 }
 
-Route
+const Route &
 Topology::findRoute(NodeId src, NodeId dst) const
+{
+    if (src < 0 || src >= numNodes() || dst < 0 || dst >= numNodes())
+        sim::fatal("cannot route unknown nodes ", src, " -> ", dst);
+    const std::size_t key =
+        static_cast<std::size_t>(src) * nodes_.size() +
+        static_cast<std::size_t>(dst);
+    auto it = routes_.find(key);
+    if (it == routes_.end())
+        it = routes_.emplace(key, resolveRoute(src, dst)).first;
+    return it->second;
+}
+
+Route
+Topology::resolveRoute(NodeId src, NodeId dst) const
 {
     Route route;
     if (src == dst) {
@@ -391,7 +410,7 @@ Topology::findRoute(NodeId src, NodeId dst) const
 double
 Topology::routeBandwidthGbps(NodeId src, NodeId dst) const
 {
-    Route route = findRoute(src, dst);
+    const Route &route = findRoute(src, dst);
     if (route.kind == RouteKind::Loopback)
         return std::numeric_limits<double>::infinity();
     double bw = std::numeric_limits<double>::infinity();

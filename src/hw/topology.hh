@@ -22,6 +22,7 @@
 
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "hw/gpu_spec.hh"
@@ -110,6 +111,14 @@ struct Route
  * A multi-GPU system topology: a set of GPU and CPU nodes joined by
  * typed links. Immutable once built (bandwidth scaling for ablations
  * excepted).
+ *
+ * findRoute() resolves each ordered node pair once and keeps the
+ * Route in a table that it fills from a const method, so a Topology
+ * must be routed from one thread at a time. That holds by ownership:
+ * each core::Machine gives its Fabric a topology of its own and runs
+ * it from one thread, and campaign workers each build their own
+ * Machine. Copies carry the table along; it stays valid for them
+ * because it holds only node ids and link indices.
  */
 class Topology
 {
@@ -175,11 +184,17 @@ class Topology
     bool nvlinkConnected(NodeId a, NodeId b) const;
 
     /**
-     * Resolve the route policy described in the file comment.
-     * @param src Source GPU.
-     * @param dst Destination GPU.
+     * Resolve the route policy described in the file comment. The
+     * first lookup of a pair runs the policy and stores its Route;
+     * later lookups return the stored one. addNode, addLink and the
+     * scale* calls empty the table, since each can change a route.
+     * Fatal for an id outside [0, numNodes()), src == dst included.
+     * @param src Source node.
+     * @param dst Destination node.
+     * @return the route; the reference stays valid until the next
+     *     call to a mutator.
      */
-    Route findRoute(NodeId src, NodeId dst) const;
+    const Route &findRoute(NodeId src, NodeId dst) const;
 
     /**
      * @return the bottleneck bandwidth (GB/s per direction) along the
@@ -221,9 +236,20 @@ class Topology
         std::string label;
     };
 
+    /** Run the route policy for one pair (findRoute's table miss). */
+    Route resolveRoute(NodeId src, NodeId dst) const;
+
     std::vector<Node> nodes_;
     std::vector<Link> links_;
     int numGpus_ = 0;
+    /**
+     * Routes resolved so far, keyed by src * numNodes() + dst: a map
+     * over the routed pairs, since a run routes few of them (84 of
+     * the 7,921 pairs of an 8-node DGX-1V cluster in a ring
+     * all-reduce). Its nodes never move, so a returned reference
+     * survives later inserts.
+     */
+    mutable std::unordered_map<std::size_t, Route> routes_;
 };
 
 } // namespace dgxsim::hw

@@ -8,7 +8,6 @@
 
 #include "hw/fabric.hh"
 #include "sim/event_queue.hh"
-#include "sim/logging.hh"
 
 namespace {
 
@@ -65,14 +64,12 @@ TEST_F(FabricTest, StagedTransferTakesRoughlyTwiceDirect)
 
 TEST_F(FabricTest, TransferRecordsCaptureRouteKind)
 {
-    fabric.transfer(0, 7, 1000, [] {});
+    EXPECT_EQ(fabric.topology().findRoute(0, 7).kind,
+              RouteKind::StagedNvlink);
+    int completions = 0;
+    fabric.transfer(0, 7, 1000, [&] { ++completions; });
     queue.run();
-    ASSERT_EQ(fabric.records().size(), 1u);
-    EXPECT_EQ(fabric.records()[0].kind, RouteKind::StagedNvlink);
-    EXPECT_EQ(fabric.records()[0].src, 0);
-    EXPECT_EQ(fabric.records()[0].dst, 7);
-    fabric.clearRecords();
-    EXPECT_TRUE(fabric.records().empty());
+    EXPECT_EQ(completions, 1);
 }
 
 TEST_F(FabricTest, ConcurrentTransfersOnOneLinkShareBandwidth)
@@ -111,17 +108,6 @@ TEST_F(FabricTest, HostRouteIsSlowerThanNvlink)
     EXPECT_GT(pcie_secs, 3.0 * nvlink_secs);
 }
 
-TEST_F(FabricTest, TransferDirectRequiresNeighbors)
-{
-    sim::Tick end = 0;
-    fabric.transferDirect(0, 6, 25u * 1000 * 1000,
-                          [&] { end = queue.now(); });
-    queue.run();
-    EXPECT_NEAR(sim::ticksToSec(end), 0.001, 0.0001);
-    EXPECT_THROW(fabric.transferDirect(0, 7, 100, [] {}),
-                 dgxsim::sim::FatalError);
-}
-
 TEST_F(FabricTest, ScaleNvlinkBandwidthSpeedsUpLiveFabric)
 {
     const sim::Bytes payload = 250u * 1000 * 1000;
@@ -129,6 +115,30 @@ TEST_F(FabricTest, ScaleNvlinkBandwidthSpeedsUpLiveFabric)
     fabric.scaleNvlinkBandwidth(4.0);
     const double after = timedTransfer(0, 3, payload);
     EXPECT_NEAR(before / after, 4.0, 0.05);
+}
+
+TEST_F(FabricTest, ScalingALinkMidTransferKeepsTheTransfersRoute)
+{
+    const Topology &topo = fabric.topology();
+    const std::size_t l17 = *topo.directLink(1, 7, LinkType::NVLink);
+    const std::size_t l67 = *topo.directLink(6, 7, LinkType::NVLink);
+    ASSERT_EQ(topo.findRoute(0, 7).legs.at(0).to, 1);
+    const sim::Bytes payload = 1000 * 1000;
+    int landed = 0;
+    fabric.transfer(0, 7, payload, [&] { ++landed; });
+    // The first leg (0->1) is in flight; the relay now goes via GPU6.
+    fabric.scaleLinkBandwidth(l17, 0.5);
+    EXPECT_EQ(topo.findRoute(0, 7).legs.at(0).to, 6);
+    queue.run();
+    EXPECT_EQ(landed, 1);
+    EXPECT_NEAR(fabric.linkBytesMoved(l17), payload, 4.0);
+    EXPECT_EQ(fabric.linkBytesMoved(l67), 0.0);
+
+    fabric.transfer(0, 7, payload, [&] { ++landed; });
+    queue.run();
+    EXPECT_EQ(landed, 2);
+    EXPECT_NEAR(fabric.linkBytesMoved(l17), payload, 4.0);
+    EXPECT_NEAR(fabric.linkBytesMoved(l67), payload, 4.0);
 }
 
 TEST_F(FabricTest, LinkBytesMovedAccumulates)

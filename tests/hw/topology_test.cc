@@ -6,14 +6,35 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "hw/cluster.hh"
+#include "hw/platform.hh"
 #include "hw/topology.hh"
 #include "sim/logging.hh"
 
 namespace {
 
 using namespace dgxsim::hw;
+
+/** Expect two routes to agree on kind and on every leg. */
+void
+expectSameRoute(const Route &got, const Route &want, const std::string &what)
+{
+    EXPECT_EQ(got.kind, want.kind) << what;
+    ASSERT_EQ(got.hops(), want.hops()) << what;
+    for (std::size_t i = 0; i < got.legs.size(); ++i) {
+        EXPECT_EQ(got.legs[i].from, want.legs[i].from) << what;
+        EXPECT_EQ(got.legs[i].to, want.legs[i].to) << what;
+        EXPECT_EQ(got.legs[i].linkIndex, want.legs[i].linkIndex) << what;
+    }
+}
 
 class Dgx1TopologyTest : public ::testing::Test
 {
@@ -217,6 +238,96 @@ TEST(TopologyNamesTest, EnumNamesArePrintable)
                  "direct-nvlink");
     EXPECT_STREQ(routeKindName(RouteKind::StagedNvlink),
                  "staged-nvlink");
+}
+
+TEST(RouteTableTest, EveryPairMatchesAFreshTopology)
+{
+    // Each pair is asked twice, in a shuffled order, on one topology;
+    // the reference answer comes from a copy that has routed nothing.
+    // Pairs the policy cannot route (a CPU to an NVSwitch, say) must
+    // stay fatal.
+    std::vector<std::pair<std::string, Topology>> topologies;
+    for (const std::string &name : platformNames())
+        topologies.emplace_back(name, makePlatform(name).topology);
+    for (const std::string name : {"dgx1v", "dgx2", "pcie8"}) {
+        for (int nodes : {2, 4, 8}) {
+            topologies.emplace_back(
+                name + " x" + std::to_string(nodes),
+                makeCluster(makePlatform(name), nodes, "ib100").topology);
+        }
+    }
+    std::mt19937 rng(2018);
+    for (const auto &[name, pristine] : topologies) {
+        const int n = pristine.numNodes();
+        std::vector<std::optional<Route>> fresh;
+        std::vector<std::pair<NodeId, NodeId>> asks;
+        for (NodeId a = 0; a < n; ++a) {
+            for (NodeId b = 0; b < n; ++b) {
+                Topology copy = pristine;
+                try {
+                    fresh.push_back(copy.findRoute(a, b));
+                } catch (const dgxsim::sim::FatalError &) {
+                    fresh.push_back(std::nullopt);
+                }
+                asks.insert(asks.end(), 2, {a, b});
+            }
+        }
+        std::shuffle(asks.begin(), asks.end(), rng);
+        const Topology routed = pristine;
+        for (const auto &[a, b] : asks) {
+            const std::string what = name + " " + std::to_string(a) +
+                                     "->" + std::to_string(b);
+            const std::optional<Route> &want = fresh[a * n + b];
+            if (!want) {
+                EXPECT_THROW(routed.findRoute(a, b), dgxsim::sim::FatalError)
+                    << what;
+                continue;
+            }
+            expectSameRoute(routed.findRoute(a, b), *want, what);
+        }
+    }
+}
+
+TEST(RouteTableTest, ScalingALinkReroutesAnAlreadyRoutedPair)
+{
+    Topology topo = Topology::dgx1Volta();
+    // 0->7 ties at 25 GB/s through GPU1 and GPU6; the tie goes to
+    // the smaller relay id.
+    EXPECT_EQ(topo.findRoute(0, 7).legs.at(0).to, 1);
+    const std::size_t l17 = *topo.directLink(1, 7, LinkType::NVLink);
+    topo.scaleLinkBandwidth(l17, 0.5);
+    const Route &rerouted = topo.findRoute(0, 7);
+    EXPECT_EQ(rerouted.legs.at(0).to, 6);
+
+    Topology scaled_first = Topology::dgx1Volta();
+    scaled_first.scaleLinkBandwidth(l17, 0.5);
+    expectSameRoute(rerouted, scaled_first.findRoute(0, 7), "0->7");
+}
+
+TEST(RouteTableTest, AddingNodesAndLinksEmptiesTheTable)
+{
+    Topology topo = Topology::pcieOnly8Gpu();
+    // Key 1 * 10 + 0 becomes key 0 * 11 + 10 once a node is added.
+    EXPECT_EQ(topo.findRoute(1, 0).kind, RouteKind::HostPcie);
+    const NodeId gpu = topo.addNode(NodeKind::Gpu, "GPU8");
+    EXPECT_THROW(topo.findRoute(0, gpu), dgxsim::sim::FatalError);
+
+    EXPECT_EQ(topo.findRoute(0, 1).kind, RouteKind::HostPcie);
+    topo.addLink(Link{0, 1, LinkType::NVLink, 1, 25, 1});
+    EXPECT_EQ(topo.findRoute(0, 1).kind, RouteKind::DirectNvlink);
+}
+
+TEST(RouteTableTest, OutOfRangeIdsAreFatal)
+{
+    const Topology topo = Topology::dgx1Volta();
+    const NodeId n = topo.numNodes();
+    const std::vector<std::pair<NodeId, NodeId>> bad = {
+        {n, n}, {-1, -1}, {0, n}, {n, 0}, {-1, 0}, {0, -1}};
+    for (const auto &[a, b] : bad) {
+        EXPECT_THROW(topo.findRoute(a, b), dgxsim::sim::FatalError)
+            << a << "->" << b;
+    }
+    EXPECT_THROW(topo.routeBandwidthGbps(n, n), dgxsim::sim::FatalError);
 }
 
 TEST(TopologyBuildTest, BadLinkEndpointsAreFatal)
