@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <tuple>
+#include <unordered_map>
 #include <utility>
 
 #include "core/text_table.hh"
@@ -86,7 +88,6 @@ Dag::Dag(const profiling::Profiler &prof, const hw::Topology &topo)
         Node node;
         node.id = id;
         node.kind = ref.kind;
-        const std::vector<profiling::RecordId> *deps = nullptr;
         switch (ref.kind) {
           case profiling::RecordKind::Kernel: {
             const profiling::KernelRecord &k = prof.kernels()[ref.index];
@@ -105,7 +106,6 @@ Dag::Dag(const profiling::Profiler &prof, const hw::Topology &topo)
             // not touch them; everything else goes through
             // cuda::kernelDuration.
             node.scalableKernel = k.stream.rfind("nccl.", 0) != 0;
-            deps = &k.deps;
             break;
           }
           case profiling::RecordKind::Api: {
@@ -117,14 +117,14 @@ Dag::Dag(const profiling::Profiler &prof, const hw::Topology &topo)
             node.category = Category::Api;
             node.blocking = a.blocking;
             node.overhead = a.overheadTicks();
-            deps = &a.deps;
             break;
           }
           default: {
             const profiling::CopyRecord &c = prof.copies()[ref.index];
             node.name = c.kind;
-            node.lane = c.kind.str() + " " + std::to_string(c.src) + ">" +
-                        std::to_string(c.dst);
+            node.lane = profiling::Name(c.kind.str() + " " +
+                                        std::to_string(c.src) + ">" +
+                                        std::to_string(c.dst));
             node.start = c.start;
             node.end = c.end;
             node.interNodeCopy = isInterNodeRoute(topo, c.src, c.dst);
@@ -168,7 +168,6 @@ Dag::Dag(const profiling::Profiler &prof, const hw::Topology &topo)
                                                 dur));
                 node.ibFraction = 0.5 * (lo + hi);
             }
-            deps = &c.deps;
             break;
           }
         }
@@ -177,7 +176,7 @@ Dag::Dag(const profiling::Profiler &prof, const hw::Topology &topo)
         // waited on), start-to-start (an async issuer still running
         // when its issued work began). Anything else is non-causal
         // noise and gets dropped.
-        for (profiling::RecordId dep : *deps) {
+        for (profiling::RecordId dep : prof.deps(id)) {
             const std::int32_t p =
                 static_cast<std::int32_t>(dep - base);
             const Node &pred = nodes_[static_cast<std::size_t>(p)];
@@ -206,28 +205,33 @@ Dag::Dag(const profiling::Profiler &prof, const hw::Topology &topo)
 void
 Dag::addLaneEdges()
 {
-    // Group node indices per serialized lane; the lane string alone
-    // could collide across kinds, so prefix with a kind tag.
-    std::map<std::string, std::vector<std::int32_t>> lanes;
+    // Group node indices per serialized lane: (kind, device, lane),
+    // numbered in order of first appearance. Every node joins exactly
+    // one lane and gains at most one edge from it, so the order the
+    // lanes are walked in cannot change any node's edges.
+    using LaneKey = std::tuple<profiling::RecordKind, int, profiling::Name>;
+    struct LaneHash
+    {
+        std::size_t
+        operator()(const LaneKey &k) const
+        {
+            return std::hash<profiling::Name>{}(std::get<2>(k)) * 31 +
+                   static_cast<std::size_t>(std::get<1>(k)) * 4 +
+                   static_cast<std::size_t>(std::get<0>(k));
+        }
+    };
+    std::unordered_map<LaneKey, std::size_t, LaneHash> laneOf;
+    std::vector<std::vector<std::int32_t>> lanes;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         const Node &node = nodes_[i];
-        std::string key;
-        switch (node.kind) {
-          case profiling::RecordKind::Kernel:
-            key = "k:" + std::to_string(node.device) + ":" + node.lane;
-            break;
-          case profiling::RecordKind::Api:
-            key = "a:" + node.lane;
-            break;
-          default:
-            key = "c:" + node.lane;
-            break;
-        }
-        lanes[key].push_back(static_cast<std::int32_t>(i));
+        const LaneKey key{node.kind, node.device, node.lane};
+        const auto [it, fresh] = laneOf.try_emplace(key, lanes.size());
+        if (fresh)
+            lanes.emplace_back();
+        lanes[it->second].push_back(static_cast<std::int32_t>(i));
     }
 
-    for (auto &[key, members] : lanes) {
-        (void)key;
+    for (std::vector<std::int32_t> &members : lanes) {
         std::sort(members.begin(), members.end(),
                   [this](std::int32_t a, std::int32_t b) {
                       const Node &na = nodes_[a];
@@ -400,7 +404,7 @@ Dag::topContributors(const Attribution &attr, std::size_t k) const
     std::map<std::string, Contributor> acc;
     for (const Segment &seg : attr.segments) {
         const std::string name =
-            seg.node < 0 ? "(idle)" : nodes_[seg.node].name;
+            seg.node < 0 ? "(idle)" : nodes_[seg.node].name.str();
         Contributor &c = acc[name];
         c.name = name;
         c.category = seg.node < 0 ? Category::Idle

@@ -55,9 +55,10 @@ struct Node
     profiling::RecordId id = profiling::kNoRecord;
     profiling::RecordKind kind = profiling::RecordKind::Kernel;
     /** Kernel name, API name, or copy kind. */
-    std::string name;
-    /** Serialized lane: stream, host thread, or copy route. */
-    std::string lane;
+    profiling::Name name;
+    /** Serialized lane: stream, host thread, or copy route
+     * ("<kind> <src>><dst>"). */
+    profiling::Name lane;
     sim::Tick start = 0;
     sim::Tick end = 0;
     /** GPU id for kernels; -1 for host APIs and copies. */

@@ -59,10 +59,8 @@ void
 Communicator::enqueue(OpKind kind, sim::Bytes bytes, int priority,
                       Callback done)
 {
-    profiling::CauseToken cause =
-        ctx_.profiler ? ctx_.profiler->currentCause() : nullptr;
     scheduler().submit(kind, bytes, priority, std::move(done),
-                       std::move(cause));
+                       profiling::currentCause(ctx_.profiler));
     pump();
 }
 
@@ -140,10 +138,12 @@ Communicator::onIdle(Callback fn)
     idleWaiters_.push_back(std::move(fn));
 }
 
-std::string
-Communicator::chunkLane(const std::string &base) const
+profiling::Name
+Communicator::chunkLane(profiling::Name base) const
 {
-    return chunkLaneSuffix_.empty() ? base : base + chunkLaneSuffix_;
+    return chunkLaneSuffix_.empty()
+               ? base
+               : profiling::Name(base.str() + chunkLaneSuffix_);
 }
 
 void
@@ -202,7 +202,7 @@ Communicator::dispatchCompressed(OpKind kind, sim::Bytes bytes,
     // communicators (NCCL under FIFO) may have many chunks' encode
     // kernels in flight at once, and per-device lanes must stay
     // serialized for the audit.
-    const std::string lane = "comm.z" + std::to_string(tag);
+    const profiling::Name lane("comm.z" + std::to_string(tag));
     // The dispatch window closes synchronously; save what the
     // deferred wire dispatch must restore.
     const std::string suffix = chunkLaneSuffix_;
@@ -242,8 +242,9 @@ Communicator::dispatchCompressed(OpKind kind, sim::Bytes bytes,
         auto pending =
             std::make_shared<int>(static_cast<int>(receivers.size()));
         auto fin = std::make_shared<Callback>(std::move(finish));
+        const profiling::Name kernel(decompressKernelName(comp));
         for (hw::NodeId gpu : receivers) {
-            runKernelOnLane(decompressKernelName(comp), lane, gpu,
+            runKernelOnLane(kernel, lane, gpu,
                             dec.flops, dec.bytes, [pending, fin]() {
                                 if (--*pending == 0)
                                     (*fin)();
@@ -265,8 +266,9 @@ Communicator::dispatchCompressed(OpKind kind, sim::Bytes bytes,
     auto pending =
         std::make_shared<int>(static_cast<int>(senders.size()));
     auto next = std::make_shared<Callback>(std::move(transmit));
+    const profiling::Name kernel(compressKernelName(comp));
     for (hw::NodeId gpu : senders) {
-        runKernelOnLane(compressKernelName(comp), lane, gpu, enc.flops,
+        runKernelOnLane(kernel, lane, gpu, enc.flops,
                         enc.bytes, [pending, next]() {
                             if (--*pending == 0)
                                 (*next)();
@@ -286,16 +288,16 @@ Communicator::notifyIfIdle()
 }
 
 void
-Communicator::runKernel(const std::string &kernel_name, hw::NodeId gpu,
+Communicator::runKernel(profiling::Name kernel_name, hw::NodeId gpu,
                         double flops, double bytes, Callback done)
 {
-    runKernelOnLane(kernel_name, "comm", gpu, flops, bytes,
-                    std::move(done));
+    static const profiling::Name comm("comm");
+    runKernelOnLane(kernel_name, comm, gpu, flops, bytes, std::move(done));
 }
 
 void
-Communicator::runKernelOnLane(const std::string &kernel_name,
-                              const std::string &lane, hw::NodeId gpu,
+Communicator::runKernelOnLane(profiling::Name kernel_name,
+                              profiling::Name lane, hw::NodeId gpu,
                               double flops, double bytes, Callback done)
 {
     const sim::Tick dur = cuda::kernelDuration(
@@ -304,17 +306,11 @@ Communicator::runKernelOnLane(const std::string &kernel_name,
     // The ambient cause at issue time (the collective's dispatch
     // cause, or the copy that delivered this kernel's input) is the
     // kernel's causal parent.
-    profiling::CauseToken issue =
-        ctx_.profiler ? ctx_.profiler->currentCause() : nullptr;
+    const profiling::CauseToken issue = profiling::currentCause(ctx_.profiler);
     ctx_.queue->scheduleAfter(
-        dur, [this, kernel_name, lane, gpu, start, dur,
-              issue = std::move(issue), done = std::move(done)]() {
+        dur, [this, kernel_name, lane, gpu, start, dur, issue,
+              done = std::move(done)]() {
             if (ctx_.profiler) {
-                std::vector<profiling::RecordId> deps;
-                const profiling::RecordId cause =
-                    profiling::resolveCause(issue);
-                if (cause != profiling::kNoRecord)
-                    deps.push_back(cause);
                 // All runKernel call sites serialize per device and
                 // lane (the op queue for the parameter server, the
                 // local/all-reduce gates for NCCL, the lock-step
@@ -323,10 +319,9 @@ Communicator::runKernelOnLane(const std::string &kernel_name,
                 const profiling::RecordId id =
                     ctx_.profiler->recordKernel(kernel_name, gpu,
                                                 start, start + dur,
-                                                lane,
-                                                std::move(deps));
+                                                lane, {issue.id()});
                 profiling::CauseScope scope(ctx_.profiler,
-                                            profiling::makeCause(id));
+                                            profiling::CauseToken(id));
                 if (done)
                     done();
                 return;

@@ -228,7 +228,7 @@ class Communicator
      * communicator is ever in flight; non-FIFO policies may overlap
      * chunks, so each gets its own serialized lane.
      */
-    std::string chunkLane(const std::string &base) const;
+    profiling::Name chunkLane(profiling::Name base) const;
 
     /**
      * The priority of the op being dispatched, for forwarding to
@@ -238,7 +238,7 @@ class Communicator
     int dispatchPriority() const { return dispatchPriority_; }
 
     /** Record + charge a device-side kernel of @p cost on @p gpu. */
-    void runKernel(const std::string &kernel_name, hw::NodeId gpu,
+    void runKernel(profiling::Name kernel_name, hw::NodeId gpu,
                    double flops, double bytes, Callback done);
 
     /**
@@ -246,8 +246,8 @@ class Communicator
      * Inter-node kernels use "ib."-prefixed lanes so the analysis
      * engine attributes them to the inter_node_comm category.
      */
-    void runKernelOnLane(const std::string &kernel_name,
-                         const std::string &lane, hw::NodeId gpu,
+    void runKernelOnLane(profiling::Name kernel_name,
+                         profiling::Name lane, hw::NodeId gpu,
                          double flops, double bytes, Callback done);
 
     CommContext ctx_;

@@ -53,13 +53,10 @@ HierarchicalCommunicator::name() const
 void
 HierarchicalCommunicator::skip(Callback done)
 {
-    profiling::CauseToken cause =
-        ctx_.profiler ? ctx_.profiler->currentCause() : nullptr;
     ctx_.queue->scheduleAfter(
-        0, [this, cause = std::move(cause),
+        0, [this, cause = profiling::currentCause(ctx_.profiler),
             done = std::move(done)]() mutable {
-            profiling::CauseScope scope(ctx_.profiler,
-                                        std::move(cause));
+            profiling::CauseScope scope(ctx_.profiler, cause);
             done();
         });
 }
@@ -92,37 +89,34 @@ HierarchicalCommunicator::interTransfer(hw::NodeId src, hw::NodeId dst,
                                         sim::Bytes bytes,
                                         bool accumulate, Callback done)
 {
-    profiling::CauseToken cause =
-        ctx_.profiler ? ctx_.profiler->currentCause() : nullptr;
+    const profiling::CauseToken cause = profiling::currentCause(ctx_.profiler);
     const sim::Tick start = ctx_.queue->now();
     ctx_.fabric->transfer(
         src, dst, bytes,
         [this, src, dst, bytes, start, accumulate, cause,
          done = std::move(done)]() mutable {
+            static const profiling::Name ib("IB");
             profiling::RecordId copy_id = profiling::kNoRecord;
             if (ctx_.profiler) {
-                std::vector<profiling::RecordId> deps;
-                const profiling::RecordId c =
-                    profiling::resolveCause(cause);
-                if (c != profiling::kNoRecord)
-                    deps.push_back(c);
                 copy_id = ctx_.profiler->recordCopy(
-                    "IB", src, dst, bytes, start, ctx_.queue->now(),
-                    0, std::move(deps));
+                    ib, src, dst, bytes, start, ctx_.queue->now(), 0,
+                    {cause.id()});
             }
             // The receiver-side work (accumulate kernel or round
             // barrier) descends from the copy that delivered it.
             profiling::CauseScope scope(
                 copy_id == profiling::kNoRecord ? nullptr
                                                 : ctx_.profiler,
-                profiling::makeCause(copy_id));
+                profiling::CauseToken(copy_id));
             if (!accumulate) {
                 done();
                 return;
             }
             // Sum the received shard into the resident buffer: read
             // two arrays, write one (memory bound).
-            runKernelOnLane("ibGradAccumulate", "ib.inter", dst,
+            static const profiling::Name accumulate_kernel("ibGradAccumulate");
+            static const profiling::Name inter_lane("ib.inter");
+            runKernelOnLane(accumulate_kernel, inter_lane, dst,
                             bytes / 4.0, 3.0 * bytes,
                             std::move(done));
         });

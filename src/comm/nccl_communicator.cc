@@ -33,6 +33,16 @@ NcclCommunicator::NcclCommunicator(CommContext ctx, CommConfig cfg)
     bcastGatesRev_ = std::make_shared<std::vector<HopGate>>(hops);
     localGate_ = std::make_shared<std::vector<HopGate>>(1);
     allReduceGate_ = std::make_shared<std::vector<HopGate>>(1);
+    const auto lanes = [hops](const std::string &base) {
+        std::vector<profiling::Name> out;
+        for (std::size_t h = 0; h < hops; ++h)
+            out.emplace_back(base + ".h" + std::to_string(h));
+        return out;
+    };
+    reduceLanes_ = lanes("nccl.red");
+    bcastLanes_ = lanes("nccl.bc");
+    reduceLanesRev_ = lanes("nccl.redR");
+    bcastLanesRev_ = lanes("nccl.bcR");
 }
 
 int
@@ -48,13 +58,20 @@ NcclCommunicator::chunksFor(sim::Bytes bytes) const
 
 namespace {
 
+const profiling::Name kNcclCopy("NCCL");
+const profiling::Name kReduceKernel("ncclReduceKernel");
+const profiling::Name kBroadcastKernel("ncclBroadcastKernel");
+const profiling::Name kAllReduceKernel("ncclAllReduceKernel");
+const profiling::Name kAllReduceLane("nccl.ar");
+
 /** Shared state of one pipelined ring pass. */
 struct RingPassState
 {
     std::vector<hw::NodeId> path;
     std::vector<sim::Bytes> chunkBytes;
-    std::string kernelName;
-    std::string lane;
+    profiling::Name kernelName;
+    /** Per-hop profiler lanes (owned by the communicator). */
+    const std::vector<profiling::Name> *hopLanes = nullptr;
     bool accumulate = false;
     int remaining = 0;
     std::function<void()> done;
@@ -68,21 +85,20 @@ void
 NcclCommunicator::ringPass(const std::vector<hw::NodeId> &path,
                            std::shared_ptr<std::vector<HopGate>> gates,
                            sim::Bytes bytes,
-                           const std::string &kernel_name,
-                           const std::string &lane, bool accumulate,
-                           Callback done)
+                           profiling::Name kernel_name,
+                           const std::vector<profiling::Name> &hop_lanes,
+                           bool accumulate, Callback done)
 {
     const int nchunks = chunksFor(bytes);
 
     auto state = std::make_shared<RingPassState>();
     state->path = path;
     state->kernelName = kernel_name;
-    state->lane = lane;
+    state->hopLanes = &hop_lanes;
     state->accumulate = accumulate;
     state->remaining = nchunks;
     state->done = std::move(done);
-    state->opCause =
-        ctx_.profiler ? ctx_.profiler->currentCause() : nullptr;
+    state->opCause = profiling::currentCause(ctx_.profiler);
     const sim::Bytes base = bytes / nchunks;
     for (int c = 0; c < nchunks; ++c) {
         state->chunkBytes.push_back(
@@ -135,21 +151,14 @@ NcclCommunicator::ringPass(const std::vector<hw::NodeId> &path,
                  hop, src, dst, cbytes, wire_bytes, start, prev]() {
                     profiling::RecordId copy_id = profiling::kNoRecord;
                     if (ctx_.profiler) {
-                        std::vector<profiling::RecordId> deps;
-                        if (prev != profiling::kNoRecord) {
-                            deps.push_back(prev);
-                        } else {
-                            const profiling::RecordId cause =
-                                profiling::resolveCause(state->opCause);
-                            if (cause != profiling::kNoRecord)
-                                deps.push_back(cause);
-                        }
                         // Payload bytes plus the wire bytes that set
                         // the duration, so rate math stays honest.
                         copy_id = ctx_.profiler->recordCopy(
-                            "NCCL", src, dst, cbytes, start,
+                            kNcclCopy, src, dst, cbytes, start,
                             ctx_.queue->now(), wire_bytes,
-                            std::move(deps));
+                            {prev != profiling::kNoRecord
+                                 ? prev
+                                 : state->opCause.id()});
                     }
                     const sim::Tick kdur =
                         hop_kernel_ticks(state->accumulate, cbytes);
@@ -161,18 +170,13 @@ NcclCommunicator::ringPass(const std::vector<hw::NodeId> &path,
                             profiling::RecordId kid =
                                 profiling::kNoRecord;
                             if (ctx_.profiler) {
-                                std::vector<profiling::RecordId> deps;
-                                if (copy_id != profiling::kNoRecord)
-                                    deps.push_back(copy_id);
                                 // Kernels behind one hop gate
                                 // serialize; lane+hop names that
                                 // ordering domain for the audit.
                                 kid = ctx_.profiler->recordKernel(
                                     state->kernelName, dst, kstart,
                                     kstart + kdur,
-                                    state->lane + ".h" +
-                                        std::to_string(hop),
-                                    std::move(deps));
+                                    (*state->hopLanes)[hop], {copy_id});
                             }
                             // Continue (and finish) under this hop's
                             // kernel as ambient cause.
@@ -180,7 +184,7 @@ NcclCommunicator::ringPass(const std::vector<hw::NodeId> &path,
                                 kid == profiling::kNoRecord
                                     ? nullptr
                                     : ctx_.profiler,
-                                profiling::makeCause(kid));
+                                profiling::CauseToken(kid));
                             (*gates)[hop].release();
                             if (hop + 1 < state->path.size() - 1) {
                                 (*self)(chunk, hop + 1, kid);
@@ -204,16 +208,14 @@ NcclCommunicator::doReduce(sim::Bytes bytes, Callback done)
         // stream: the code path differs from P2P even on one GPU
         // (Table II).
         auto gate = localGate_;
-        profiling::CauseToken cause =
-            ctx_.profiler ? ctx_.profiler->currentCause() : nullptr;
-        (*gate)[0].acquire([this, gate, bytes, cause = std::move(cause),
+        const profiling::CauseToken cause =
+            profiling::currentCause(ctx_.profiler);
+        (*gate)[0].acquire([this, gate, bytes, cause,
                             done = std::move(done)]() mutable {
             // Re-establish the issuing collective's cause: the gate
             // may run this after an unrelated op's completion.
-            profiling::CauseScope scope(ctx_.profiler,
-                                        std::move(cause));
-            runKernel("ncclReduceKernel", ring_[0], bytes / 4.0,
-                      2.0 * bytes,
+            profiling::CauseScope scope(ctx_.profiler, cause);
+            runKernel(kReduceKernel, ring_[0], bytes / 4.0, 2.0 * bytes,
                       [gate, done = std::move(done)]() mutable {
                           (*gate)[0].release();
                           done();
@@ -231,8 +233,8 @@ NcclCommunicator::doReduce(sim::Bytes bytes, Callback done)
         // A sub-2-byte payload leaves the reversed ring with nothing
         // to carry; running it anyway would charge a full pass of
         // hop latencies and kernels for zero bytes.
-        ringPass(path, reduceGates_, bytes, "ncclReduceKernel",
-                 "nccl.red", true, std::move(done));
+        ringPass(path, reduceGates_, bytes, kReduceKernel, reduceLanes_,
+                 true, std::move(done));
         return;
     }
     std::vector<hw::NodeId> path_rev(ringRev_.begin() + 1,
@@ -243,10 +245,10 @@ NcclCommunicator::doReduce(sim::Bytes bytes, Callback done)
         if (--*pending == 0)
             done();
     };
-    ringPass(path, reduceGates_, bytes - half, "ncclReduceKernel",
-             "nccl.red", true, half_done);
-    ringPass(path_rev, reduceGatesRev_, half, "ncclReduceKernel",
-             "nccl.redR", true, half_done);
+    ringPass(path, reduceGates_, bytes - half, kReduceKernel,
+             reduceLanes_, true, half_done);
+    ringPass(path_rev, reduceGatesRev_, half, kReduceKernel,
+             reduceLanesRev_, true, half_done);
 }
 
 void
@@ -254,13 +256,12 @@ NcclCommunicator::doBroadcast(sim::Bytes bytes, Callback done)
 {
     if (ring_.size() == 1) {
         auto gate = localGate_;
-        profiling::CauseToken cause =
-            ctx_.profiler ? ctx_.profiler->currentCause() : nullptr;
-        (*gate)[0].acquire([this, gate, bytes, cause = std::move(cause),
+        const profiling::CauseToken cause =
+            profiling::currentCause(ctx_.profiler);
+        (*gate)[0].acquire([this, gate, bytes, cause,
                             done = std::move(done)]() mutable {
-            profiling::CauseScope scope(ctx_.profiler,
-                                        std::move(cause));
-            runKernel("ncclBroadcastKernel", ring_[0], 0.0, 2.0 * bytes,
+            profiling::CauseScope scope(ctx_.profiler, cause);
+            runKernel(kBroadcastKernel, ring_[0], 0.0, 2.0 * bytes,
                       [gate, done = std::move(done)]() mutable {
                           (*gate)[0].release();
                           done();
@@ -271,8 +272,8 @@ NcclCommunicator::doBroadcast(sim::Bytes bytes, Callback done)
     const sim::Bytes half = bytes / 2;
     if (cfg_.ncclRings < 2 || half == 0) {
         // Same empty-half guard as doReduce.
-        ringPass(ring_, bcastGates_, bytes, "ncclBroadcastKernel",
-                 "nccl.bc", false, std::move(done));
+        ringPass(ring_, bcastGates_, bytes, kBroadcastKernel,
+                 bcastLanes_, false, std::move(done));
         return;
     }
     auto pending = std::make_shared<int>(2);
@@ -280,10 +281,10 @@ NcclCommunicator::doBroadcast(sim::Bytes bytes, Callback done)
         if (--*pending == 0)
             done();
     };
-    ringPass(ring_, bcastGates_, bytes - half, "ncclBroadcastKernel",
-             "nccl.bc", false, half_done);
-    ringPass(ringRev_, bcastGatesRev_, half, "ncclBroadcastKernel",
-             "nccl.bcR", false, half_done);
+    ringPass(ring_, bcastGates_, bytes - half, kBroadcastKernel,
+             bcastLanes_, false, half_done);
+    ringPass(ringRev_, bcastGatesRev_, half, kBroadcastKernel,
+             bcastLanesRev_, false, half_done);
 }
 
 void
@@ -291,14 +292,12 @@ NcclCommunicator::doAllReduce(sim::Bytes bytes, Callback done)
 {
     if (ring_.size() == 1) {
         auto gate = localGate_;
-        profiling::CauseToken cause =
-            ctx_.profiler ? ctx_.profiler->currentCause() : nullptr;
-        (*gate)[0].acquire([this, gate, bytes, cause = std::move(cause),
+        const profiling::CauseToken cause =
+            profiling::currentCause(ctx_.profiler);
+        (*gate)[0].acquire([this, gate, bytes, cause,
                             done = std::move(done)]() mutable {
-            profiling::CauseScope scope(ctx_.profiler,
-                                        std::move(cause));
-            runKernel("ncclAllReduceKernel", ring_[0], bytes / 4.0,
-                      2.0 * bytes,
+            profiling::CauseScope scope(ctx_.profiler, cause);
+            runKernel(kAllReduceKernel, ring_[0], bytes / 4.0, 2.0 * bytes,
                       [gate, done = std::move(done)]() mutable {
                           (*gate)[0].release();
                           done();
@@ -328,8 +327,7 @@ NcclCommunicator::doAllReduce(sim::Bytes bytes, Callback done)
     state->totalSteps = 2 * (n - 1);
     state->shard = (bytes + n - 1) / n;
     state->done = std::move(done);
-    state->opCause =
-        ctx_.profiler ? ctx_.profiler->currentCause() : nullptr;
+    state->opCause = profiling::currentCause(ctx_.profiler);
 
     auto gate = allReduceGate_;
     // Weak self-reference for the same reason as ringPass's advance:
@@ -364,18 +362,12 @@ NcclCommunicator::doAllReduce(sim::Bytes bytes, Callback done)
                         // Each lock step waits for the whole previous
                         // step; its last kernel (or the issuing API
                         // for step 1) is the binding causal parent.
-                        std::vector<profiling::RecordId> deps;
-                        if (state->prevStep != profiling::kNoRecord) {
-                            deps.push_back(state->prevStep);
-                        } else {
-                            const profiling::RecordId cause =
-                                profiling::resolveCause(state->opCause);
-                            if (cause != profiling::kNoRecord)
-                                deps.push_back(cause);
-                        }
                         copy_id = ctx_.profiler->recordCopy(
-                            "NCCL", src, dst, state->shard, start,
-                            ctx_.queue->now(), wire, std::move(deps));
+                            kNcclCopy, src, dst, state->shard, start,
+                            ctx_.queue->now(), wire,
+                            {state->prevStep != profiling::kNoRecord
+                                 ? state->prevStep
+                                 : state->opCause.id()});
                     }
                     const double membytes =
                         (reduce_phase ? 3.0 : 2.0) *
@@ -392,17 +384,14 @@ NcclCommunicator::doAllReduce(sim::Bytes bytes, Callback done)
                             profiling::RecordId kid =
                                 profiling::kNoRecord;
                             if (ctx_.profiler) {
-                                std::vector<profiling::RecordId> deps;
-                                if (copy_id != profiling::kNoRecord)
-                                    deps.push_back(copy_id);
                                 // All-reduce steps serialize on the
                                 // collective-wide gate; each GPU sees
                                 // one kernel per step, so a per-GPU
                                 // lane is ordered.
                                 kid = ctx_.profiler->recordKernel(
-                                    "ncclAllReduceKernel", dst,
-                                    kstart, kstart + kdur, "nccl.ar",
-                                    std::move(deps));
+                                    kAllReduceKernel, dst, kstart,
+                                    kstart + kdur, kAllReduceLane,
+                                    {copy_id});
                             }
                             if (--state->pendingHops == 0) {
                                 // This kernel gates the next step
@@ -412,7 +401,7 @@ NcclCommunicator::doAllReduce(sim::Bytes bytes, Callback done)
                                     kid == profiling::kNoRecord
                                         ? nullptr
                                         : ctx_.profiler,
-                                    profiling::makeCause(kid));
+                                    profiling::CauseToken(kid));
                                 (*self)();
                             }
                         });

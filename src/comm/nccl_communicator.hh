@@ -106,15 +106,15 @@ class NcclCommunicator : public Communicator
     /**
      * Run a pipelined ring pass along @p path (path[k] sends to
      * path[k+1]) with a per-hop kernel named @p kernel_name, keeping
-     * chunk order with the persistent @p gates. @p lane names the
-     * gate set in profiler records (kernels within one lane+hop
-     * serialize on its gate).
+     * chunk order with the persistent @p gates. @p hop_lanes names
+     * the gate set's hops in profiler records (kernels within one
+     * lane+hop serialize on its gate); it must outlive the pass.
      */
     void ringPass(const std::vector<hw::NodeId> &path,
                   std::shared_ptr<std::vector<HopGate>> gates,
-                  sim::Bytes bytes, const std::string &kernel_name,
-                  const std::string &lane, bool accumulate,
-                  Callback done);
+                  sim::Bytes bytes, profiling::Name kernel_name,
+                  const std::vector<profiling::Name> &hop_lanes,
+                  bool accumulate, Callback done);
 
     /** Ring rotated so the root (gpus()[0]) is first. */
     std::vector<hw::NodeId> ring_;
@@ -128,6 +128,12 @@ class NcclCommunicator : public Communicator
     std::shared_ptr<std::vector<HopGate>> reduceGatesRev_;
     std::shared_ptr<std::vector<HopGate>> bcastGatesRev_;
     std::shared_ptr<std::vector<HopGate>> localGate_;
+    /** Profiler lanes "<gate set>.h<hop>" of the four ring gate sets
+     * above, interned once. */
+    std::vector<profiling::Name> reduceLanes_;
+    std::vector<profiling::Name> bcastLanes_;
+    std::vector<profiling::Name> reduceLanesRev_;
+    std::vector<profiling::Name> bcastLanesRev_;
     /** All-reduce collectives serialize on this gate (they occupy
      * every ring link in both step directions). */
     std::shared_ptr<std::vector<HopGate>> allReduceGate_;

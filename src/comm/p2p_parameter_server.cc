@@ -6,6 +6,13 @@
 
 namespace dgxsim::comm {
 
+namespace {
+
+const profiling::Name kPtoP("PtoP");
+const profiling::Name kGradAccumulate("gradAccumulate");
+
+} // namespace
+
 P2pParameterServer::P2pParameterServer(CommContext ctx, CommConfig cfg)
     : Communicator(std::move(ctx), cfg)
 {
@@ -13,7 +20,7 @@ P2pParameterServer::P2pParameterServer(CommContext ctx, CommConfig cfg)
 
 void
 P2pParameterServer::reduceLevel(sim::Bytes bytes, std::size_t stride,
-                                std::string lane, Callback done)
+                                profiling::Name lane, Callback done)
 {
     const std::size_t n = ctx_.gpus.size();
     if (stride >= n) {
@@ -29,23 +36,20 @@ P2pParameterServer::reduceLevel(sim::Bytes bytes, std::size_t stride,
     auto level_done = [this, bytes, stride, lane, pending,
                        done = std::move(done)]() mutable {
         if (--*pending == 0)
-            reduceLevel(bytes, stride * 2, std::move(lane),
-                        std::move(done));
+            reduceLevel(bytes, stride * 2, lane, std::move(done));
     };
 
     for (std::size_t i = 0; i + stride < n; i += 2 * stride)
         ++*pending;
     if (*pending == 0) {
-        reduceLevel(bytes, stride * 2, std::move(lane),
-                    std::move(done));
+        reduceLevel(bytes, stride * 2, lane, std::move(done));
         return;
     }
 
     // Ambient at this point: the issuing kvstore API for level 1, or
     // the previous level's last gradAccumulate kernel — either way
     // the causal parent of this level's copies.
-    profiling::CauseToken cause =
-        ctx_.profiler ? ctx_.profiler->currentCause() : nullptr;
+    const profiling::CauseToken cause = profiling::currentCause(ctx_.profiler);
     for (std::size_t i = 0; i + stride < n; i += 2 * stride) {
         const hw::NodeId dst = ctx_.gpus[i];
         const hw::NodeId src = ctx_.gpus[i + stride];
@@ -56,14 +60,9 @@ P2pParameterServer::reduceLevel(sim::Bytes bytes, std::size_t stride,
              level_done]() {
                 profiling::RecordId copy_id = profiling::kNoRecord;
                 if (ctx_.profiler) {
-                    std::vector<profiling::RecordId> deps;
-                    const profiling::RecordId c =
-                        profiling::resolveCause(cause);
-                    if (c != profiling::kNoRecord)
-                        deps.push_back(c);
                     copy_id = ctx_.profiler->recordCopy(
-                        "PtoP", src, dst, bytes, start,
-                        ctx_.queue->now(), 0, std::move(deps));
+                        kPtoP, src, dst, bytes, start,
+                        ctx_.queue->now(), 0, {cause.id()});
                 }
                 // Accumulate the received gradients into dst's buffer:
                 // read two arrays, write one (memory bound); the copy
@@ -71,8 +70,8 @@ P2pParameterServer::reduceLevel(sim::Bytes bytes, std::size_t stride,
                 profiling::CauseScope scope(
                     copy_id == profiling::kNoRecord ? nullptr
                                                     : ctx_.profiler,
-                    profiling::makeCause(copy_id));
-                runKernelOnLane("gradAccumulate", lane, dst,
+                    profiling::CauseToken(copy_id));
+                runKernelOnLane(kGradAccumulate, lane, dst,
                                 bytes / 4.0, 3.0 * bytes, level_done);
             });
     }
@@ -85,20 +84,18 @@ P2pParameterServer::doReduce(sim::Bytes bytes, Callback done)
         // Single GPU: gradients are already in place; no copies and
         // no extra kernels (the P2P baseline of Table II). Preserve
         // the issuing cause across the deferred completion.
-        profiling::CauseToken cause =
-            ctx_.profiler ? ctx_.profiler->currentCause() : nullptr;
         ctx_.queue->scheduleAfter(
-            0, [this, cause = std::move(cause),
+            0, [this, cause = profiling::currentCause(ctx_.profiler),
                 done = std::move(done)]() mutable {
-                profiling::CauseScope scope(ctx_.profiler,
-                                            std::move(cause));
+                profiling::CauseScope scope(ctx_.profiler, cause);
                 done();
             });
         return;
     }
     // Capture the per-chunk lane now: this is the synchronous part
     // of the dispatch, the only window where chunkLane() is valid.
-    reduceLevel(bytes, 1, chunkLane("comm"), std::move(done));
+    static const profiling::Name comm("comm");
+    reduceLevel(bytes, 1, chunkLane(comm), std::move(done));
 }
 
 void
@@ -106,13 +103,10 @@ P2pParameterServer::doBroadcast(sim::Bytes bytes, Callback done)
 {
     const std::size_t n = ctx_.gpus.size();
     if (n == 1) {
-        profiling::CauseToken cause =
-            ctx_.profiler ? ctx_.profiler->currentCause() : nullptr;
         ctx_.queue->scheduleAfter(
-            0, [this, cause = std::move(cause),
+            0, [this, cause = profiling::currentCause(ctx_.profiler),
                 done = std::move(done)]() mutable {
-                profiling::CauseScope scope(ctx_.profiler,
-                                            std::move(cause));
+                profiling::CauseScope scope(ctx_.profiler, cause);
                 done();
             });
         return;
@@ -127,8 +121,7 @@ P2pParameterServer::doBroadcast(sim::Bytes bytes, Callback done)
         if (--*pending == 0)
             done();
     };
-    profiling::CauseToken cause =
-        ctx_.profiler ? ctx_.profiler->currentCause() : nullptr;
+    const profiling::CauseToken cause = profiling::currentCause(ctx_.profiler);
     for (std::size_t i = 1; i < n; ++i) {
         const hw::NodeId src = ctx_.gpus[0];
         const hw::NodeId dst = ctx_.gpus[i];
@@ -139,21 +132,16 @@ P2pParameterServer::doBroadcast(sim::Bytes bytes, Callback done)
              fanout_done]() mutable {
                 profiling::RecordId copy_id = profiling::kNoRecord;
                 if (ctx_.profiler) {
-                    std::vector<profiling::RecordId> deps;
-                    const profiling::RecordId c =
-                        profiling::resolveCause(cause);
-                    if (c != profiling::kNoRecord)
-                        deps.push_back(c);
                     copy_id = ctx_.profiler->recordCopy(
-                        "PtoP", src, dst, bytes, start,
-                        ctx_.queue->now(), 0, std::move(deps));
+                        kPtoP, src, dst, bytes, start,
+                        ctx_.queue->now(), 0, {cause.id()});
                 }
                 // The barrier (and with it the broadcast completion)
                 // descends from the copy that released it.
                 profiling::CauseScope scope(
                     copy_id == profiling::kNoRecord ? nullptr
                                                     : ctx_.profiler,
-                    profiling::makeCause(copy_id));
+                    profiling::CauseToken(copy_id));
                 fanout_done();
             });
     }

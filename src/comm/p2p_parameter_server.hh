@@ -66,7 +66,7 @@ class P2pParameterServer : public Communicator
      * invariant.
      */
     void reduceLevel(sim::Bytes bytes, std::size_t stride,
-                     std::string lane, Callback done);
+                     profiling::Name lane, Callback done);
 };
 
 } // namespace dgxsim::comm

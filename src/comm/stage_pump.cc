@@ -2,6 +2,12 @@
 
 namespace dgxsim::comm {
 
+namespace {
+
+const profiling::Name kPtoP("PtoP");
+
+} // namespace
+
 StagePump::StagePump(sim::EventQueue &queue, hw::Fabric &fabric,
                      profiling::Profiler &prof, hw::NodeId src,
                      hw::NodeId dst, const CommConfig &cfg)
@@ -26,7 +32,7 @@ StagePump::send(sim::Bytes bytes, int priority,
         const sim::Tick start = queue_.now();
         fabric_.transfer(src_, dst_, 0,
                          [this, start, done = std::move(done)] {
-                             prof_.recordCopy("PtoP", src_, dst_, 0,
+                             prof_.recordCopy(kPtoP, src_, dst_, 0,
                                               start, queue_.now());
                              done();
                          });
@@ -45,7 +51,7 @@ StagePump::pump()
         const sim::Tick start = queue_.now();
         fabric_.transfer(src_, dst_, chunk.bytes,
                          [this, chunk, start] {
-                             prof_.recordCopy("PtoP", src_, dst_,
+                             prof_.recordCopy(kPtoP, src_, dst_,
                                               chunk.bytes, start,
                                               queue_.now());
                              if (sched_->finishChunk(chunk))

@@ -9,6 +9,12 @@
 
 namespace dgxsim::core {
 
+namespace {
+
+const profiling::Name kPtoP("PtoP");
+
+} // namespace
+
 AsyncTrainer::AsyncTrainer(TrainConfig cfg)
     : TrainerBase(std::move(cfg), std::nullopt)
 {
@@ -54,9 +60,9 @@ AsyncTrainer::workerIteration(std::size_t g)
 
     // Push: move the full gradient set to the server GPU; the update
     // applies as soon as it lands, regardless of the other workers.
+    static const profiling::Name peer_copy_api("cudaMemcpyPeerAsync");
     worker.call(
-        "cudaMemcpyPeerAsync",
-        sim::usToTicks(cfg_.commConfig.memcpyIssueUs),
+        peer_copy_api, sim::usToTicks(cfg_.commConfig.memcpyIssueUs),
         [this, g]() {
             const sim::Bytes bytes = net_.paramBytes();
             const sim::Tick start = machine_.queue().now();
@@ -64,7 +70,7 @@ AsyncTrainer::workerIteration(std::size_t g)
                 machine_.gpus()[g], machine_.gpus()[0], bytes,
                 [this, g, bytes, start]() {
                     machine_.profiler().recordCopy(
-                        "PtoP", machine_.gpus()[g], machine_.gpus()[0],
+                        kPtoP, machine_.gpus()[g], machine_.gpus()[0],
                         bytes, start, machine_.queue().now());
                     applyPush(g);
                 });
@@ -80,7 +86,8 @@ AsyncTrainer::applyPush(std::size_t g)
     const sim::Tick dur = cuda::kernelDuration(
         cfg_.gpuSpec,
         cuda::KernelCost{bytes / 2.0, 3.0 * bytes, false});
-    serverStream_->enqueueKernel("sgdUpdate", dur);
+    static const profiling::Name sgd_update("sgdUpdate");
+    serverStream_->enqueueKernel(sgd_update, dur);
     serverStream_->enqueueHostFn([this, g]() {
         ++version_;
         ++pushes_;
@@ -98,7 +105,7 @@ AsyncTrainer::applyPush(std::size_t g)
             machine_.gpus()[0], machine_.gpus()[g], bytes,
             [this, g, bytes, start]() {
                 machine_.profiler().recordCopy(
-                    "PtoP", machine_.gpus()[0], machine_.gpus()[g],
+                    kPtoP, machine_.gpus()[0], machine_.gpus()[g],
                     bytes, start, machine_.queue().now());
                 workerIteration(g);
             });

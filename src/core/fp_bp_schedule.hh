@@ -41,10 +41,11 @@ issueFpBp(cuda::HostThread &worker, cuda::Stream &stream,
           const LayerCostTable &costs, const TrainConfig &cfg,
           std::function<void(int)> on_gradient = {})
 {
+    static const profiling::Name launch_api("cudaLaunchKernel");
     const sim::Tick launch = sim::usToTicks(cfg.gpuSpec.launchOverheadUs);
 
     for (const LayerCost &cost : costs.layers) {
-        worker.call("cudaLaunchKernel", launch, [&stream, &cost]() {
+        worker.call(launch_api, launch, [&stream, &cost]() {
             stream.enqueueKernel(cost.fwdName, cost.fwdDuration);
         });
     }
@@ -58,8 +59,7 @@ issueFpBp(cuda::HostThread &worker, cuda::Stream &stream,
         const int marker =
             (cost.weighted && on_gradient) ? weighted_idx : -1;
         worker.call(
-            "cudaLaunchKernel",
-            static_cast<sim::Tick>(cost.bwdKernels) * launch,
+            launch_api, static_cast<sim::Tick>(cost.bwdKernels) * launch,
             [&stream, &cost, marker, on_gradient]() {
                 for (int k = 0; k < cost.bwdKernels; ++k)
                     stream.enqueueKernel(cost.bwdName,
@@ -85,6 +85,7 @@ issueFpBp(cuda::HostThread &worker, cuda::Stream &stream,
           const dnn::Network &net, const TrainConfig &cfg,
           std::function<void(int)> on_gradient = {})
 {
+    static const profiling::Name launch_api("cudaLaunchKernel");
     const hw::GpuSpec &spec = cfg.gpuSpec;
     const int batch = cfg.batchPerGpu;
     const sim::Tick launch = sim::usToTicks(spec.launchOverheadUs);
@@ -98,14 +99,12 @@ issueFpBp(cuda::HostThread &worker, cuda::Stream &stream,
                              layer.tensorEligible() &&
                                  cfg.useTensorCores,
                              layer.efficiencyScale()});
-        worker.call("cudaLaunchKernel", launch,
-                    [&stream, &layer, dur]() {
-                        stream.enqueueKernel(
-                            std::string(dnn::layerKindName(
-                                layer.kind())) +
-                                "_fwd",
-                            dur);
-                    });
+        worker.call(launch_api, launch, [&stream, &layer, dur]() {
+            stream.enqueueKernel(
+                profiling::Name(
+                    std::string(dnn::layerKindName(layer.kind())) + "_fwd"),
+                dur);
+        });
     }
 
     int weighted_total = net.weightedLayers();
@@ -127,16 +126,12 @@ issueFpBp(cuda::HostThread &worker, cuda::Stream &stream,
         const int marker =
             (weighted && on_gradient) ? weighted_idx : -1;
         worker.call(
-            "cudaLaunchKernel",
-            static_cast<sim::Tick>(kernels) * launch,
+            launch_api, static_cast<sim::Tick>(kernels) * launch,
             [&stream, &layer, dur, kernels, marker, on_gradient]() {
-                for (int k = 0; k < kernels; ++k) {
-                    stream.enqueueKernel(
-                        std::string(dnn::layerKindName(
-                            layer.kind())) +
-                            "_bwd",
-                        dur);
-                }
+                const profiling::Name name(
+                    std::string(dnn::layerKindName(layer.kind())) + "_bwd");
+                for (int k = 0; k < kernels; ++k)
+                    stream.enqueueKernel(name, dur);
                 if (marker >= 0) {
                     stream.enqueueHostFn(
                         [on_gradient, marker]() {

@@ -39,8 +39,8 @@ computeLayerCosts(const dnn::Network &net, const TrainConfig &cfg)
                              layer.efficiencyScale()});
         cost.weighted = layer.paramCount() > 0;
         const char *kind = dnn::layerKindName(layer.kind());
-        cost.fwdName = std::string(kind) + "_fwd";
-        cost.bwdName = std::string(kind) + "_bwd";
+        cost.fwdName = profiling::Name(std::string(kind) + "_fwd");
+        cost.bwdName = profiling::Name(std::string(kind) + "_bwd");
         table.layers.push_back(std::move(cost));
     }
     return table;

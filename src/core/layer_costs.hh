@@ -28,6 +28,7 @@
 
 #include "core/train_config.hh"
 #include "dnn/network.hh"
+#include "profiling/interner.hh"
 #include "sim/types.hh"
 
 namespace dgxsim::core {
@@ -39,8 +40,8 @@ struct LayerCost
     sim::Tick bwdDuration = 0; ///< duration of each backward kernel
     int bwdKernels = 1;        ///< backward kernel count
     bool weighted = false;     ///< layer has trainable parameters
-    std::string fwdName;       ///< "<kind>_fwd" profiler label
-    std::string bwdName;       ///< "<kind>_bwd" profiler label
+    profiling::Name fwdName;   ///< "<kind>_fwd" profiler label
+    profiling::Name bwdName;   ///< "<kind>_bwd" profiler label
 };
 
 /** One network's schedule costs under one configuration. */

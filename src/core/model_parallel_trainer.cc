@@ -8,6 +8,12 @@
 
 namespace dgxsim::core {
 
+namespace {
+
+const profiling::Name kPtoP("PtoP");
+
+} // namespace
+
 ModelParallelTrainer::ModelParallelTrainer(TrainConfig cfg,
                                            int microbatches)
     : TrainerBase(std::move(cfg), std::nullopt)
@@ -42,8 +48,10 @@ ModelParallelTrainer::init(int microbatches)
     }
     microbatchSize_ = global_batch / microbatches_;
     for (std::size_t g = 0; g < machine_.gpus().size(); ++g) {
-        streams_.push_back(
-            &machine_.addStream(g, "stage" + std::to_string(g)));
+        const std::string stage = "stage" + std::to_string(g);
+        streams_.push_back(&machine_.addStream(g, stage));
+        fwdLabels_.emplace_back(stage + "_fwd");
+        bwdLabels_.emplace_back(stage + "_bwd");
     }
     machine_.wireAuditor();
     partition();
@@ -126,8 +134,7 @@ void
 ModelParallelTrainer::forwardStage(int m, std::size_t s)
 {
     cuda::Stream &stream = *streams_[s];
-    stream.enqueueKernel("stage" + std::to_string(s) + "_fwd",
-                         stageKernelTicks(s, false));
+    stream.enqueueKernel(fwdLabels_[s], stageKernelTicks(s, false));
     stream.enqueueHostFn([this, m, s]() {
         if (s + 1 < stages_.size()) {
             const sim::Bytes bytes = boundaryBytes(s);
@@ -136,7 +143,7 @@ ModelParallelTrainer::forwardStage(int m, std::size_t s)
                 machine_.gpus()[s], machine_.gpus()[s + 1], bytes,
                 [this, m, s, bytes, start]() {
                     machine_.profiler().recordCopy(
-                        "PtoP", machine_.gpus()[s],
+                        kPtoP, machine_.gpus()[s],
                         machine_.gpus()[s + 1], bytes, start,
                         machine_.queue().now());
                     forwardStage(m, s + 1);
@@ -152,8 +159,7 @@ void
 ModelParallelTrainer::backwardStage(int m, std::size_t s)
 {
     cuda::Stream &stream = *streams_[s];
-    stream.enqueueKernel("stage" + std::to_string(s) + "_bwd",
-                         stageKernelTicks(s, true));
+    stream.enqueueKernel(bwdLabels_[s], stageKernelTicks(s, true));
     stream.enqueueHostFn([this, m, s]() {
         if (s > 0) {
             const sim::Bytes bytes = boundaryBytes(s - 1);
@@ -162,7 +168,7 @@ ModelParallelTrainer::backwardStage(int m, std::size_t s)
                 machine_.gpus()[s], machine_.gpus()[s - 1], bytes,
                 [this, m, s, bytes, start]() {
                     machine_.profiler().recordCopy(
-                        "PtoP", machine_.gpus()[s],
+                        kPtoP, machine_.gpus()[s],
                         machine_.gpus()[s - 1], bytes, start,
                         machine_.queue().now());
                     backwardStage(m, s - 1);
@@ -245,8 +251,7 @@ ModelParallelTrainer::tryAdvance(std::size_t s)
 void
 ModelParallelTrainer::enqueueFwd(std::size_t s, int m)
 {
-    streams_[s]->enqueueKernel("stage" + std::to_string(s) + "_fwd",
-                               stageKernelTicks(s, false));
+    streams_[s]->enqueueKernel(fwdLabels_[s], stageKernelTicks(s, false));
     streams_[s]->enqueueHostFn([this, s, m]() {
         StageState &st = states_[s];
         // The activation is live from here until the matching
@@ -279,8 +284,7 @@ ModelParallelTrainer::enqueueFwd(std::size_t s, int m)
 void
 ModelParallelTrainer::enqueueBwd(std::size_t s, int m)
 {
-    streams_[s]->enqueueKernel("stage" + std::to_string(s) + "_bwd",
-                               stageKernelTicks(s, true));
+    streams_[s]->enqueueKernel(bwdLabels_[s], stageKernelTicks(s, true));
     streams_[s]->enqueueHostFn([this, s, m]() {
         StageState &st = states_[s];
         --st.liveNow;
@@ -310,8 +314,9 @@ ModelParallelTrainer::enqueueSgdUpdate(std::size_t s)
     sim::Bytes params = 0;
     for (std::size_t l = stages_[s].first; l <= stages_[s].second; ++l)
         params += net_.layers()[l]->paramBytes();
+    static const profiling::Name sgd_update("sgdUpdate");
     streams_[s]->enqueueKernel(
-        "sgdUpdate",
+        sgd_update,
         cuda::kernelDuration(
             cfg_.gpuSpec,
             cuda::KernelCost{params / 2.0, 3.0 * params, false}));

@@ -128,6 +128,9 @@ class ModelParallelTrainer : public TrainerBase
     int microbatches_ = 0;
     int microbatchSize_ = 0;
     std::vector<cuda::Stream *> streams_;
+    /** Per-stage kernel labels "stage<s>_fwd" / "stage<s>_bwd". */
+    std::vector<profiling::Name> fwdLabels_;
+    std::vector<profiling::Name> bwdLabels_;
     /** [first, last] layer index per stage. */
     std::vector<std::pair<std::size_t, std::size_t>> stages_;
     int microbatchesDone_ = 0;

@@ -9,6 +9,22 @@
 
 namespace dgxsim::core {
 
+namespace {
+
+// Profiler labels, interned once.
+const profiling::Name kPeerCopyApi("cudaMemcpyPeerAsync");
+const profiling::Name kMemcpyApi("cudaMemcpyAsync");
+const profiling::Name kLaunchApi("cudaLaunchKernel");
+const profiling::Name kGroupApi("ncclGroupOps");
+const profiling::Name kDispatchApi("mxnetEngineDispatch");
+const profiling::Name kNcclAllReduceApi("ncclAllReduce");
+const profiling::Name kNcclReduceApi("ncclReduce");
+const profiling::Name kNcclBcastApi("ncclBcast");
+const profiling::Name kSgdUpdate("sgdUpdate");
+const profiling::Name kHtoD("HtoD");
+
+} // namespace
+
 Trainer::Trainer(TrainConfig cfg)
     : TrainerBase(std::move(cfg), std::nullopt)
 {
@@ -102,8 +118,7 @@ Trainer::issueWorker(std::size_t g)
     const sim::Bytes batch_bytes =
         static_cast<sim::Bytes>(batch) * net_.inputShape().bytes();
     const hw::NodeId gpu = machine_.gpus()[g];
-    worker.call("cudaMemcpyAsync",
-                sim::usToTicks(cfg_.commConfig.memcpyIssueUs),
+    worker.call(kMemcpyApi, sim::usToTicks(cfg_.commConfig.memcpyIssueUs),
                 [this, gpu, batch_bytes]() {
                     const sim::Tick start = machine_.queue().now();
                     hw::NodeId host = -1;
@@ -119,19 +134,14 @@ Trainer::issueWorker(std::size_t g)
                         return; // no host path modeled
                     // The issuing cudaMemcpyAsync record is the copy's
                     // causal parent (host->device issue edge).
-                    auto issue = machine_.profiler().currentCause();
+                    const profiling::CauseToken issue =
+                        machine_.profiler().currentCause();
                     machine_.fabric().transfer(
                         host, gpu, batch_bytes,
                         [this, gpu, batch_bytes, start, issue]() {
-                            std::vector<profiling::RecordId> deps;
-                            const profiling::RecordId id =
-                                profiling::resolveCause(issue);
-                            if (id != profiling::kNoRecord)
-                                deps.push_back(id);
                             machine_.profiler().recordCopy(
-                                "HtoD", -1, gpu, batch_bytes, start,
-                                machine_.queue().now(), 0,
-                                std::move(deps));
+                                kHtoD, -1, gpu, batch_bytes, start,
+                                machine_.queue().now(), 0, {issue.id()});
                         });
                 });
 
@@ -153,7 +163,7 @@ Trainer::issueWorker(std::size_t g)
     worker.waitStream(stream);
     worker.post([this, g]() { onWorkerBpDone(g); });
     worker.syncEvent(barrier_, sim::usToTicks(cfg_.syncEntryUs),
-                     "cudaStreamSynchronize");
+                     cuda::HostThread::streamSyncApi());
     worker.post([this, g]() { onWorkerIterationDone(g); });
 }
 
@@ -174,14 +184,13 @@ Trainer::startIteration(int index)
     // NCCL kvstore even on one GPU) — Table II's overhead driver.
     if (cfg_.method == comm::CommMethod::NCCL) {
         engineThread_->call(
-            "ncclGroupOps",
-            sim::usToTicks(cfg_.commConfig.ncclIterFixedUs));
+            kGroupApi, sim::usToTicks(cfg_.commConfig.ncclIterFixedUs));
     }
     // The framework engine prepares and dispatches each GPU's work
     // serially; with many GPUs and short iterations this host-side
     // cost stops amortizing (paper Sec. V-C).
     for (std::size_t g = 0; g < machine_.gpus().size(); ++g) {
-        engineThread_->call("mxnetEngineDispatch",
+        engineThread_->call(kDispatchApi,
                             sim::usToTicks(cfg_.engineDispatchUs),
                             [this, g]() { issueWorker(g); });
     }
@@ -203,8 +212,7 @@ Trainer::pushBucket(std::size_t bucket_idx)
     if (cfg_.useAllReduce) {
         // Fused collective + replicated local update: every GPU ends
         // up with the summed gradients and applies SGD itself.
-        const char *api =
-            nccl ? "ncclAllReduce" : "cudaMemcpyPeerAsync";
+        const profiling::Name api = nccl ? kNcclAllReduceApi : kPeerCopyApi;
         commThread_->call(
             api, comm_->perCallHostOverhead(),
             [this, bucket_idx, bytes]() {
@@ -218,7 +226,7 @@ Trainer::pushBucket(std::size_t bucket_idx)
             });
         return;
     }
-    const char *api = nccl ? "ncclReduce" : "cudaMemcpyPeerAsync";
+    const profiling::Name api = nccl ? kNcclReduceApi : kPeerCopyApi;
     commThread_->call(api, comm_->perCallHostOverhead(),
                       [this, bucket_idx, bytes]() {
                           comm_->reduce(bytes,
@@ -238,9 +246,9 @@ Trainer::onBucketReduced(std::size_t bucket_idx)
         cfg_.gpuSpec,
         cuda::KernelCost{bytes / 2.0, 3.0 * bytes, false});
     commThread_->call(
-        "cudaLaunchKernel", machine_.launchOverhead(),
+        kLaunchApi, machine_.launchOverhead(),
         [this, bucket_idx, dur]() {
-            updateStream_->enqueueKernel("sgdUpdate", dur);
+            updateStream_->enqueueKernel(kSgdUpdate, dur);
             if (cfg_.useAllReduce) {
                 // Replicated update: every GPU already holds the
                 // summed gradients; no broadcast follows.
@@ -250,10 +258,9 @@ Trainer::onBucketReduced(std::size_t bucket_idx)
                 return;
             }
             updateStream_->enqueueHostFn([this, bucket_idx]() {
-                const char *api =
-                    cfg_.method == comm::CommMethod::NCCL
-                        ? "ncclBcast"
-                        : "cudaMemcpyPeerAsync";
+                const profiling::Name api =
+                    cfg_.method == comm::CommMethod::NCCL ? kNcclBcastApi
+                                                          : kPeerCopyApi;
                 const sim::Bytes bytes = buckets_[bucket_idx].bytes;
                 // Broadcasts outrank every pending reduce: the
                 // weights they carry gate the iteration barrier,

@@ -6,55 +6,65 @@ namespace dgxsim::cuda {
 
 HostThread::HostThread(sim::EventQueue &queue,
                        profiling::Profiler *profiler, std::string name)
-    : queue_(queue), profiler_(profiler), name_(std::move(name))
+    : queue_(queue), profiler_(profiler), name_(name)
 {
 }
 
-void
-HostThread::captureEnqueueCause(Item &item) const
+profiling::Name
+HostThread::streamSyncApi()
 {
-    if (profiler_)
+    static const profiling::Name api("cudaStreamSynchronize");
+    return api;
+}
+
+profiling::Name
+HostThread::eventSyncApi()
+{
+    static const profiling::Name api("cudaEventSynchronize");
+    return api;
+}
+
+void
+HostThread::push(Item item)
+{
+    if (profiler_ && item.isApi)
         item.enqueueCause = profiler_->currentCause();
+    work_.push_back(std::move(item));
+    pump();
 }
 
 void
-HostThread::call(std::string api, sim::Tick overhead,
+HostThread::call(profiling::Name api, sim::Tick overhead,
                  std::function<void()> action)
 {
     Item item;
-    item.api = std::move(api);
+    item.api = api;
     item.overhead = overhead;
     item.action = std::move(action);
-    captureEnqueueCause(item);
-    work_.push_back(std::move(item));
-    pump();
+    push(std::move(item));
 }
 
 void
-HostThread::syncStream(Stream &stream, sim::Tick overhead, std::string api)
+HostThread::syncStream(Stream &stream, sim::Tick overhead, profiling::Name api)
 {
     Item item;
-    item.api = std::move(api);
+    item.api = api;
     item.overhead = overhead;
     item.stream = &stream;
     item.blocking = true;
-    captureEnqueueCause(item);
-    work_.push_back(std::move(item));
-    pump();
+    push(std::move(item));
 }
 
 void
 HostThread::syncEvent(std::shared_ptr<CudaEvent> event, sim::Tick overhead,
-                      std::string api)
+                      profiling::Name api)
 {
     Item item;
-    item.api = std::move(api);
+    item.api = api;
     item.overhead = overhead;
     item.event = std::move(event);
     item.blocking = true;
-    captureEnqueueCause(item);
-    work_.push_back(std::move(item));
-    pump();
+    push(std::move(item));
 }
 
 void
@@ -63,8 +73,7 @@ HostThread::post(std::function<void()> action)
     Item item;
     item.action = std::move(action);
     item.isApi = false;
-    work_.push_back(std::move(item));
-    pump();
+    push(std::move(item));
 }
 
 void
@@ -74,8 +83,7 @@ HostThread::waitStream(Stream &stream)
     item.stream = &stream;
     item.blocking = true;
     item.isApi = false;
-    work_.push_back(std::move(item));
-    pump();
+    push(std::move(item));
 }
 
 void
@@ -102,41 +110,23 @@ HostThread::continueThread()
 }
 
 void
-HostThread::finishControl()
-{
-    // Non-API items continue under the ambient cause of whoever
-    // resumed them (e.g. a drained stream's last kernel), so control
-    // chains like waitStream -> post propagate causality.
-    continueThread();
-}
-
-void
-HostThread::finishApi(std::string api, sim::Tick start, sim::Tick overhead,
-                      bool blocking,
-                      const profiling::CauseToken &enqueue_cause,
-                      const profiling::CauseToken &issue_token,
-                      std::vector<profiling::RecordId> end_deps)
+HostThread::finishApi(const profiling::CauseToken &issue_token,
+                      profiling::RecordId end_dep)
 {
     const sim::Tick end = queue_.now();
-    apiBusy_ += end - start;
+    apiBusy_ += end - curStart_;
     profiling::RecordId id = profiling::kNoRecord;
     if (profiler_) {
-        std::vector<profiling::RecordId> deps = std::move(end_deps);
-        if (lastApiId_ != profiling::kNoRecord)
-            deps.push_back(lastApiId_);
-        const profiling::RecordId enq =
-            profiling::resolveCause(enqueue_cause);
-        if (enq != profiling::kNoRecord)
-            deps.push_back(enq);
-        id = profiler_->recordApi(std::move(api), name_, start, end,
-                                  overhead, blocking, std::move(deps));
+        id = profiler_->recordApi(cur_.api, name_, curStart_, end,
+                                  cur_.overhead, cur_.blocking,
+                                  {curIssueDep_, end_dep, lastApiId_,
+                                   cur_.enqueueCause.id()});
         lastApiId_ = id;
-        if (issue_token)
-            *issue_token = id;
+        issue_token.bind(id);
     }
     profiling::CauseScope scope(id == profiling::kNoRecord ? nullptr
                                                            : profiler_,
-                                profiling::makeCause(id));
+                                profiling::CauseToken(id));
     continueThread();
 }
 
@@ -146,22 +136,27 @@ HostThread::pump()
     if (running_ || work_.empty())
         return;
     running_ = true;
-    Item item = std::move(work_.front());
+    cur_ = std::move(work_.front());
     work_.pop_front();
+    curStart_ = queue_.now();
 
-    const sim::Tick start = queue_.now();
-
-    if (!item.isApi) {
-        if (item.blocking && item.stream) {
+    // Every continuation below may run continueThread(), which can
+    // pump the next item into cur_: take what an item still needs out
+    // of cur_ before running it.
+    if (!cur_.isApi) {
+        // Non-API items continue under the ambient cause of whoever
+        // resumed them (e.g. a drained stream's last kernel), so
+        // control chains like waitStream -> post propagate causality.
+        if (cur_.blocking && cur_.stream) {
             // Engine-side dependency wait: blocks the thread but is
             // not a CUDA API call, so no API time is recorded.
-            item.stream->notifyDrained([this]() { finishControl(); });
+            cur_.stream->notifyDrained([this] { continueThread(); });
             return;
         }
         // Pure control action: zero simulated cost.
-        if (item.action)
-            item.action();
-        finishControl();
+        if (const std::function<void()> action = std::move(cur_.action))
+            action();
+        continueThread();
         return;
     }
 
@@ -169,65 +164,44 @@ HostThread::pump()
     // the kernel that drained the waitStream preceding a sync call)
     // determines the API's start time; record it as a dependency so
     // the analysis replay can move the start when that chain moves.
-    std::vector<profiling::RecordId> issue_deps;
-    if (profiler_) {
-        const profiling::RecordId c = profiler_->currentCauseId();
-        if (c != profiling::kNoRecord)
-            issue_deps.push_back(c);
-    }
+    curIssueDep_ =
+        profiler_ ? profiler_->currentCauseId() : profiling::kNoRecord;
 
-    if (!item.blocking) {
-        queue_.scheduleAfter(
-            item.overhead,
-            [this, start, api = std::move(item.api),
-             action = std::move(item.action),
-             overhead = item.overhead,
-             issue_deps = std::move(issue_deps),
-             enq = std::move(item.enqueueCause)]() mutable {
-                // Ops the action enqueues capture this token as their
-                // issue cause; it resolves once the record lands.
-                profiling::CauseToken token =
-                    profiling::makeCause(profiling::kNoRecord);
-                if (action) {
-                    profiling::CauseScope scope(profiler_, token);
-                    action();
-                }
-                finishApi(std::move(api), start, overhead, false, enq,
-                          token, std::move(issue_deps));
-            });
+    if (!cur_.blocking) {
+        queue_.scheduleAfter(cur_.overhead, [this] {
+            // Ops the action enqueues capture this token as their
+            // issue cause; it resolves once the record lands.
+            profiling::CauseToken token;
+            if (const std::function<void()> action = std::move(cur_.action)) {
+                if (profiler_)
+                    token = profiler_->lateCause();
+                profiling::CauseScope scope(profiler_, token);
+                action();
+            }
+            finishApi(token, profiling::kNoRecord);
+        });
         return;
     }
 
     // Blocking call: pay the fixed entry overhead, then stall until
     // the awaited object completes.
-    queue_.scheduleAfter(
-        item.overhead,
-        [this, start, api = std::move(item.api), stream = item.stream,
-         event = std::move(item.event), overhead = item.overhead,
-         issue_deps = std::move(issue_deps),
-         enq = std::move(item.enqueueCause)]() mutable {
-            auto resume = [this, start, api = std::move(api), overhead,
-                           deps = std::move(issue_deps),
-                           enq = std::move(enq)]() mutable {
-                // The ambient cause is whoever completed the awaited
-                // work — an end-dependency: it may end after this
-                // call started (that wait is the blocked time).
-                if (profiler_) {
-                    const profiling::RecordId c =
-                        profiler_->currentCauseId();
-                    if (c != profiling::kNoRecord)
-                        deps.push_back(c);
-                }
-                finishApi(std::move(api), start, overhead, true, enq,
-                          nullptr, std::move(deps));
-            };
-            if (stream)
-                stream->notifyDrained(std::move(resume));
-            else if (event)
-                event->onSignal(std::move(resume));
-            else
-                resume();
-        });
+    queue_.scheduleAfter(cur_.overhead, [this] {
+        const auto resume = [this] {
+            // The ambient cause is whoever completed the awaited
+            // work — an end-dependency: it may end after this call
+            // started (that wait is the blocked time).
+            finishApi({}, profiler_ ? profiler_->currentCauseId()
+                                    : profiling::kNoRecord);
+        };
+        if (Stream *stream = cur_.stream) {
+            stream->notifyDrained(resume);
+        } else if (const std::shared_ptr<CudaEvent> event =
+                       std::move(cur_.event)) {
+            event->onSignal(resume);
+        } else {
+            resume();
+        }
+    });
 }
 
 } // namespace dgxsim::cuda

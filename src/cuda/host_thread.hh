@@ -9,6 +9,10 @@
  * for a fixed overhead; blocking calls additionally stall it until
  * the awaited work completes, and the whole interval is recorded to
  * the profiler under the API's name, as nvprof does.
+ *
+ * A thread runs one item at a time and keeps it as a member, so the
+ * closures it hands to the event queue and to waiters capture only
+ * `this` and fit std::function's inline buffer.
  */
 
 #ifndef DGXSIM_CUDA_HOST_THREAD_HH
@@ -35,6 +39,10 @@ class HostThread
     HostThread(const HostThread &) = delete;
     HostThread &operator=(const HostThread &) = delete;
 
+    /** Default labels of syncStream() and syncEvent(). */
+    static profiling::Name streamSyncApi();
+    static profiling::Name eventSyncApi();
+
     /**
      * Enqueue a non-blocking API call.
      * @param api Profiler label, e.g. "cudaLaunchKernel".
@@ -42,7 +50,7 @@ class HostThread
      * @param action Runs when the call executes (e.g. pushes an op
      *               onto a stream).
      */
-    void call(std::string api, sim::Tick overhead,
+    void call(profiling::Name api, sim::Tick overhead,
               std::function<void()> action = {});
 
     /**
@@ -51,11 +59,11 @@ class HostThread
      * @p api time.
      */
     void syncStream(Stream &stream, sim::Tick overhead,
-                    std::string api = "cudaStreamSynchronize");
+                    profiling::Name api = streamSyncApi());
 
     /** Enqueue a blocking wait on an event (cudaEventSynchronize). */
     void syncEvent(std::shared_ptr<CudaEvent> event, sim::Tick overhead,
-                   std::string api = "cudaEventSynchronize");
+                   profiling::Name api = eventSyncApi());
 
     /** Enqueue a zero-cost control action (not an API call). */
     void post(std::function<void()> action);
@@ -76,13 +84,13 @@ class HostThread
     /** @return total time spent inside API calls. */
     sim::Tick apiBusyTicks() const { return apiBusy_; }
 
-    /** @return the thread's debug name. */
-    const std::string &name() const { return name_; }
+    /** @return the thread's debug name (its profiler lane). */
+    const std::string &name() const { return name_.str(); }
 
   private:
     struct Item
     {
-        std::string api;
+        profiling::Name api;
         sim::Tick overhead = 0;
         std::function<void()> action;
         Stream *stream = nullptr;
@@ -97,37 +105,40 @@ class HostThread
         profiling::CauseToken enqueueCause;
     };
 
+    /** Queue @p item, capturing the ambient cause for API calls, and
+     * pump. */
+    void push(Item item);
+
     void pump();
 
-    /** Capture the ambient cause into @p item (when profiled). */
-    void captureEnqueueCause(Item &item) const;
-
     /**
-     * Land an API record and continue the thread under its cause.
-     * @param overhead Fixed host-occupancy portion of the call.
-     * @param blocking Whether the call stalled on device work.
-     * @param enqueue_cause The item's enqueue-time cause.
-     * @param issue_token Late-bound token handed to the call's action;
-     *        filled with the new record id (may be null).
-     * @param end_deps Causes of the work a blocking call waited on
-     *        (they end when the call ends, not when it starts).
+     * The current API call finished: land its record and continue
+     * the thread under it.
+     * @param issue_token Late-bound token handed to the call's
+     *        action; bound to the new record id.
+     * @param end_dep Cause of the work a blocking call waited on (it
+     *        ends when the call ends, not when it starts).
      */
-    void finishApi(std::string api, sim::Tick start, sim::Tick overhead,
-                   bool blocking,
-                   const profiling::CauseToken &enqueue_cause,
-                   const profiling::CauseToken &issue_token,
-                   std::vector<profiling::RecordId> end_deps);
-
-    /** Continue after a non-API item (keeps the ambient cause). */
-    void finishControl();
+    void finishApi(const profiling::CauseToken &issue_token,
+                   profiling::RecordId end_dep);
 
     /** pump() again and fire idle waiters; caller sets the cause. */
     void continueThread();
 
     sim::EventQueue &queue_;
     profiling::Profiler *profiler_;
-    std::string name_;
+    profiling::Name name_;
     std::deque<Item> work_;
+    /** The item running (meaningful while running_). */
+    Item cur_;
+    /** When cur_ started. */
+    sim::Tick curStart_ = 0;
+    /**
+     * Whoever's completion let cur_ start executing (e.g. the kernel
+     * that drained the waitStream before a sync call): a start
+     * dependency of its API record.
+     */
+    profiling::RecordId curIssueDep_ = profiling::kNoRecord;
     bool running_ = false;
     sim::Tick apiBusy_ = 0;
     std::vector<std::function<void()>> idleWaiters_;

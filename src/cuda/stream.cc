@@ -6,58 +6,41 @@ namespace dgxsim::cuda {
 
 Stream::Stream(sim::EventQueue &queue, profiling::Profiler *profiler,
                int device_id, std::string name)
-    : queue_(queue), profiler_(profiler), deviceId_(device_id),
-      name_(std::move(name))
+    : queue_(queue), profiler_(profiler), deviceId_(device_id), name_(name)
 {
 }
 
 void
-Stream::captureIssueCause(Op &op) const
+Stream::push(Op op)
 {
-    if (profiler_)
+    if (profiler_ && (op.kind == OpKind::Kernel || op.kind == OpKind::Copy))
         op.issueCause = profiler_->currentCause();
-}
-
-std::vector<profiling::RecordId>
-Stream::takeDeps(const profiling::CauseToken &issue)
-{
-    std::vector<profiling::RecordId> deps;
-    if (lastRec_ != profiling::kNoRecord)
-        deps.push_back(lastRec_);
-    deps.insert(deps.end(), pendingDeps_.begin(), pendingDeps_.end());
-    pendingDeps_.clear();
-    const profiling::RecordId issued = profiling::resolveCause(issue);
-    if (issued != profiling::kNoRecord)
-        deps.push_back(issued);
-    return deps;
-}
-
-void
-Stream::enqueueKernel(std::string kernel_name, sim::Tick duration)
-{
-    Op op;
-    op.kind = OpKind::Kernel;
-    op.label = std::move(kernel_name);
-    op.duration = duration;
-    captureIssueCause(op);
     ops_.push_back(std::move(op));
     pump();
 }
 
 void
-Stream::enqueueCopy(hw::Fabric &fabric, std::string copy_kind,
+Stream::enqueueKernel(profiling::Name kernel_name, sim::Tick duration)
+{
+    Op op;
+    op.kind = OpKind::Kernel;
+    op.label = kernel_name;
+    op.duration = duration;
+    push(std::move(op));
+}
+
+void
+Stream::enqueueCopy(hw::Fabric &fabric, profiling::Name copy_kind,
                     hw::NodeId src, hw::NodeId dst, sim::Bytes bytes)
 {
     Op op;
     op.kind = OpKind::Copy;
-    op.label = std::move(copy_kind);
+    op.label = copy_kind;
     op.fabric = &fabric;
     op.src = src;
     op.dst = dst;
     op.bytes = bytes;
-    captureIssueCause(op);
-    ops_.push_back(std::move(op));
-    pump();
+    push(std::move(op));
 }
 
 void
@@ -66,8 +49,7 @@ Stream::enqueueWait(std::shared_ptr<CudaEvent> event)
     Op op;
     op.kind = OpKind::Wait;
     op.event = std::move(event);
-    ops_.push_back(std::move(op));
-    pump();
+    push(std::move(op));
 }
 
 void
@@ -76,8 +58,7 @@ Stream::enqueueSignal(std::shared_ptr<CudaEvent> event)
     Op op;
     op.kind = OpKind::Signal;
     op.event = std::move(event);
-    ops_.push_back(std::move(op));
-    pump();
+    push(std::move(op));
 }
 
 void
@@ -86,8 +67,7 @@ Stream::enqueueHostFn(std::function<void()> fn)
     Op op;
     op.kind = OpKind::HostFn;
     op.fn = std::move(fn);
-    ops_.push_back(std::move(op));
-    pump();
+    push(std::move(op));
 }
 
 void
@@ -117,91 +97,80 @@ Stream::pump()
     if (running_ || ops_.empty())
         return;
     running_ = true;
-    Op op = std::move(ops_.front());
+    cur_ = std::move(ops_.front());
     ops_.pop_front();
+    curStart_ = queue_.now();
 
-    switch (op.kind) {
-      case OpKind::Kernel: {
-        const sim::Tick start = queue_.now();
-        const sim::Tick dur = op.duration;
-        kernelBusy_ += dur;
-        queue_.scheduleAfter(dur, [this, start, dur,
-                                   label = std::move(op.label),
-                                   issue = std::move(op.issueCause)] {
-            if (profiler_) {
-                lastRec_ =
-                    profiler_->recordKernel(label, deviceId_, start,
-                                            start + dur, name_,
-                                            takeDeps(issue));
-                profiling::CauseScope scope(profiler_,
-                                            profiling::makeCause(lastRec_));
-                opDone();
-                return;
-            }
-            opDone();
-        });
+    // Every callback below may run opDone(), which can pump the next
+    // op into cur_: take what an op still needs out of cur_ first.
+    switch (cur_.kind) {
+      case OpKind::Kernel:
+        kernelBusy_ += cur_.duration;
+        queue_.scheduleAfter(cur_.duration, [this] { landOp(); });
         break;
-      }
-      case OpKind::Copy: {
-        const sim::Tick start = queue_.now();
-        auto *prof = profiler_;
-        const int dev = deviceId_;
-        op.fabric->transfer(
-            op.src, op.dst, op.bytes,
-            [this, prof, dev, start, label = std::move(op.label),
-             src = op.src, dst = op.dst, bytes = op.bytes,
-             issue = std::move(op.issueCause)] {
-                (void)dev;
-                if (prof) {
-                    lastRec_ = prof->recordCopy(label, src, dst, bytes,
-                                                start, queue_.now(), 0,
-                                                takeDeps(issue));
-                    profiling::CauseScope scope(
-                        prof, profiling::makeCause(lastRec_));
-                    opDone();
-                    return;
-                }
-                opDone();
-            });
+      case OpKind::Copy:
+        cur_.fabric->transfer(cur_.src, cur_.dst, cur_.bytes,
+                              [this] { landOp(); });
         break;
-      }
       case OpKind::Wait: {
-        op.event->onSignal([this] {
+        const std::shared_ptr<CudaEvent> event = std::move(cur_.event);
+        event->onSignal([this] {
             // Remember who satisfied the wait; the next record on
             // this stream picks it up as an event-wait edge.
-            if (profiler_) {
-                const profiling::RecordId cause =
-                    profiler_->currentCauseId();
-                if (cause != profiling::kNoRecord)
-                    pendingDeps_.push_back(cause);
-            }
+            if (profiler_)
+                pendingDeps_.push_back(profiler_->currentCauseId());
             opDone();
         });
         break;
       }
       case OpKind::Signal: {
+        const std::shared_ptr<CudaEvent> event = std::move(cur_.event);
         // Waiters run synchronously under this stream's last record
         // as ambient cause, so cross-stream event edges resolve.
         {
             profiling::CauseScope scope(
                 lastRec_ == profiling::kNoRecord ? nullptr : profiler_,
-                profiling::makeCause(lastRec_));
-            op.event->signal();
+                profiling::CauseToken(lastRec_));
+            event->signal();
         }
         opDone();
         break;
       }
       case OpKind::HostFn: {
-        if (op.fn) {
+        const std::function<void()> fn = std::move(cur_.fn);
+        if (fn) {
             profiling::CauseScope scope(
                 lastRec_ == profiling::kNoRecord ? nullptr : profiler_,
-                profiling::makeCause(lastRec_));
-            op.fn();
+                profiling::CauseToken(lastRec_));
+            fn();
         }
         opDone();
         break;
       }
     }
+}
+
+void
+Stream::landOp()
+{
+    if (!profiler_) {
+        opDone();
+        return;
+    }
+    pendingDeps_.push_back(lastRec_);
+    pendingDeps_.push_back(cur_.issueCause.id());
+    lastRec_ = cur_.kind == OpKind::Kernel
+                   ? profiler_->recordKernel(cur_.label, deviceId_,
+                                             curStart_,
+                                             curStart_ + cur_.duration,
+                                             name_, pendingDeps_)
+                   : profiler_->recordCopy(cur_.label, cur_.src,
+                                           cur_.dst, cur_.bytes,
+                                           curStart_, queue_.now(), 0,
+                                           pendingDeps_);
+    pendingDeps_.clear();
+    profiling::CauseScope scope(profiler_, profiling::CauseToken(lastRec_));
+    opDone();
 }
 
 void

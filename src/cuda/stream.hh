@@ -3,6 +3,10 @@
  * An in-order CUDA stream. Ops (kernels, DMA copies, event waits and
  * signals, host callbacks) execute strictly in enqueue order; distinct
  * streams proceed concurrently, as on real hardware.
+ *
+ * A stream runs one op at a time and keeps it as a member, so the
+ * closures it hands to the event queue, the fabric and event waiters
+ * capture only `this` and fit std::function's inline buffer.
  */
 
 #ifndef DGXSIM_CUDA_STREAM_HH
@@ -37,14 +41,14 @@ class Stream
     Stream &operator=(const Stream &) = delete;
 
     /** Append a kernel of a precomputed duration. */
-    void enqueueKernel(std::string kernel_name, sim::Tick duration);
+    void enqueueKernel(profiling::Name kernel_name, sim::Tick duration);
 
     /**
      * Append a DMA copy. The copy occupies the stream until the last
      * byte lands (matching cudaMemcpyPeerAsync on the stream).
      * @param copy_kind Profiler label, e.g. "PtoP", "DtoH".
      */
-    void enqueueCopy(hw::Fabric &fabric, std::string copy_kind,
+    void enqueueCopy(hw::Fabric &fabric, profiling::Name copy_kind,
                      hw::NodeId src, hw::NodeId dst, sim::Bytes bytes);
 
     /** Append a wait: the stream stalls until @p event signals. */
@@ -68,8 +72,8 @@ class Stream
     /** @return total kernel-execution time on this stream. */
     sim::Tick kernelBusyTicks() const { return kernelBusy_; }
 
-    /** @return the debug label. */
-    const std::string &name() const { return name_; }
+    /** @return the debug label (the kernels' profiler lane). */
+    const std::string &name() const { return name_.str(); }
 
     /** @return the owning device id. */
     int deviceId() const { return deviceId_; }
@@ -79,8 +83,8 @@ class Stream
 
     struct Op
     {
-        OpKind kind;
-        std::string label;
+        OpKind kind = OpKind::Kernel;
+        profiling::Name label;
         sim::Tick duration = 0;
         hw::Fabric *fabric = nullptr;
         hw::NodeId src = -1;
@@ -96,36 +100,43 @@ class Stream
         profiling::CauseToken issueCause;
     };
 
+    /** Queue @p op, capturing the ambient cause for kernels and
+     * copies, and pump. */
+    void push(Op op);
+
     /** Start the next op if the stream is idle. */
     void pump();
+
+    /**
+     * The running kernel or copy landed: record it with its causal
+     * edges (stream program order, event-wait causes accumulated
+     * since, the op's own issue edge) and continue under it.
+     */
+    void landOp();
 
     /** Finish the current op and continue. */
     void opDone();
 
     void checkDrained();
 
-    /** Capture the ambient cause into @p op (when profiled). */
-    void captureIssueCause(Op &op) const;
-
-    /**
-     * Assemble the causal edges of the op that is about to record:
-     * stream program order (previous record), any event-wait causes
-     * accumulated since, and the op's own issue edge.
-     */
-    std::vector<profiling::RecordId>
-    takeDeps(const profiling::CauseToken &issue);
-
     sim::EventQueue &queue_;
     profiling::Profiler *profiler_;
     int deviceId_;
-    std::string name_;
+    profiling::Name name_;
     std::deque<Op> ops_;
+    /** The op running (meaningful while running_). */
+    Op cur_;
+    /** When cur_ started. */
+    sim::Tick curStart_ = 0;
     bool running_ = false;
     sim::Tick kernelBusy_ = 0;
     std::vector<std::function<void()>> drainWaiters_;
     /** Last record landed by this stream (program-order edge). */
     profiling::RecordId lastRec_ = profiling::kNoRecord;
-    /** Causes of satisfied event waits, consumed by the next record. */
+    /**
+     * Causes of satisfied event waits, consumed by the next record
+     * (which appends its other deps here while landing).
+     */
     std::vector<profiling::RecordId> pendingDeps_;
 };
 

@@ -97,17 +97,21 @@ Fabric::linkBytesMoved(std::size_t link_index) const
 }
 
 void
-Fabric::runLegs(Route route, std::size_t leg, sim::Bytes bytes,
-                sim::Tick start, Callback done)
+Fabric::runLeg(std::uint32_t slot)
 {
+    Transfer &t = transfers_[slot];
+    const Route &route = t.route;
+    const std::size_t leg = t.leg++;
     if (leg >= route.legs.size()) {
         if (auditor_) {
-            auditor_->expect(queue_.now() >= start, queue_.now(),
+            auditor_->expect(queue_.now() >= t.start, queue_.now(),
                              "transfer ",
                              topo_.nodeLabel(route.legs.front().from),
                              "->", topo_.nodeLabel(route.legs.back().to),
                              " ends before it starts");
         }
+        const Callback done = std::move(t.done);
+        freeTransfers_.push_back(slot);
         if (done)
             done();
         return;
@@ -125,14 +129,8 @@ Fabric::runLegs(Route route, std::size_t leg, sim::Bytes bytes,
                topo_.nodeKind(hop.from) == NodeKind::Cpu) {
         latency += sim::usToTicks(host_.stagingOverheadUs);
     }
-    flows_.startFlow(
-        bytes, {channelFor(hop.linkIndex, hop.from)},
-        [this, route = std::move(route), leg, bytes, start,
-         done = std::move(done)]() mutable {
-            runLegs(std::move(route), leg + 1, bytes, start,
-                    std::move(done));
-        },
-        latency);
+    flows_.startFlow(t.bytes, {channelFor(hop.linkIndex, hop.from)},
+                     [this, slot] { runLeg(slot); }, latency);
 }
 
 void
@@ -144,7 +142,21 @@ Fabric::transfer(NodeId src, NodeId dst, sim::Bytes bytes, Callback done)
             done();
         return;
     }
-    runLegs(route, 0, bytes, queue_.now(), std::move(done));
+    std::uint32_t slot;
+    if (freeTransfers_.empty()) {
+        slot = static_cast<std::uint32_t>(transfers_.size());
+        transfers_.emplace_back();
+    } else {
+        slot = freeTransfers_.back();
+        freeTransfers_.pop_back();
+    }
+    Transfer &t = transfers_[slot];
+    t.route = route;
+    t.leg = 0;
+    t.bytes = bytes;
+    t.start = queue_.now();
+    t.done = std::move(done);
+    runLeg(slot);
 }
 
 } // namespace dgxsim::hw

@@ -11,6 +11,7 @@
 #ifndef DGXSIM_HW_FABRIC_HH
 #define DGXSIM_HW_FABRIC_HH
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -87,12 +88,23 @@ class Fabric
     sim::FlowNetwork::ChannelId channelFor(std::size_t link,
                                            NodeId from) const;
 
+    /** One transfer in flight: its own route copy and progress. */
+    struct Transfer
+    {
+        Route route;
+        /** The leg to issue next. */
+        std::size_t leg = 0;
+        sim::Bytes bytes = 0;
+        sim::Tick start = 0;
+        Callback done;
+    };
+
     /**
-     * Issue route legs sequentially starting at @p leg; the transfer
-     * began at tick @p start.
+     * Issue transfer @p slot's next leg, or finish it after its last.
+     * Slots are held by index: a completion may start a transfer that
+     * grows the pool.
      */
-    void runLegs(Route route, std::size_t leg, sim::Bytes bytes,
-                 sim::Tick start, Callback done);
+    void runLeg(std::uint32_t slot);
 
     sim::EventQueue &queue_;
     Topology topo_;
@@ -100,6 +112,10 @@ class Fabric
     sim::FlowNetwork flows_;
     /** Per link: channel a->b then b->a. */
     std::vector<std::array<sim::FlowNetwork::ChannelId, 2>> chans_;
+    /** Transfer slots, recycled through freeTransfers_ so a route
+     * copy reuses its slot's leg storage. */
+    std::vector<Transfer> transfers_;
+    std::vector<std::uint32_t> freeTransfers_;
     sim::Auditor *auditor_ = nullptr;
     /** Auditor created by enableAudit() when none was provided. */
     std::unique_ptr<sim::Auditor> ownedAuditor_;

@@ -127,14 +127,6 @@ fnvBytes(std::uint64_t &h, const void *data, std::size_t len)
     }
 }
 
-void
-fnvString(std::uint64_t &h, const std::string &s)
-{
-    fnvBytes(h, s.data(), s.size());
-    const char sep = '\0';
-    fnvBytes(h, &sep, 1);
-}
-
 template <typename T>
 void
 fnvValue(std::uint64_t &h, T v)
@@ -150,22 +142,22 @@ Profiler::digest() const
     std::uint64_t h = kFnvOffset;
     fnvValue(h, kernels_.size());
     for (const KernelRecord &k : kernels_) {
-        fnvString(h, k.name);
-        fnvString(h, k.stream);
+        h = k.name.fold(h);
+        h = k.stream.fold(h);
         fnvValue(h, k.device);
         fnvValue(h, k.start);
         fnvValue(h, k.end);
     }
     fnvValue(h, apis_.size());
     for (const ApiRecord &a : apis_) {
-        fnvString(h, a.name);
-        fnvString(h, a.thread);
+        h = a.name.fold(h);
+        h = a.thread.fold(h);
         fnvValue(h, a.start);
         fnvValue(h, a.end);
     }
     fnvValue(h, copies_.size());
     for (const CopyRecord &c : copies_) {
-        fnvString(h, c.kind);
+        h = c.kind.fold(h);
         fnvValue(h, c.src);
         fnvValue(h, c.dst);
         fnvValue(h, c.bytes);
@@ -353,12 +345,7 @@ Profiler::chromeTrace() const
     const RecordId hi = lo + static_cast<RecordId>(recordCount());
     for (RecordId id = lo; id < hi; ++id) {
         const TracePos to = locate(id);
-        const RecordRef &ref = recordRef(id);
-        const std::vector<RecordId> &deps =
-            ref.kind == RecordKind::Kernel ? kernels_[ref.index].deps
-            : ref.kind == RecordKind::Api ? apis_[ref.index].deps
-                                          : copies_[ref.index].deps;
-        for (RecordId dep : deps) {
+        for (RecordId dep : deps(id)) {
             const TracePos from = locate(dep);
             if (from.pid == to.pid && from.tid == to.tid)
                 continue;

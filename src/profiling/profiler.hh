@@ -20,24 +20,36 @@
  *    around the callback, so anything the callback enqueues (or any
  *    record it lands) can pick the cause up with currentCause().
  *
- * A CauseToken is a late-bound record id: HostThread pushes a token
- * *before* running an API's action and fills it when the API record
- * lands, which is how ops enqueued by the action acquire their
- * host->device issue edge. Ids, deps and the cause machinery are NOT
- * folded into digest() — the determinism contract and the committed
- * baselines predate them.
+ * A CauseToken is a 16-byte value: a record id known up front, or a
+ * pointer to a late-bound slot. HostThread takes a slot from
+ * lateCause() *before* running an API's action and binds it when the
+ * API record lands, which is how ops enqueued by the action acquire
+ * their host->device issue edge. Slots live in a per-Profiler deque
+ * (stable addresses) that clear() keeps, so a token captured before a
+ * clear() still reads its slot.
+ *
+ * Deps live in one flat array per Profiler: each record's RecordRef
+ * holds (begin, count) into it, and deps(id) returns the span. The
+ * record path allocates only when that array, the record vectors or
+ * the slot deque grow.
+ *
+ * Ids, deps and the cause machinery are NOT folded into digest() —
+ * the determinism contract and the committed baselines predate them.
+ * The digest folds each label through its interned fold table
+ * (interner.hh), equal to byte-serial FNV-1a.
  */
 
 #ifndef DGXSIM_PROFILING_PROFILER_HH
 #define DGXSIM_PROFILING_PROFILER_HH
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <initializer_list>
 #include <map>
-#include <memory>
+#include <span>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 #include "profiling/interner.hh"
@@ -56,25 +68,52 @@ constexpr RecordId kNoRecord = -1;
 constexpr sim::Tick kUnknownOverhead = ~sim::Tick{0};
 
 /**
- * A late-bound reference to a record. Sites that know the id up front
- * wrap it with makeCause(); HostThread hands out unfilled tokens and
- * writes the id once the API record lands.
+ * A reference to a record: an id known up front, or a late-bound slot
+ * from Profiler::lateCause() that bind() fills once the record lands.
+ * Copies of a late-bound token share its slot. The default (null)
+ * token resolves to kNoRecord.
  */
-using CauseToken = std::shared_ptr<RecordId>;
-
-/** @return a token already resolved to @p id. */
-inline CauseToken
-makeCause(RecordId id)
+class CauseToken
 {
-    return std::make_shared<RecordId>(id);
-}
+  public:
+    CauseToken() = default;
+    /** The null token, so callers can pass `nullptr` for no cause. */
+    CauseToken(std::nullptr_t) {}
+    explicit CauseToken(RecordId id) : id_(id) {}
 
-/** @return the id a token resolves to, or kNoRecord. */
-inline RecordId
-resolveCause(const CauseToken &token)
+    /** @return the id this token resolves to, or kNoRecord. */
+    RecordId id() const { return slot_ ? *slot_ : id_; }
+
+    /** Fill a late-bound token's slot (no-op on other tokens). */
+    void
+    bind(RecordId id) const
+    {
+        if (slot_)
+            *slot_ = id;
+    }
+
+  private:
+    friend class Profiler;
+    explicit CauseToken(RecordId *slot) : slot_(slot) {}
+
+    RecordId *slot_ = nullptr;
+    RecordId id_ = kNoRecord;
+};
+
+/**
+ * A view of the causal predecessors handed to a record call: a braced
+ * list or a vector of ids. The profiler drops kNoRecord and stale ids,
+ * then sorts and deduplicates the rest.
+ */
+class Deps : public std::span<const RecordId>
 {
-    return token ? *token : kNoRecord;
-}
+  public:
+    Deps() = default;
+    Deps(std::initializer_list<RecordId> ids) : span(ids.begin(), ids.size())
+    {
+    }
+    Deps(const std::vector<RecordId> &ids) : span(ids) {}
+};
 
 /** Which record vector an id points into. */
 enum class RecordKind
@@ -84,11 +123,15 @@ enum class RecordKind
     Copy,
 };
 
-/** Locator of one record: which vector, which index. */
+/** Locator of one record: which vector, which index, which deps. */
 struct RecordRef
 {
     RecordKind kind = RecordKind::Kernel;
     std::uint32_t index = 0;
+    /** The record's deps: [depBegin, depBegin + depCount) of the
+     * profiler's flat dep array. */
+    std::uint32_t depBegin = 0;
+    std::uint32_t depCount = 0;
 };
 
 /** One executed GPU kernel. */
@@ -109,8 +152,6 @@ struct KernelRecord
     Name stream;
     /** Stable id (not folded into the digest). */
     RecordId id = kNoRecord;
-    /** Causal predecessors (record ids), deduplicated. */
-    std::vector<RecordId> deps;
 
     sim::Tick duration() const { return end - start; }
 };
@@ -130,16 +171,15 @@ struct ApiRecord
      * case consumers treat the full duration as overhead.
      */
     sim::Tick overhead = kUnknownOverhead;
-    /** True for calls that stall until awaited device work lands. */
+    /**
+     * True for calls that stall until awaited device work lands. Their
+     * deps may END after the call STARTS (the call waited on them);
+     * analysis splits them into start- and end-dependencies by
+     * timestamp.
+     */
     bool blocking = false;
     /** Stable id (not folded into the digest). */
     RecordId id = kNoRecord;
-    /**
-     * Causal predecessors. For a blocking call these may END after
-     * the call STARTS (the call waited on them); analysis splits
-     * them into start- and end-dependencies by timestamp.
-     */
-    std::vector<RecordId> deps;
 
     sim::Tick duration() const { return end - start; }
 
@@ -171,8 +211,6 @@ struct CopyRecord
     sim::Bytes wireBytes = 0;
     /** Stable id (not folded into the digest). */
     RecordId id = kNoRecord;
-    /** Causal predecessors (record ids), deduplicated. */
-    std::vector<RecordId> deps;
 
     sim::Tick duration() const { return end - start; }
 };
@@ -202,23 +240,18 @@ class Profiler
   public:
     /**
      * Record a kernel. @p stream names the serialized lane that
-     * issued it (see KernelRecord::stream); pass "" when unknown.
+     * issued it (see KernelRecord::stream); empty when unknown.
      * @return the new record's id.
      */
     RecordId
-    recordKernel(std::string_view name, int device, sim::Tick start,
-                 sim::Tick end, std::string_view stream = {},
-                 std::vector<RecordId> deps = {})
+    recordKernel(Name name, int device, sim::Tick start, sim::Tick end,
+                 Name stream = {}, Deps deps = {})
     {
-        const Name n(name);
-        const Name lane(stream);
         if (auditor_)
-            auditor_->onKernelRecord(device, lane.str(), start, end);
+            auditor_->onKernelRecord(device, stream.str(), start, end);
         const RecordId id = nextId();
-        kernels_.push_back({n, device, start, end, lane, id,
-                            normalizeDeps(std::move(deps), id)});
-        refs_.push_back({RecordKind::Kernel,
-                         static_cast<std::uint32_t>(kernels_.size() - 1)});
+        kernels_.push_back({name, device, start, end, stream, id});
+        land(RecordKind::Kernel, kernels_.size() - 1, deps);
         return id;
     }
 
@@ -229,20 +262,16 @@ class Profiler
      * @p start. @return the new record's id.
      */
     RecordId
-    recordApi(std::string_view name, std::string_view thread,
-              sim::Tick start, sim::Tick end,
+    recordApi(Name name, Name thread, sim::Tick start, sim::Tick end,
               sim::Tick overhead = kUnknownOverhead,
-              bool blocking = false, std::vector<RecordId> deps = {})
+              bool blocking = false, Deps deps = {})
     {
-        const Name n(name);
-        const Name host(thread);
         if (auditor_)
-            auditor_->onApiRecord(host.str(), start, end);
+            auditor_->onApiRecord(thread.str(), start, end);
         const RecordId id = nextId();
-        apis_.push_back({n, host, start, end, overhead, blocking, id,
-                         normalizeDeps(std::move(deps), id)});
-        refs_.push_back({RecordKind::Api,
-                         static_cast<std::uint32_t>(apis_.size() - 1)});
+        apis_.push_back(
+            {name, thread, start, end, overhead, blocking, id});
+        land(RecordKind::Api, apis_.size() - 1, deps);
         return id;
     }
 
@@ -252,19 +281,16 @@ class Profiler
      * @return the new record's id.
      */
     RecordId
-    recordCopy(std::string_view kind, int src, int dst, sim::Bytes bytes,
+    recordCopy(Name kind, int src, int dst, sim::Bytes bytes,
                sim::Tick start, sim::Tick end, sim::Bytes wire_bytes = 0,
-               std::vector<RecordId> deps = {})
+               Deps deps = {})
     {
-        const Name route(kind);
         const sim::Bytes wire = wire_bytes ? wire_bytes : bytes;
         if (auditor_)
             auditor_->onCopyRecord(start, end, bytes, wire);
         const RecordId id = nextId();
-        copies_.push_back({route, src, dst, bytes, start, end, wire, id,
-                           normalizeDeps(std::move(deps), id)});
-        refs_.push_back({RecordKind::Copy,
-                         static_cast<std::uint32_t>(copies_.size() - 1)});
+        copies_.push_back({kind, src, dst, bytes, start, end, wire, id});
+        land(RecordKind::Copy, copies_.size() - 1, deps);
         return id;
     }
 
@@ -283,20 +309,35 @@ class Profiler
         return refs_[static_cast<std::size_t>(id - baseId_)];
     }
 
+    /** @return record @p id's causal predecessors, sorted (in range). */
+    std::span<const RecordId>
+    deps(RecordId id) const
+    {
+        const RecordRef &ref = recordRef(id);
+        return {deps_.data() + ref.depBegin, ref.depCount};
+    }
+
     // --- ambient cause scope (see file comment) ---
 
-    /** @return the innermost active cause token, or null. */
+    /** @return the innermost active cause token, or a null token. */
     CauseToken
     currentCause() const
     {
-        return causes_.empty() ? nullptr : causes_.back();
+        return causes_.empty() ? CauseToken() : causes_.back();
     }
 
     /** @return currentCause() resolved to an id (or kNoRecord). */
-    RecordId currentCauseId() const { return resolveCause(currentCause()); }
+    RecordId currentCauseId() const { return currentCause().id(); }
 
-    void pushCause(CauseToken token) { causes_.push_back(std::move(token)); }
+    void pushCause(CauseToken token) { causes_.push_back(token); }
     void popCause() { causes_.pop_back(); }
+
+    /** @return a fresh late-bound token (see the file comment). */
+    CauseToken
+    lateCause()
+    {
+        return CauseToken(&slots_.emplace_back(kNoRecord));
+    }
 
     /** Kernel time grouped by kernel name. */
     std::vector<SummaryRow> kernelSummary() const;
@@ -319,7 +360,11 @@ class Profiler
     /** Total on-wire bytes copied, optionally filtered by copy kind. */
     sim::Bytes copiedWireBytes(const std::string &kind = "") const;
 
-    /** Drop all records. Ids keep growing so stale tokens stay inert. */
+    /**
+     * Drop all records. Ids keep growing so stale tokens stay inert;
+     * late-bound slots survive for the tokens that still point at
+     * them.
+     */
     void
     clear()
     {
@@ -328,6 +373,7 @@ class Profiler
         apis_.clear();
         copies_.clear();
         refs_.clear();
+        deps_.clear();
     }
 
     /** Render an nvprof-style text report. */
@@ -352,8 +398,10 @@ class Profiler
      * Fold every record into an order-sensitive FNV-1a digest. Two
      * runs of the same configuration must produce identical digests;
      * the determinism harness (core/determinism.hh) is built on this.
-     * Ids and causal edges are deliberately NOT folded: they annotate
-     * the record stream without changing it.
+     * Labels fold through their interned tables (Name::fold), equal
+     * to byte-serial FNV-1a over the bytes plus a NUL. Ids and causal
+     * edges are deliberately NOT folded: they annotate the record
+     * stream without changing it.
      */
     std::uint64_t digest() const;
 
@@ -371,26 +419,47 @@ class Profiler
         return baseId_ + static_cast<RecordId>(refs_.size());
     }
 
-    /** Drop invalid/stale ids and duplicates; keep deps sorted. */
-    std::vector<RecordId>
-    normalizeDeps(std::vector<RecordId> deps, RecordId self) const
+    /**
+     * Append the locator of the record just stored at @p index, with
+     * @p deps minus invalid/stale ids and duplicates, sorted, at the
+     * end of the flat dep array.
+     */
+    void
+    land(RecordKind kind, std::size_t index, Deps deps)
     {
-        std::erase_if(deps, [this, self](RecordId d) {
-            return d < baseId_ || d >= self;
-        });
-        std::sort(deps.begin(), deps.end());
-        deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-        return deps;
+        const RecordId self = nextId();
+        const std::size_t begin = deps_.size();
+        for (RecordId d : deps) {
+            if (d >= baseId_ && d < self)
+                deps_.push_back(d);
+        }
+        const auto first = deps_.begin() + static_cast<std::ptrdiff_t>(begin);
+        std::sort(first, deps_.end());
+        deps_.erase(std::unique(first, deps_.end()), deps_.end());
+        refs_.push_back({kind, static_cast<std::uint32_t>(index),
+                         static_cast<std::uint32_t>(begin),
+                         static_cast<std::uint32_t>(deps_.size() - begin)});
     }
 
     std::vector<KernelRecord> kernels_;
     std::vector<ApiRecord> apis_;
     std::vector<CopyRecord> copies_;
     std::vector<RecordRef> refs_;
+    /** Every record's deps, back to back (see RecordRef). */
+    std::vector<RecordId> deps_;
     RecordId baseId_ = 0;
     std::vector<CauseToken> causes_;
+    /** Late-bound token slots; stable addresses, kept by clear(). */
+    std::deque<RecordId> slots_;
     sim::Auditor *auditor_ = nullptr;
 };
+
+/** @return @p profiler's current cause; a null token without one. */
+inline CauseToken
+currentCause(const Profiler *profiler)
+{
+    return profiler ? profiler->currentCause() : CauseToken();
+}
 
 /** RAII ambient-cause guard; tolerates a null profiler. */
 class CauseScope
@@ -399,7 +468,7 @@ class CauseScope
     CauseScope(Profiler *profiler, CauseToken token) : profiler_(profiler)
     {
         if (profiler_)
-            profiler_->pushCause(std::move(token));
+            profiler_->pushCause(token);
     }
     ~CauseScope()
     {

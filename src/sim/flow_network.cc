@@ -256,7 +256,8 @@ FlowNetwork::allocateRates()
     for (auto &[id, flow] : affectedFlows_)
         flow->rate = 0;
 
-    std::vector<bool> frozen(affectedFlows_.size(), false);
+    std::vector<bool> &frozen = frozenScratch_;
+    frozen.assign(affectedFlows_.size(), false);
     std::size_t remaining_flows = affectedFlows_.size();
     while (remaining_flows > 0) {
         // Find the bottleneck channel: minimal fair share.

@@ -209,6 +209,8 @@ class FlowNetwork
     std::vector<int> userScratch_;
     std::vector<ChannelId> affectedChannels_;
     std::vector<std::pair<FlowId, Flow *>> affectedFlows_;
+    /** Per affected flow: rate fixed by the max-min pass. */
+    std::vector<bool> frozenScratch_;
 };
 
 } // namespace dgxsim::sim

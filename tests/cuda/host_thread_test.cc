@@ -19,6 +19,7 @@ using namespace dgxsim;
 using cuda::CudaEvent;
 using cuda::HostThread;
 using cuda::Stream;
+using profiling::Name;
 
 class HostThreadTest : public ::testing::Test
 {
@@ -31,8 +32,8 @@ TEST_F(HostThreadTest, CallsSerializeAndChargeOverhead)
 {
     HostThread t(queue, &prof, "worker0");
     int done = 0;
-    t.call("apiA", 100, [&] { ++done; });
-    t.call("apiB", 50, [&] { ++done; });
+    t.call(Name("apiA"), 100, [&] { ++done; });
+    t.call(Name("apiB"), 50, [&] { ++done; });
     queue.run();
     EXPECT_EQ(done, 2);
     EXPECT_EQ(queue.now(), 150u);
@@ -49,11 +50,11 @@ TEST_F(HostThreadTest, SyncStreamBlocksUntilDrain)
     Stream s(queue, &prof, 0, "s0");
     // Launch a 10'000-tick kernel via the thread (100-tick API), then
     // synchronize (50-tick entry cost + blocked time).
-    t.call("cudaLaunchKernel", 100,
-           [&] { s.enqueueKernel("k", 10000); });
+    t.call(Name("cudaLaunchKernel"), 100,
+           [&] { s.enqueueKernel(Name("k"), 10000); });
     t.syncStream(s, 50);
     bool after_sync = false;
-    t.call("post", 10, [&] { after_sync = true; });
+    t.call(Name("post"), 10, [&] { after_sync = true; });
     queue.run();
     EXPECT_TRUE(after_sync);
     // Kernel starts at 100, ends at 10100; sync spans 100..10100.
@@ -75,7 +76,7 @@ TEST_F(HostThreadTest, SyncEventBlocksUntilSignal)
 {
     HostThread t(queue, &prof, "worker0");
     auto evt = std::make_shared<CudaEvent>();
-    t.syncEvent(evt, 10, "cudaEventSynchronize");
+    t.syncEvent(evt, 10, Name("cudaEventSynchronize"));
     queue.schedule(5000, [&] { evt->signal(); });
     queue.run();
     EXPECT_EQ(prof.apiTime("cudaEventSynchronize"), 5000u);
@@ -96,7 +97,7 @@ TEST_F(HostThreadTest, OnIdleFiresWhenQueueDrains)
 {
     HostThread t(queue, &prof, "worker0");
     sim::Tick idle_at = 0;
-    t.call("api", 100);
+    t.call(Name("api"), 100);
     t.onIdle([&] { idle_at = queue.now(); });
     queue.run();
     EXPECT_EQ(idle_at, 100u);
@@ -114,8 +115,8 @@ TEST_F(HostThreadTest, TwoThreadsProgressConcurrently)
 {
     HostThread t0(queue, &prof, "w0");
     HostThread t1(queue, &prof, "w1");
-    t0.call("a", 1000);
-    t1.call("b", 1000);
+    t0.call(Name("a"), 1000);
+    t1.call(Name("b"), 1000);
     queue.run();
     EXPECT_EQ(queue.now(), 1000u);
     EXPECT_EQ(t0.apiBusyTicks(), 1000u);
@@ -129,8 +130,8 @@ TEST_F(HostThreadTest, PipelinedLaunchesOverlapKernelAndApi)
     HostThread t(queue, &prof, "w0");
     Stream s(queue, &prof, 0, "s0");
     for (int i = 0; i < 5; ++i)
-        t.call("cudaLaunchKernel", 100,
-               [&] { s.enqueueKernel("k", 1000); });
+        t.call(Name("cudaLaunchKernel"), 100,
+               [&] { s.enqueueKernel(Name("k"), 1000); });
     t.syncStream(s, 10);
     queue.run();
     // First kernel starts at 100; kernels run back to back, so the

@@ -14,15 +14,17 @@
 namespace {
 
 using namespace dgxsim;
+using profiling::Name;
 using profiling::Profiler;
 
 TEST(ChromeTraceTest, EmitsCompleteEvents)
 {
     Profiler p;
-    p.recordKernel("conv_fwd", 2, sim::usToTicks(10), sim::usToTicks(25));
-    p.recordApi("cudaStreamSynchronize", "worker0", 0,
+    p.recordKernel(Name("conv_fwd"), 2, sim::usToTicks(10),
+                   sim::usToTicks(25));
+    p.recordApi(Name("cudaStreamSynchronize"), Name("worker0"), 0,
                 sim::usToTicks(5));
-    p.recordCopy("PtoP", 0, 1, 4096, sim::usToTicks(1),
+    p.recordCopy(Name("PtoP"), 0, 1, 4096, sim::usToTicks(1),
                  sim::usToTicks(3));
     const std::string json = p.chromeTrace();
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
@@ -51,10 +53,10 @@ TEST(ChromeTraceTest, EmitsFlowEventsForCrossTrackDeps)
 {
     Profiler p;
     const profiling::RecordId k = p.recordKernel(
-        "producer", 0, sim::usToTicks(1), sim::usToTicks(5), "s0");
+        Name("producer"), 0, sim::usToTicks(1), sim::usToTicks(5), Name("s0"));
     // Copy depends on a kernel: different track, so the edge becomes
     // a flow-arrow pair ("s" at the producer, "f" at the consumer).
-    p.recordCopy("PtoP", 0, 1, 4096, sim::usToTicks(5),
+    p.recordCopy(Name("PtoP"), 0, 1, 4096, sim::usToTicks(5),
                  sim::usToTicks(9), 0, {k});
     const std::string json = p.chromeTrace();
     EXPECT_EQ(countOf(json, "\"ph\": \"s\""), 1u);
@@ -68,11 +70,11 @@ TEST(ChromeTraceTest, NoFlowEventsForSameTrackDeps)
 {
     Profiler p;
     const profiling::RecordId a =
-        p.recordKernel("a", 0, 0, sim::usToTicks(10), "s0");
+        p.recordKernel(Name("a"), 0, 0, sim::usToTicks(10), Name("s0"));
     // Same (device, stream) track: program order is already visible
     // in the timeline, so no arrow is drawn.
-    p.recordKernel("b", 0, sim::usToTicks(10), sim::usToTicks(20),
-                   "s0", {a});
+    p.recordKernel(Name("b"), 0, sim::usToTicks(10), sim::usToTicks(20),
+                   Name("s0"), {a});
     const std::string json = p.chromeTrace();
     EXPECT_EQ(countOf(json, "\"ph\": \"s\""), 0u);
     EXPECT_EQ(countOf(json, "\"ph\": \"f\""), 0u);
@@ -85,8 +87,8 @@ TEST(ChromeTraceTest, BlockingApiFlowArrowBindsToRecordEnd)
     // returns at 32us — the wait is the covered interval, so the
     // arrow must land at the API record's end, not its start.
     const profiling::RecordId k = p.recordKernel(
-        "slow", 1, sim::usToTicks(5), sim::usToTicks(30), "s0");
-    p.recordApi("cudaStreamSynchronize", "worker1",
+        Name("slow"), 1, sim::usToTicks(5), sim::usToTicks(30), Name("s0"));
+    p.recordApi(Name("cudaStreamSynchronize"), Name("worker1"),
                 sim::usToTicks(10), sim::usToTicks(32),
                 sim::usToTicks(2), /*blocking=*/true, {k});
     const std::string json = p.chromeTrace();
@@ -109,7 +111,7 @@ TEST(ChromeTraceTest, EmptyProfilerYieldsValidSkeleton)
 TEST(ChromeTraceTest, EscapesQuotesInNames)
 {
     Profiler p;
-    p.recordKernel("weird\"name", 0, 0, 10);
+    p.recordKernel(Name("weird\"name"), 0, 0, 10);
     const std::string json = p.chromeTrace();
     EXPECT_NE(json.find("weird\\\"name"), std::string::npos);
 }
@@ -117,7 +119,7 @@ TEST(ChromeTraceTest, EscapesQuotesInNames)
 TEST(ChromeTraceTest, WritesFile)
 {
     Profiler p;
-    p.recordKernel("k", 0, 0, 1000);
+    p.recordKernel(Name("k"), 0, 0, 1000);
     const std::string path = "/tmp/dgxsim_trace_test.json";
     p.writeChromeTrace(path);
     std::ifstream in(path);

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "profiling/interner.hh"
 #include "profiling/profiler.hh"
@@ -51,9 +54,9 @@ TEST(Interner, NameComparesByContents)
 TEST(Interner, RecordsShareCanonicalStorage)
 {
     profiling::Profiler prof;
-    prof.recordKernel("interned_kernel", 0, 0, 10, "stream0");
-    prof.recordKernel(std::string("interned_kernel"), 1, 10, 20,
-                      "stream0");
+    prof.recordKernel(Name("interned_kernel"), 0, 0, 10, Name("stream0"));
+    prof.recordKernel(Name(std::string("interned_kernel")), 1, 10, 20,
+                      Name("stream0"));
     ASSERT_EQ(prof.kernels().size(), 2u);
     const std::string &first = prof.kernels()[0].name;
     const std::string &second = prof.kernels()[1].name;
@@ -61,6 +64,48 @@ TEST(Interner, RecordsShareCanonicalStorage)
     EXPECT_EQ(&prof.kernels()[0].stream.str(),
               &prof.kernels()[1].stream.str());
     EXPECT_EQ(first, "interned_kernel");
+}
+
+/** The digest's reference fold: byte-serial FNV-1a over s plus NUL. */
+std::uint64_t
+byteSerialFold(std::uint64_t h, const std::string &s)
+{
+    constexpr std::uint64_t kPrime = 0x100000001b3ull;
+    for (char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= kPrime;
+    }
+    return h * kPrime; // the NUL separator
+}
+
+TEST(Interner, FoldMatchesByteSerialFnv)
+{
+    std::string high;
+    for (int b = 0x80; b <= 0xff; ++b)
+        high.push_back(static_cast<char>(b));
+    const std::vector<std::string> texts = {
+        "", "a", "cudaLaunchKernel", "nccl.red.h3", "PtoP 0>1",
+        std::string(1, '\xff'), high, std::string(300, 'x')};
+    std::mt19937_64 rng(20181001);
+    for (const std::string &text : texts) {
+        const Name name(text);
+        // Every low byte, then random states with random high bits.
+        for (std::uint64_t low = 0; low < 256; ++low) {
+            const std::uint64_t h = (rng() & ~0xffull) | low;
+            ASSERT_EQ(name.fold(h), byteSerialFold(h, text)) << text;
+        }
+        for (int i = 0; i < 100000; ++i) {
+            const std::uint64_t h = rng();
+            ASSERT_EQ(name.fold(h), byteSerialFold(h, text)) << text;
+        }
+    }
+    EXPECT_EQ(Name().fold(12345), Name("").fold(12345));
+}
+
+TEST(Interner, DefaultNameIsTheInternedEmptyString)
+{
+    EXPECT_TRUE(Name() == Name(""));
+    EXPECT_EQ(&Name().str(), &profiling::internString(""));
 }
 
 } // namespace

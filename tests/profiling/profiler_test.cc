@@ -11,14 +11,15 @@
 namespace {
 
 using namespace dgxsim;
+using profiling::Name;
 using profiling::Profiler;
 
 TEST(ProfilerTest, KernelSummaryGroupsAndSorts)
 {
     Profiler p;
-    p.recordKernel("conv", 0, 0, 100);
-    p.recordKernel("conv", 0, 100, 300);
-    p.recordKernel("gemm", 1, 0, 50);
+    p.recordKernel(Name("conv"), 0, 0, 100);
+    p.recordKernel(Name("conv"), 0, 100, 300);
+    p.recordKernel(Name("gemm"), 1, 0, 50);
     auto rows = p.kernelSummary();
     ASSERT_EQ(rows.size(), 2u);
     EXPECT_EQ(rows[0].name, "conv");
@@ -30,8 +31,8 @@ TEST(ProfilerTest, KernelSummaryGroupsAndSorts)
 TEST(ProfilerTest, ApiTimeAndFraction)
 {
     Profiler p;
-    p.recordApi("cudaStreamSynchronize", "w0", 0, 750);
-    p.recordApi("cudaLaunchKernel", "w0", 750, 1000);
+    p.recordApi(Name("cudaStreamSynchronize"), Name("w0"), 0, 750);
+    p.recordApi(Name("cudaLaunchKernel"), Name("w0"), 750, 1000);
     EXPECT_EQ(p.apiTime("cudaStreamSynchronize"), 750u);
     EXPECT_DOUBLE_EQ(p.apiTimeFraction("cudaStreamSynchronize"), 0.75);
     EXPECT_DOUBLE_EQ(p.apiTimeFraction("missing"), 0.0);
@@ -40,9 +41,9 @@ TEST(ProfilerTest, ApiTimeAndFraction)
 TEST(ProfilerTest, DeviceKernelTimeFilters)
 {
     Profiler p;
-    p.recordKernel("a", 0, 0, 100);
-    p.recordKernel("b", 1, 0, 999);
-    p.recordKernel("c", 0, 100, 150);
+    p.recordKernel(Name("a"), 0, 0, 100);
+    p.recordKernel(Name("b"), 1, 0, 999);
+    p.recordKernel(Name("c"), 0, 100, 150);
     EXPECT_EQ(p.deviceKernelTime(0), 150u);
     EXPECT_EQ(p.deviceKernelTime(1), 999u);
     EXPECT_EQ(p.deviceKernelTime(7), 0u);
@@ -51,9 +52,9 @@ TEST(ProfilerTest, DeviceKernelTimeFilters)
 TEST(ProfilerTest, CopiedBytesFiltersByKind)
 {
     Profiler p;
-    p.recordCopy("PtoP", 0, 1, 1000, 0, 10);
-    p.recordCopy("DtoH", 0, 8, 500, 0, 10);
-    p.recordCopy("PtoP", 1, 2, 250, 0, 10);
+    p.recordCopy(Name("PtoP"), 0, 1, 1000, 0, 10);
+    p.recordCopy(Name("DtoH"), 0, 8, 500, 0, 10);
+    p.recordCopy(Name("PtoP"), 1, 2, 250, 0, 10);
     EXPECT_EQ(p.copiedBytes(), 1750u);
     EXPECT_EQ(p.copiedBytes("PtoP"), 1250u);
     EXPECT_EQ(p.copiedBytes("DtoH"), 500u);
@@ -62,9 +63,9 @@ TEST(ProfilerTest, CopiedBytesFiltersByKind)
 TEST(ProfilerTest, ClearDropsEverything)
 {
     Profiler p;
-    p.recordKernel("a", 0, 0, 100);
-    p.recordApi("x", "w0", 0, 10);
-    p.recordCopy("PtoP", 0, 1, 8, 0, 1);
+    p.recordKernel(Name("a"), 0, 0, 100);
+    p.recordApi(Name("x"), Name("w0"), 0, 10);
+    p.recordCopy(Name("PtoP"), 0, 1, 8, 0, 1);
     p.clear();
     EXPECT_TRUE(p.kernels().empty());
     EXPECT_TRUE(p.apis().empty());
@@ -74,9 +75,9 @@ TEST(ProfilerTest, ClearDropsEverything)
 TEST(ProfilerTest, ReportMentionsAllSections)
 {
     Profiler p;
-    p.recordKernel("volta_scudnn_winograd", 0, 0, 1000000);
-    p.recordApi("cudaStreamSynchronize", "w0", 0, 500000);
-    p.recordCopy("PtoP", 0, 1, 1 << 20, 0, 1000);
+    p.recordKernel(Name("volta_scudnn_winograd"), 0, 0, 1000000);
+    p.recordApi(Name("cudaStreamSynchronize"), Name("w0"), 0, 500000);
+    p.recordCopy(Name("PtoP"), 0, 1, 1 << 20, 0, 1000);
     const std::string report = p.report();
     EXPECT_NE(report.find("GPU kernel summary"), std::string::npos);
     EXPECT_NE(report.find("CUDA API summary"), std::string::npos);
@@ -88,8 +89,8 @@ TEST(ProfilerTest, ReportMentionsAllSections)
 TEST(ProfilerTest, CsvHasHeaderAndRows)
 {
     Profiler p;
-    p.recordKernel("k", 2, 0, 1000);
-    p.recordApi("a", "w1", 0, 2000);
+    p.recordKernel(Name("k"), 2, 0, 1000);
+    p.recordApi(Name("a"), Name("w1"), 0, 2000);
     const std::string csv = p.csv();
     EXPECT_NE(csv.find("kind,name,where,start_us,dur_us,bytes"),
               std::string::npos);
