@@ -58,12 +58,21 @@ strategyLabel(const core::TrainConfig &cfg,
     return label;
 }
 
+/** @return the report of a timing-only run of @p cfg: the search
+ * reads no record and no digest, so it stores and folds none. */
+const core::TrainReport &
+simulateTimingOnly(core::TrainConfig cfg)
+{
+    cfg.timingOnly = true;
+    return campaign::cachedSimulate(cfg);
+}
+
 /** Memory probe: no event loop, just the planner (OOM + footprint). */
 const core::TrainReport &
 probe(core::TrainConfig cfg)
 {
     cfg.measuredIterations = 0;
-    return campaign::cachedSimulate(cfg);
+    return simulateTimingOnly(cfg);
 }
 
 double
@@ -101,6 +110,13 @@ AdviseResult
 adviseStrategies(const core::TrainConfig &base,
                  const AdviseOptions &opts)
 {
+    if (opts.topK < 1)
+        sim::fatal("--topk must be at least 1, got ", opts.topK);
+    for (int stages : opts.stageCounts) {
+        if (stages < 2)
+            sim::fatal("--stages values must be at least 2, got ",
+                       stages);
+    }
     std::vector<core::ParallelismMode> modes = opts.modes;
     if (modes.empty()) {
         modes = {core::ParallelismMode::SyncDp,
@@ -144,6 +160,8 @@ adviseStrategies(const core::TrainConfig &base,
             if (stage_counts.empty())
                 stage_counts = {base.numGpus};
             for (int stages : stage_counts) {
+                // The default depth is the base GPU count, which may
+                // be 1: no staged candidate then.
                 if (stages < 2 || stages > plat.topology.numGpus())
                     continue;
                 if (global_batch % stages != 0 ||
@@ -194,8 +212,7 @@ adviseStrategies(const core::TrainConfig &base,
 
     // --- Phase 2: one full-sim anchor per family, project the rest ---
     auto fullSim = [&](StrategyRow &row) {
-        const core::TrainReport &r =
-            campaign::cachedSimulate(row.cfg);
+        const core::TrainReport &r = simulateTimingOnly(row.cfg);
         ++result.fullSims;
         row.simulated = true;
         row.epochSeconds = r.epochSeconds;
@@ -244,9 +261,8 @@ adviseStrategies(const core::TrainConfig &base,
     };
     rank();
     for (;;) {
-        const std::size_t frontier =
-            std::min(std::max<std::size_t>(opts.topK, 1),
-                     fitting.size());
+        const std::size_t frontier = std::min(
+            static_cast<std::size_t>(opts.topK), fitting.size());
         bool resimmed = false;
         for (std::size_t i = 0; i < frontier; ++i) {
             if (!fitting[i].simulated) {

@@ -11,7 +11,10 @@
  * cells are projected from their family anchor through the pipeline
  * closed form iter(m) ~ (m + p - 1) / m. Only the projected frontier
  * (top-K) is re-simulated for real, so the ranking's winner is
- * always backed by a full simulation, not a projection.
+ * always backed by a full simulation, not a projection. Every
+ * simulation the search runs is timing-only
+ * (core::TrainConfig::timingOnly): it reads epoch time, bubble and
+ * memory, never records or digests.
  */
 
 #ifndef DGXSIM_ANALYSIS_ADVISE_HH
@@ -32,9 +35,9 @@ struct AdviseOptions
     /** Modes to consider; empty = sync_dp, model_parallel, pipeline. */
     std::vector<core::ParallelismMode> modes;
     /**
-     * Pipeline depths (GPU counts) for the staged modes; empty =
-     * the base config's GPU count. sync_dp always runs at the base
-     * GPU count — epochs stay work-comparable because fewer GPUs
+     * Pipeline depths (GPU counts, each >= 2) for the staged modes;
+     * empty = the base config's GPU count. sync_dp always runs at the
+     * base GPU count — epochs stay work-comparable because fewer GPUs
      * simply run more iterations over the same dataset.
      */
     std::vector<int> stageCounts;
@@ -46,13 +49,15 @@ struct AdviseOptions
     std::vector<int> microbatchCounts;
     /** Extra platforms to consider; empty = the base platform. */
     std::vector<std::string> platforms;
-    /** Projected-frontier size re-simulated for real. */
-    std::size_t topK = 3;
+    /** Projected-frontier size re-simulated for real (>= 1). */
+    int topK = 3;
 };
 
 /** One ranked strategy candidate. */
 struct StrategyRow
 {
+    /** The candidate as a full run: re-simulating it yields records
+     * and a digest (the search itself runs timing-only copies). */
     core::TrainConfig cfg;
     /** Human label, e.g. "pipeline s4 ub16" or "sync_dp/nccl". */
     std::string label;
@@ -82,6 +87,8 @@ struct AdviseResult
 /**
  * Walk the strategy space around @p base and rank it. @p base fixes
  * the workload: model, per-GPU batch, GPU count, platform, dataset.
+ * Fatal when opts.topK is below 1 or an opts.stageCounts value is
+ * below 2.
  */
 AdviseResult adviseStrategies(const core::TrainConfig &base,
                               const AdviseOptions &opts = {});

@@ -101,7 +101,7 @@ configKey(const core::TrainConfig &cfg)
             "|nfix%.17g|nset%.17g|mcpy%.17g|mq%d"
             "|sch%d|pb%" PRIu64 "|cb%" PRIu64 "|zc%d|zr%.17g"
             "|mm:%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
-            "|wi:%.17g,%.17g,%.17g,%.17g",
+            "|wi:%.17g,%.17g,%.17g,%.17g%s",
             cfg.model.c_str(), cfg.platform.c_str(), cfg.nodes,
             cfg.interconnect.c_str(),
             static_cast<int>(cfg.netAlgo), cfg.numGpus,
@@ -133,7 +133,10 @@ configKey(const core::TrainConfig &cfg)
             cfg.memoryModel.datasetBuffers,
             // What-if ablation knobs (analysis::WhatIf ground truth).
             cfg.gpuSpec.speedupFactor, cfg.nvlinkBwScale,
-            cfg.ibBwScale, cfg.syncEntryUs);
+            cfg.ibBwScale, cfg.syncEntryUs,
+            // A timing-only run has no digest, so it never shares an
+            // entry with a full one; full keys carry no term for it.
+            cfg.timingOnly ? "|timing" : "");
     };
     char buf[768];
     const int n = format(buf, sizeof(buf));

@@ -34,6 +34,7 @@ compareRecords(const std::vector<RunRecord> &baseline,
         sim::fatal("baseline has ", baseline.size(),
                    " records but the re-run produced ", fresh.size());
     CheckReport report;
+    report.digestSkipped = options.skipDigest;
     report.deltas.reserve(baseline.size());
     for (std::size_t i = 0; i < baseline.size(); ++i) {
         const RunRecord &b = baseline[i];
@@ -75,8 +76,10 @@ checkAgainstBaseline(const std::vector<RunRecord> &baseline,
 {
     std::vector<core::TrainConfig> configs;
     configs.reserve(baseline.size());
-    for (const RunRecord &r : baseline)
+    for (const RunRecord &r : baseline) {
         configs.push_back(r.toConfig());
+        configs.back().timingOnly = options.skipDigest;
+    }
     const std::vector<RunRecord> fresh =
         runCampaign(configs, options.jobs);
     return compareRecords(baseline, fresh, options);
@@ -101,11 +104,12 @@ CheckReport::summary(double tolerancePct) const
         std::string epochFresh =
             d.fresh.oom ? "OOM"
                         : core::TextTable::num(d.fresh.epochSeconds, 3);
+        const char *digest = !d.oomMatch     ? "-"
+                             : digestSkipped ? "skipped"
+                             : d.digestMatch ? "match"
+                                             : "MISMATCH";
         table.addRow({d.baseline.key(), epochBase, epochFresh, drift,
-                      !d.oomMatch ? "-"
-                                  : (d.digestMatch ? "match"
-                                                   : "MISMATCH"),
-                      d.pass ? "ok" : "FAIL"});
+                      digest, d.pass ? "ok" : "FAIL"});
     }
     char verdict[128];
     std::snprintf(verdict, sizeof(verdict),

@@ -32,7 +32,9 @@ struct CheckOptions
     int jobs = 1;
     /**
      * Skip the digest comparison (the drift tolerance still applies).
-     * For comparing across intentional event-stream changes.
+     * For comparing across intentional event-stream changes. The
+     * re-runs are then timing-only (core::TrainConfig::timingOnly):
+     * they store no record and compute no digest.
      */
     bool skipDigest = false;
 };
@@ -58,6 +60,8 @@ struct CheckReport
     std::vector<RunDelta> deltas;
     std::size_t failures = 0;
     bool pass = true;
+    /** True when digests were not gated (CheckOptions::skipDigest). */
+    bool digestSkipped = false;
 
     /** @return a human-readable per-run drift table plus verdict. */
     std::string summary(double tolerancePct) const;

@@ -150,8 +150,7 @@ AsyncTrainer::run(int iterations_per_worker)
         workerIteration(g);
     const sim::Tick end = machine_.queue().run();
 
-    machine_.finishAudit(report);
-    report.digest = machine_.digest();
+    machine_.finishRun(report);
 
     report.pushes = pushes_;
     const double secs = sim::ticksToSec(end);

@@ -25,7 +25,7 @@ Machine::Machine(const TrainConfig &cfg, const hw::Platform &platform)
 
 Machine::Machine(const TrainConfig &cfg, hw::Topology topo,
                  hw::HostSpec host)
-    : cfg_(cfg),
+    : cfg_(cfg), profiler_(cfg.timingOnly),
       fabric_(std::make_unique<hw::Fabric>(queue_, std::move(topo),
                                            std::move(host)))
 {
@@ -49,9 +49,9 @@ Machine::Machine(const TrainConfig &cfg, hw::Topology topo,
 }
 
 Machine::Machine(const TrainConfig &cfg, const hw::Cluster &cluster)
-    : cfg_(cfg), fabric_(std::make_unique<hw::Fabric>(
-                     queue_, cluster.topology,
-                     cluster.platform.hostSpec))
+    : cfg_(cfg), profiler_(cfg.timingOnly),
+      fabric_(std::make_unique<hw::Fabric>(queue_, cluster.topology,
+                                           cluster.platform.hostSpec))
 {
     if (cfg_.nodes != cluster.nodes) {
         sim::fatal("config says ", cfg_.nodes, " nodes but the "
@@ -273,24 +273,25 @@ Machine::fillMemoryReport(TrainReport &report) const
 }
 
 void
-Machine::finishAudit(TrainReport &report,
-                     const std::function<void(sim::Auditor &)> &extra)
+Machine::finishRun(TrainReport &report,
+                   const std::function<void(sim::Auditor &)> &extra)
 {
-    sim::Auditor *auditor = fabric_->auditor();
-    if (!auditor)
-        return;
-    // End-of-run quiescence: nothing pending, nothing in flight.
-    auditor->checkQuiescent(queue_, fabric_->flows());
-    if (extra)
-        extra(*auditor);
-    for (const auto &stream : streams_) {
-        auditor->expect(stream->drained(), queue_.now(), "stream ",
-                        stream->name(),
-                        " not drained after the queue drained");
+    if (sim::Auditor *auditor = fabric_->auditor()) {
+        // End-of-run quiescence: nothing pending, nothing in flight.
+        auditor->checkQuiescent(queue_, fabric_->flows());
+        if (extra)
+            extra(*auditor);
+        for (const auto &stream : streams_) {
+            auditor->expect(stream->drained(), queue_.now(), "stream ",
+                            stream->name(),
+                            " not drained after the queue drained");
+        }
+        report.audited = true;
+        report.auditChecks = auditor->checksPerformed();
+        report.auditViolations = auditor->violationCount();
     }
-    report.audited = true;
-    report.auditChecks = auditor->checksPerformed();
-    report.auditViolations = auditor->violationCount();
+    if (!cfg_.timingOnly)
+        report.digest = digest();
 }
 
 std::uint64_t

@@ -150,15 +150,15 @@ class Machine
     void fillMemoryReport(TrainReport &report) const;
 
     /**
-     * End-of-run audit: when an auditor is attached, check the event
+     * End of a run: when an auditor is attached, check the event
      * queue and flow network are quiescent, run @p extra (strategy
      * checks, e.g. communicator idle), verify every Machine-owned
      * stream drained, and record the audit counters into @p report.
-     * No-op without an auditor.
+     * Then stamp report.digest with digest(), except in a timing-only
+     * run (TrainConfig::timingOnly), whose digest stays 0.
      */
-    void finishAudit(TrainReport &report,
-                     const std::function<void(sim::Auditor &)> &extra =
-                         {});
+    void finishRun(TrainReport &report,
+                   const std::function<void(sim::Auditor &)> &extra = {});
 
     /**
      * Order-sensitive digest of the profiler record stream folded

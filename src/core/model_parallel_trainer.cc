@@ -362,7 +362,7 @@ ModelParallelTrainer::run()
     }
     const sim::Tick end = machine_.queue().run();
 
-    machine_.finishAudit(report, [this](sim::Auditor &auditor) {
+    machine_.finishRun(report, [this](sim::Auditor &auditor) {
         for (const auto &pump : fwdPumps_) {
             if (pump)
                 auditor.expect(pump->idle(), machine_.queue().now(),
@@ -376,7 +376,6 @@ ModelParallelTrainer::run()
                                "drained");
         }
     });
-    report.digest = machine_.digest();
 
     report.iterationSeconds = sim::ticksToSec(end);
     report.setupSeconds = cfg_.setupOnceSeconds;

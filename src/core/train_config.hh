@@ -147,6 +147,15 @@ struct TrainConfig
      */
     bool audit = false;
     /**
+     * Timing-only run: the profiler keeps its running totals and the
+     * Auditor still sees every record, but no record is stored and
+     * the report's digest is 0. Every other report field is
+     * bit-identical to a full run's. Set by callers that never read
+     * records or digests (advise, `check --no-digest`, `sweep`); no
+     * CLI option sets it.
+     */
+    bool timingOnly = false;
+    /**
      * What-if ablation knob: scale the bandwidth of every NVLink in
      * the fabric by this factor before the run (analysis::WhatIf
      * "nvlink_bw" ground truth). 1.0 leaves the fabric untouched.

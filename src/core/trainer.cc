@@ -340,12 +340,10 @@ Trainer::run()
     startIteration(0);
     machine_.queue().run();
 
-    machine_.finishAudit(report, [this](sim::Auditor &auditor) {
+    machine_.finishRun(report, [this](sim::Auditor &auditor) {
         auditor.expect(comm_->idle(), machine_.queue().now(),
                        "communicator busy after the queue drained");
     });
-
-    report.digest = machine_.digest();
 
     const double measured = cfg_.measuredIterations;
     const double iters = static_cast<double>(report.iterations);

@@ -44,38 +44,29 @@ std::vector<SummaryRow>
 Profiler::apiSummary() const
 {
     std::map<std::string, SummaryRow> acc;
-    for (const ApiRecord &a : apis_) {
-        SummaryRow &row = acc[a.name];
-        row.name = a.name;
-        ++row.calls;
-        row.totalTime += a.duration();
-    }
+    for (const ApiTotal &t : apiTotals_)
+        acc[t.name] = {t.name, t.calls, t.ticks};
     return summarize(acc);
 }
 
 sim::Tick
 Profiler::apiTime(const std::string &name) const
 {
-    sim::Tick total = 0;
-    for (const ApiRecord &a : apis_) {
-        if (a.name == name)
-            total += a.duration();
+    for (const ApiTotal &t : apiTotals_) {
+        if (t.name == name)
+            return t.ticks;
     }
-    return total;
+    return 0;
 }
 
 double
 Profiler::apiTimeFraction(const std::string &name) const
 {
     sim::Tick total = 0;
-    sim::Tick match = 0;
-    for (const ApiRecord &a : apis_) {
-        total += a.duration();
-        if (a.name == name)
-            match += a.duration();
-    }
+    for (const ApiTotal &t : apiTotals_)
+        total += t.ticks;
     return total == 0 ? 0.0
-                      : static_cast<double>(match) /
+                      : static_cast<double>(apiTime(name)) /
                             static_cast<double>(total);
 }
 
@@ -94,9 +85,9 @@ sim::Bytes
 Profiler::copiedBytes(const std::string &kind) const
 {
     sim::Bytes total = 0;
-    for (const CopyRecord &c : copies_) {
-        if (kind.empty() || c.kind == kind)
-            total += c.bytes;
+    for (const CopyTotal &t : copyTotals_) {
+        if (kind.empty() || t.name == kind)
+            total += t.bytes;
     }
     return total;
 }
@@ -105,9 +96,9 @@ sim::Bytes
 Profiler::copiedWireBytes(const std::string &kind) const
 {
     sim::Bytes total = 0;
-    for (const CopyRecord &c : copies_) {
-        if (kind.empty() || c.kind == kind)
-            total += c.wireBytes;
+    for (const CopyTotal &t : copyTotals_) {
+        if (kind.empty() || t.name == kind)
+            total += t.wireBytes;
     }
     return total;
 }
@@ -190,16 +181,13 @@ Profiler::report() const
            << row.name << "\n";
     }
     os << "==== Memcpy summary ====\n";
-    std::map<std::string, std::pair<std::uint64_t, sim::Bytes>> copies;
-    for (const CopyRecord &c : copies_) {
-        auto &[count, bytes] = copies[c.kind];
-        ++count;
-        bytes += c.bytes;
-    }
-    for (const auto &[kind, stats] : copies) {
-        os << std::setw(12) << stats.first << " copies  " << std::setw(12)
+    std::map<std::string, const CopyTotal *> copies;
+    for (const CopyTotal &t : copyTotals_)
+        copies[t.name] = &t;
+    for (const auto &[kind, t] : copies) {
+        os << std::setw(12) << t->copies << " copies  " << std::setw(12)
            << std::setprecision(1)
-           << static_cast<double>(stats.second) / (1 << 20) << " MiB  "
+           << static_cast<double>(t->bytes) / (1 << 20) << " MiB  "
            << kind << "\n";
     }
     return os.str();

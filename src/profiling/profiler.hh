@@ -37,6 +37,20 @@
  * the determinism contract and the committed baselines predate them.
  * The digest folds each label through its interned fold table
  * (interner.hh), equal to byte-serial FNV-1a.
+ *
+ * Running totals: API ticks and calls per name, and copies, payload
+ * and wire bytes per copy kind, are summed as each record lands.
+ * apiSummary(), apiTime(), apiTimeFraction(), copiedBytes() and
+ * copiedWireBytes() read them; they are integer sums, so they equal
+ * a scan of the stored records exactly.
+ *
+ * A timing-only Profiler (core::TrainConfig::timingOnly) still
+ * assigns ids, lets late-bound tokens bind, keeps the totals and
+ * hands every record to the Auditor, but stores no record and no
+ * dep: kernels(), apis(), copies() and recordCount() stay empty, so
+ * digest() and the analysis engine have nothing to read. Callers that
+ * need only the totals (advise's simulations, `check --no-digest`,
+ * `sweep`) skip the record vectors and the digest.
  */
 
 #ifndef DGXSIM_PROFILING_PROFILER_HH
@@ -238,6 +252,11 @@ struct SummaryRow
 class Profiler
 {
   public:
+    /** @param timing_only keep only ids and totals (file comment). */
+    explicit Profiler(bool timing_only = false) : timingOnly_(timing_only)
+    {
+    }
+
     /**
      * Record a kernel. @p stream names the serialized lane that
      * issued it (see KernelRecord::stream); empty when unknown.
@@ -249,10 +268,11 @@ class Profiler
     {
         if (auditor_)
             auditor_->onKernelRecord(device, stream.str(), start, end);
-        const RecordId id = nextId();
-        kernels_.push_back({name, device, start, end, stream, id});
-        land(RecordKind::Kernel, kernels_.size() - 1, deps);
-        return id;
+        if (!timingOnly_) {
+            kernels_.push_back({name, device, start, end, stream, nextId_});
+            land(RecordKind::Kernel, kernels_.size() - 1, deps);
+        }
+        return nextId_++;
     }
 
     /**
@@ -268,11 +288,15 @@ class Profiler
     {
         if (auditor_)
             auditor_->onApiRecord(thread.str(), start, end);
-        const RecordId id = nextId();
-        apis_.push_back(
-            {name, thread, start, end, overhead, blocking, id});
-        land(RecordKind::Api, apis_.size() - 1, deps);
-        return id;
+        ApiTotal &total = totalOf(apiTotals_, name);
+        ++total.calls;
+        total.ticks += end - start;
+        if (!timingOnly_) {
+            apis_.push_back(
+                {name, thread, start, end, overhead, blocking, nextId_});
+            land(RecordKind::Api, apis_.size() - 1, deps);
+        }
+        return nextId_++;
     }
 
     /**
@@ -288,17 +312,24 @@ class Profiler
         const sim::Bytes wire = wire_bytes ? wire_bytes : bytes;
         if (auditor_)
             auditor_->onCopyRecord(start, end, bytes, wire);
-        const RecordId id = nextId();
-        copies_.push_back({kind, src, dst, bytes, start, end, wire, id});
-        land(RecordKind::Copy, copies_.size() - 1, deps);
-        return id;
+        CopyTotal &total = totalOf(copyTotals_, kind);
+        ++total.copies;
+        total.bytes += bytes;
+        total.wireBytes += wire;
+        if (!timingOnly_) {
+            copies_.push_back(
+                {kind, src, dst, bytes, start, end, wire, nextId_});
+            land(RecordKind::Copy, copies_.size() - 1, deps);
+        }
+        return nextId_++;
     }
 
     const std::vector<KernelRecord> &kernels() const { return kernels_; }
     const std::vector<ApiRecord> &apis() const { return apis_; }
     const std::vector<CopyRecord> &copies() const { return copies_; }
 
-    /** Ids of the current record set: [firstId(), firstId()+count). */
+    /** Ids of the current record set: [firstId(), firstId()+count).
+     * A timing-only Profiler stores none, so its count stays 0. */
     RecordId firstId() const { return baseId_; }
     std::size_t recordCount() const { return refs_.size(); }
 
@@ -361,19 +392,21 @@ class Profiler
     sim::Bytes copiedWireBytes(const std::string &kind = "") const;
 
     /**
-     * Drop all records. Ids keep growing so stale tokens stay inert;
-     * late-bound slots survive for the tokens that still point at
-     * them.
+     * Drop all records and zero the totals. Ids keep growing so stale
+     * tokens stay inert; late-bound slots survive for the tokens that
+     * still point at them.
      */
     void
     clear()
     {
-        baseId_ += static_cast<RecordId>(refs_.size());
+        baseId_ = nextId_;
         kernels_.clear();
         apis_.clear();
         copies_.clear();
         refs_.clear();
         deps_.clear();
+        apiTotals_.clear();
+        copyTotals_.clear();
     }
 
     /** Render an nvprof-style text report. */
@@ -413,10 +446,34 @@ class Profiler
     void setAuditor(sim::Auditor *auditor) { auditor_ = auditor; }
 
   private:
-    RecordId
-    nextId() const
+    /** Running totals of one API name. */
+    struct ApiTotal
     {
-        return baseId_ + static_cast<RecordId>(refs_.size());
+        Name name;
+        std::uint64_t calls = 0;
+        sim::Tick ticks = 0;
+    };
+
+    /** Running totals of one copy kind. */
+    struct CopyTotal
+    {
+        Name name;
+        std::uint64_t copies = 0;
+        sim::Bytes bytes = 0;
+        sim::Bytes wireBytes = 0;
+    };
+
+    /** @return @p name's entry of @p totals, appended on first sight
+     * (a handful of names: a scan beats a hash). */
+    template <typename Total>
+    static Total &
+    totalOf(std::vector<Total> &totals, Name name)
+    {
+        for (Total &total : totals) {
+            if (total.name == name)
+                return total;
+        }
+        return totals.emplace_back(Total{name});
     }
 
     /**
@@ -427,10 +484,9 @@ class Profiler
     void
     land(RecordKind kind, std::size_t index, Deps deps)
     {
-        const RecordId self = nextId();
         const std::size_t begin = deps_.size();
         for (RecordId d : deps) {
-            if (d >= baseId_ && d < self)
+            if (d >= baseId_ && d < nextId_)
                 deps_.push_back(d);
         }
         const auto first = deps_.begin() + static_cast<std::ptrdiff_t>(begin);
@@ -447,7 +503,13 @@ class Profiler
     std::vector<RecordRef> refs_;
     /** Every record's deps, back to back (see RecordRef). */
     std::vector<RecordId> deps_;
+    std::vector<ApiTotal> apiTotals_;
+    std::vector<CopyTotal> copyTotals_;
+    /** Id of the first record since the last clear(). */
     RecordId baseId_ = 0;
+    /** Id the next record gets. */
+    RecordId nextId_ = 0;
+    bool timingOnly_ = false;
     std::vector<CauseToken> causes_;
     /** Late-bound token slots; stable addresses, kept by clear(). */
     std::deque<RecordId> slots_;

@@ -5,13 +5,17 @@
  * fatal() reports a condition that is the caller's fault (bad
  * configuration, invalid arguments) and throws a FatalError so library
  * users can recover. panic() reports an internal invariant violation
- * and aborts.
+ * and aborts. warn() reports through one process-wide sink (stderr
+ * unless a test installs its own) and delivers each distinct message
+ * once: a campaign that builds the same fallback ring in every
+ * simulation prints its warning once, not once per run.
  */
 
 #ifndef DGXSIM_SIM_LOGGING_HH
 #define DGXSIM_SIM_LOGGING_HH
 
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
@@ -40,6 +44,10 @@ formatInto(std::ostringstream &os, const T &first, const Rest &...rest)
     os << first;
     formatInto(os, rest...);
 }
+
+/** Deliver @p line to the warning sink unless it was delivered
+ * before. */
+void emitWarning(const std::string &line);
 
 } // namespace detail
 
@@ -72,7 +80,20 @@ panic(const Args &...args)
     std::abort();
 }
 
-/** Emit a non-fatal warning to stderr. */
+/** Receives each distinct warning line, e.g. "warn: ...". */
+using WarnSink = std::function<void(const std::string &)>;
+
+/**
+ * Route every later warn() to @p sink; an empty sink restores stderr.
+ * The new sink starts with no message seen, so it receives each
+ * distinct message once. Campaign workers warn concurrently: the sink
+ * runs under the channel's lock, so it is never running once it has
+ * been replaced, and it must not warn itself. @return the sink it
+ * replaces.
+ */
+WarnSink setWarnSink(WarnSink sink);
+
+/** Emit a non-fatal warning; a message already delivered is dropped. */
 template <typename... Args>
 void
 warn(const Args &...args)
@@ -80,7 +101,7 @@ warn(const Args &...args)
     std::ostringstream os;
     os << "warn: ";
     detail::formatInto(os, args...);
-    std::cerr << os.str() << std::endl;
+    detail::emitWarning(os.str());
 }
 
 } // namespace dgxsim::sim

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the advise strategy search: the README answer and its
- * search cost, the winner being simulation-backed, and models too
- * shallow to split into the requested number of stages.
+ * search cost, the winner being simulation-backed, models too
+ * shallow to split into the requested number of stages, and one
+ * warning per distinct message.
  */
 
 #include <gtest/gtest.h>
@@ -12,9 +13,11 @@
 #include <vector>
 
 #include "analysis/advise.hh"
+#include "campaign/campaign.hh"
 #include "core/cli.hh"
 #include "core/parallelism.hh"
 #include "dnn/models.hh"
+#include "sim/logging.hh"
 
 namespace {
 
@@ -50,6 +53,38 @@ TEST(AdviseTest, ReadmeAnswer)
     EXPECT_EQ(r.projections, 1u);
     EXPECT_EQ(r.fullSims, 2u);
     EXPECT_EQ(r.ranked.size() + r.dropped.size(), r.probes);
+    // The search simulates timing-only copies; the rows it hands out
+    // stay full configs, so re-simulating one yields a digest.
+    for (const analysis::StrategyRow &row : r.ranked)
+        EXPECT_FALSE(row.cfg.timingOnly) << row.label;
+    for (const analysis::StrategyRow &row : r.dropped)
+        EXPECT_FALSE(row.cfg.timingOnly) << row.label;
+}
+
+TEST(AdviseTest, FallbackRingWarnsOnce)
+{
+    // pcie8 has no NVLink ring, so every NCCL candidate warns that it
+    // falls back to routed hops: once in the README query, twice in
+    // the two-platform resnet-50 query. The sink sees the message
+    // once across both.
+    campaign::clearSimulationCache();
+    std::vector<std::string> lines;
+    const sim::WarnSink previous = sim::setWarnSink(
+        [&lines](const std::string &line) { lines.push_back(line); });
+    analysis::adviseStrategies(
+        adviseConfig({"--model", "bert-base", "--gpus", "8", "--batch",
+                      "128", "--platform", "pcie8"}));
+    analysis::AdviseOptions opts;
+    opts.platforms = {"dgx1v", "pcie8"};
+    analysis::adviseStrategies(
+        adviseConfig({"--model", "resnet-50", "--gpus", "8", "--batch",
+                      "32", "--platform", "pcie8"}),
+        opts);
+    sim::setWarnSink(previous);
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_EQ(lines.front(),
+              "warn: no NVLink ring over the requested GPUs; falling "
+              "back to the given order with routed hops");
 }
 
 TEST(AdviseTest, ShallowModelDropsStagedCandidates)

@@ -144,6 +144,26 @@ TEST(Campaign, ConfigKeySeparatesEveryCliAxis)
     EXPECT_TRUE(
         differs([](auto &c) { c.gpuSpec = hw::GpuSpec::pascalP100(); }));
     EXPECT_TRUE(differs([](auto &c) { c.platform = "dgx2"; }));
+    EXPECT_TRUE(differs([](auto &c) { c.timingOnly = true; }));
+}
+
+TEST(Campaign, TimingOnlyEntryNeverServesAFullRun)
+{
+    clearSimulationCache();
+    core::TrainConfig cfg;
+    cfg.model = "lenet";
+    cfg.numGpus = 2;
+    cfg.batchPerGpu = 16;
+    core::TrainConfig timing = cfg;
+    timing.timingOnly = true;
+    const core::TrainReport &fast = cachedSimulate(timing);
+    EXPECT_EQ(fast.digest, 0u);
+    EXPECT_EQ(simulationCacheStats().misses, 1u);
+    const core::TrainReport &full = cachedSimulate(cfg);
+    EXPECT_EQ(simulationCacheStats().misses, 2u)
+        << "a full request must not hit the timing-only entry";
+    EXPECT_NE(full.digest, 0u);
+    EXPECT_EQ(full.epochSeconds, fast.epochSeconds);
 }
 
 TEST(Campaign, ConfigKeyNeverTruncatesLongNames)

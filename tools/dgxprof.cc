@@ -462,6 +462,8 @@ cmdSweep(const Args &args)
     }
     campaign::CampaignSpec spec = campaign::campaignSpecFromArgs(args);
     spec[Axis::Method] = {"p2p", "nccl"};
+    // The table reads epoch, bubble and staleness only.
+    spec.base.timingOnly = true;
     const auto configs = spec.expand();
     const auto records = campaign::runCampaign(
         configs, args.getInt("jobs", campaign::defaultJobs()));
@@ -635,8 +637,7 @@ cmdAdvise(const Args &args)
         opts.modes = {cfg.mode};
     opts.stageCounts = args.getIntList("stages", {});
     opts.platforms = args.getList("platforms", {});
-    opts.topK =
-        static_cast<std::size_t>(args.getInt("topk", 3));
+    opts.topK = args.getInt("topk", 3);
 
     const analysis::AdviseResult result =
         analysis::adviseStrategies(cfg, opts);

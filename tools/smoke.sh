@@ -3,20 +3,25 @@
 # exit 0. `verify` runs a configuration twice and compares the event
 # digests; `analyze --max-error 5` needs tick-exact attribution and
 # every standard what-if projection within 5% of its re-simulation;
-# `advise` backs its winner with a full simulation. Every row runs,
-# and the script fails at the end if any row did. CI's smoke job runs
-# it; tools/run_audit.sh runs it again sanitized, with the auditor on.
+# `advise` backs its winner with a full simulation; `check --no-digest`
+# gates a golden grid through timing-only runs. Every row runs, from
+# the repository root, and the script fails at the end if any row did.
+# CI's smoke job runs it; tools/run_audit.sh runs it again sanitized,
+# with the auditor on.
 #
 # Usage: tools/smoke.sh [build-dir]
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
-dgxprof="${1:-"$repo/build"}/tools/dgxprof"
+builddir=$(CDPATH= cd -- "${1:-"$repo/build"}" && pwd)
+dgxprof="$builddir/tools/dgxprof"
 
 if [ ! -x "$dgxprof" ]; then
     echo "error: $dgxprof not built" >&2
     exit 1
 fi
+# Rows name committed files relative to the repository root.
+cd "$repo"
 
 failures=0
 while read -r row; do
@@ -100,6 +105,8 @@ analyze --model alexnet --gpus 4 --batch 16 --method p2p --what-if standard --ma
 analyze --model alexnet --gpus 4 --batch 16 --method nccl --what-if standard --max-error 5
 # The README's strategy search.
 advise --model bert-base --gpus 8 --batch 128 --platform pcie8
+# A drift-only gate: timing-only re-runs, no records, no digest.
+check --baseline results/baseline_modes.json --no-digest
 ROWS
 
 if [ "$failures" -ne 0 ]; then
