@@ -8,10 +8,9 @@
 
 #include <cstdio>
 
-#include "core/async_trainer.hh"
-#include "core/model_parallel_trainer.hh"
 #include "core/text_table.hh"
 #include "core/trainer.hh"
+#include "core/trainer_base.hh"
 
 namespace {
 
@@ -39,9 +38,10 @@ printTables()
          "async gain", "staleness avg", "staleness max"});
     for (const char *model : {"lenet", "alexnet", "resnet-50"}) {
         for (int gpus : {2, 4, 8}) {
-            const auto cfg = makeConfig(model, gpus);
+            auto cfg = makeConfig(model, gpus);
             const auto sync = core::Trainer::simulate(cfg);
-            const auto async = core::AsyncTrainer::simulate(cfg);
+            cfg.mode = core::ParallelismMode::AsyncPs;
+            const auto async = core::TrainerBase::simulate(cfg);
             async_table.addRow(
                 {model, std::to_string(gpus),
                  core::TextTable::num(sync.epochSeconds, 2),
@@ -69,8 +69,11 @@ printTables()
         auto cfg = makeConfig(model, 4);
         cfg.method = CommMethod::NCCL;
         const auto dp = core::Trainer::simulate(cfg);
-        const auto mp1 = core::ModelParallelTrainer::simulate(cfg, 1);
-        const auto mp4 = core::ModelParallelTrainer::simulate(cfg, 4);
+        cfg.mode = core::ParallelismMode::ModelParallel;
+        cfg.microbatches = 1;
+        const auto mp1 = core::TrainerBase::simulate(cfg);
+        cfg.microbatches = 4;
+        const auto mp4 = core::TrainerBase::simulate(cfg);
         mp_table.addRow(
             {model, core::TextTable::num(dp.epochSeconds, 2),
              core::TextTable::num(mp1.epochSeconds, 2),

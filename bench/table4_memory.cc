@@ -54,7 +54,7 @@ printTable()
         cfg.model = model;
         cfg.numGpus = 4;
         cfg.method = CommMethod::NCCL;
-        const auto best = core::Trainer::maxBatchPerGpu(
+        const auto best = core::TrainerBase::maxBatchPerGpu(
             cfg, {16, 32, 64, 128, 256, 512});
         caps.addRow({model, best ? std::to_string(*best) : "none"});
     }

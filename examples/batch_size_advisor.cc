@@ -30,7 +30,7 @@ main()
         cfg.model = model;
         cfg.numGpus = 4;
         cfg.method = comm::CommMethod::NCCL;
-        const auto best = core::Trainer::maxBatchPerGpu(cfg, candidates);
+        const auto best = core::TrainerBase::maxBatchPerGpu(cfg, candidates);
         if (!best) {
             caps.addRow({model, "none", "-", "-"});
             continue;

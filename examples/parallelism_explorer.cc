@@ -13,10 +13,9 @@
 #include <cstdlib>
 #include <string>
 
-#include "core/async_trainer.hh"
-#include "core/model_parallel_trainer.hh"
 #include "core/text_table.hh"
 #include "core/trainer.hh"
+#include "core/trainer_base.hh"
 
 int
 main(int argc, char **argv)
@@ -58,14 +57,16 @@ main(int argc, char **argv)
     cfg.bucketFusionMB = 0.0;
 
     cfg.method = comm::CommMethod::P2P;
-    const auto async = core::AsyncTrainer::simulate(cfg);
+    cfg.mode = core::ParallelismMode::AsyncPs;
+    const auto async = core::TrainerBase::simulate(cfg);
     table.addRow(
         {"async SGD (no barrier)",
          TextTable::num(async.epochSeconds, 2),
          "staleness avg " + TextTable::num(async.avgStaleness, 1) +
              ", max " + std::to_string(async.maxStaleness)});
 
-    const auto mp = core::ModelParallelTrainer::simulate(cfg);
+    cfg.mode = core::ParallelismMode::ModelParallel;
+    const auto mp = core::TrainerBase::simulate(cfg);
     table.addRow(
         {"model-parallel pipeline",
          TextTable::num(mp.epochSeconds, 2),

@@ -115,12 +115,7 @@ AsyncTrainer::applyPush(std::size_t g)
 TrainReport
 AsyncTrainer::run()
 {
-    return run(cfg_.asyncItersPerWorker);
-}
-
-TrainReport
-AsyncTrainer::run(int iterations_per_worker)
-{
+    const int iterations_per_worker = cfg_.asyncItersPerWorker;
     TrainReport report;
     report.config = cfg_;
     report.iterations = cfg_.iterationsPerEpoch();
@@ -183,16 +178,6 @@ AsyncTrainer::run(int iterations_per_worker)
         static_cast<double>(prof.copiedBytes("PtoP")) /
         static_cast<double>(iterations_per_worker);
     return report;
-}
-
-TrainReport
-AsyncTrainer::simulate(const TrainConfig &cfg,
-                       int iterations_per_worker)
-{
-    AsyncTrainer trainer(cfg);
-    return iterations_per_worker > 0
-               ? trainer.run(iterations_per_worker)
-               : trainer.run();
 }
 
 } // namespace dgxsim::core

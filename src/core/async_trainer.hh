@@ -45,16 +45,6 @@ class AsyncTrainer : public TrainerBase
      */
     TrainReport run() override;
 
-    /**
-     * Same, with an explicit per-worker iteration count overriding
-     * cfg.asyncItersPerWorker.
-     */
-    TrainReport run(int iterations_per_worker);
-
-    /** Convenience one-shot run on a stock DGX-1. */
-    static TrainReport simulate(const TrainConfig &cfg,
-                                int iterations_per_worker = 0);
-
   private:
     /** Shared constructor body (streams, auditor wiring). */
     void setup();

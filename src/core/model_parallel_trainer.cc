@@ -14,11 +14,10 @@ const profiling::Name kPtoP("PtoP");
 
 } // namespace
 
-ModelParallelTrainer::ModelParallelTrainer(TrainConfig cfg,
-                                           int microbatches)
+ModelParallelTrainer::ModelParallelTrainer(TrainConfig cfg)
     : TrainerBase(std::move(cfg), std::nullopt)
 {
-    init(microbatches);
+    init();
 }
 
 ModelParallelTrainer::ModelParallelTrainer(TrainConfig cfg,
@@ -26,20 +25,18 @@ ModelParallelTrainer::ModelParallelTrainer(TrainConfig cfg,
                                            hw::Topology topo)
     : TrainerBase(std::move(cfg), std::move(net), std::move(topo))
 {
-    init(0);
+    init();
 }
 
 void
-ModelParallelTrainer::init(int microbatches)
+ModelParallelTrainer::init()
 {
     // Pipeline keeps its 1F1B identity; every other mode normalizes
     // to the gpipe fill-drain strategy, as before the refactor.
     if (cfg_.mode != ParallelismMode::Pipeline)
         cfg_.mode = ParallelismMode::ModelParallel;
     schedule_ = makeStageSchedule(cfg_.mode);
-    microbatches_ = microbatches > 0     ? microbatches
-                    : cfg_.microbatches > 0 ? cfg_.microbatches
-                                            : cfg_.numGpus;
+    microbatches_ = cfg_.microbatches > 0 ? cfg_.microbatches : cfg_.numGpus;
     const int global_batch = cfg_.globalBatch();
     if (global_batch % microbatches_ != 0) {
         sim::fatal("global batch ", global_batch,
@@ -410,14 +407,6 @@ ModelParallelTrainer::run()
         report.stageFlopsShare.push_back(flops / total_flops);
     }
     return report;
-}
-
-TrainReport
-ModelParallelTrainer::simulate(const TrainConfig &cfg,
-                               int microbatches)
-{
-    ModelParallelTrainer trainer(cfg, microbatches);
-    return trainer.run();
 }
 
 } // namespace dgxsim::core

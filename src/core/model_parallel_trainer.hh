@@ -51,11 +51,10 @@ class ModelParallelTrainer : public TrainerBase
      *        the two parallelism modes compare at equal work).
      *        cfg.mode == Pipeline selects the 1F1B schedule; any
      *        other mode normalizes to ModelParallel (gpipe).
-     * @param microbatches Pipeline depth; overrides cfg.microbatches
-     *        when positive, else cfg.microbatches applies (0 selects
+     *        cfg.microbatches is the pipeline depth (0 selects
      *        numGpus).
      */
-    explicit ModelParallelTrainer(TrainConfig cfg, int microbatches = 0);
+    explicit ModelParallelTrainer(TrainConfig cfg);
 
     /**
      * Test constructor: run @p net over an explicit topology,
@@ -84,12 +83,9 @@ class ModelParallelTrainer : public TrainerBase
     /** @return the schedule this trainer runs (gpipe or 1f1b). */
     const StageSchedule &schedule() const { return *schedule_; }
 
-    static TrainReport simulate(const TrainConfig &cfg,
-                                int microbatches = 0);
-
   private:
     /** Shared ctor tail: microbatch split, streams, partition. */
-    void init(int microbatches);
+    void init();
 
     void partition();
 

@@ -383,19 +383,4 @@ Trainer::simulate(const TrainConfig &cfg)
     return trainer.run();
 }
 
-std::optional<int>
-Trainer::maxBatchPerGpu(TrainConfig cfg,
-                        const std::vector<int> &candidates)
-{
-    std::optional<int> best;
-    for (int batch : candidates) {
-        cfg.batchPerGpu = batch;
-        cfg.measuredIterations = 0; // memory probe only
-        Trainer trainer(cfg);
-        if (!trainer.run().oom)
-            best = batch;
-    }
-    return best;
-}
-
 } // namespace dgxsim::core

@@ -74,13 +74,6 @@ class Trainer : public TrainerBase
      */
     static TrainReport simulate(const TrainConfig &cfg);
 
-    /**
-     * @return the largest per-GPU batch size (from @p candidates in
-     * increasing order) that fits in memory, or nullopt if none do.
-     */
-    static std::optional<int> maxBatchPerGpu(
-        TrainConfig cfg, const std::vector<int> &candidates);
-
   private:
     /** Delegated constructor; builds cfg.model when @p net is empty. */
     Trainer(TrainConfig cfg, std::optional<dnn::Network> net,

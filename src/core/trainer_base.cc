@@ -1,7 +1,5 @@
 #include "core/trainer_base.hh"
 
-#include <map>
-
 #include "core/async_trainer.hh"
 #include "core/model_parallel_trainer.hh"
 #include "core/trainer.hh"
@@ -11,33 +9,6 @@
 namespace dgxsim::core {
 
 namespace {
-
-std::map<ParallelismMode, TrainerFactory> &
-registry()
-{
-    // Explicit registration (not per-TU static initializers): the
-    // library is linked statically, so self-registering object files
-    // could be dropped by the linker when nothing references them.
-    static std::map<ParallelismMode, TrainerFactory> factories = {
-        {ParallelismMode::SyncDp,
-         [](const TrainConfig &cfg) -> std::unique_ptr<TrainerBase> {
-             return std::make_unique<Trainer>(cfg);
-         }},
-        {ParallelismMode::AsyncPs,
-         [](const TrainConfig &cfg) -> std::unique_ptr<TrainerBase> {
-             return std::make_unique<AsyncTrainer>(cfg);
-         }},
-        {ParallelismMode::ModelParallel,
-         [](const TrainConfig &cfg) -> std::unique_ptr<TrainerBase> {
-             return std::make_unique<ModelParallelTrainer>(cfg);
-         }},
-        {ParallelismMode::Pipeline,
-         [](const TrainConfig &cfg) -> std::unique_ptr<TrainerBase> {
-             return std::make_unique<ModelParallelTrainer>(cfg);
-         }},
-    };
-    return factories;
-}
 
 /**
  * Fold the platform's GPU spec into the config: a gpuSpec left at the
@@ -83,20 +54,20 @@ TrainerBase::TrainerBase(TrainConfig cfg,
 
 TrainerBase::~TrainerBase() = default;
 
-void
-registerTrainer(ParallelismMode mode, TrainerFactory factory)
-{
-    registry()[mode] = factory;
-}
-
 std::unique_ptr<TrainerBase>
 TrainerBase::make(const TrainConfig &cfg)
 {
-    auto it = registry().find(cfg.mode);
-    if (it == registry().end())
-        sim::fatal("no trainer registered for mode '",
-                   parallelismModeName(cfg.mode), "'");
-    return it->second(cfg);
+    switch (cfg.mode) {
+    case ParallelismMode::SyncDp:
+        return std::make_unique<Trainer>(cfg);
+    case ParallelismMode::AsyncPs:
+        return std::make_unique<AsyncTrainer>(cfg);
+    case ParallelismMode::ModelParallel:
+    case ParallelismMode::Pipeline:
+        return std::make_unique<ModelParallelTrainer>(cfg);
+    }
+    sim::fatal("no trainer for parallelism mode ",
+               static_cast<int>(cfg.mode));
 }
 
 TrainReport

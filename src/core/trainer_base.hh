@@ -7,12 +7,8 @@
  * and nothing else. All strategies produce the same TrainReport —
  * epoch and iteration time, determinism digest, peak memory, OOM
  * verdict — so the campaign runner, baseline gating, determinism
- * harness and CLI treat every mode uniformly.
- *
- * Strategies register a factory per ParallelismMode; make() and
- * simulate() dispatch on TrainConfig::mode. The three built-in modes
- * are pre-registered; a new strategy (e.g. hybrid DP+MP) only needs a
- * TrainerBase subclass and one registerTrainer() call.
+ * harness and CLI treat every mode uniformly. make() and simulate()
+ * dispatch on TrainConfig::mode.
  */
 
 #ifndef DGXSIM_CORE_TRAINER_BASE_HH
@@ -60,9 +56,9 @@ class TrainerBase
     const hw::Fabric &fabric() const { return machine_.fabric(); }
 
     /**
-     * Construct the strategy registered for cfg.mode on the platform
-     * cfg.platform names (fatal when no strategy is registered for
-     * the mode or the platform is unknown).
+     * Construct the strategy for cfg.mode on the platform
+     * cfg.platform names (fatal when the mode is outside the enum or
+     * the platform is unknown).
      */
     static std::unique_ptr<TrainerBase> make(const TrainConfig &cfg);
 
@@ -106,17 +102,6 @@ class TrainerBase
     dnn::Network net_;
     std::shared_ptr<const LayerCostTable> layerCosts_;
 };
-
-/** Factory signature of one registered strategy. */
-using TrainerFactory =
-    std::unique_ptr<TrainerBase> (*)(const TrainConfig &cfg);
-
-/**
- * Register (or replace) the strategy for @p mode. The built-in
- * strategies are registered automatically; call this to plug in an
- * experimental mode without touching the dispatcher.
- */
-void registerTrainer(ParallelismMode mode, TrainerFactory factory);
 
 } // namespace dgxsim::core
 

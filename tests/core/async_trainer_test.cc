@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/async_trainer.hh"
 #include "core/trainer.hh"
+#include "core/trainer_base.hh"
 #include "sim/logging.hh"
 
 namespace {
@@ -23,13 +23,13 @@ makeConfig(const std::string &model, int gpus)
     cfg.numGpus = gpus;
     cfg.batchPerGpu = 16;
     cfg.method = comm::CommMethod::P2P;
+    cfg.mode = ParallelismMode::AsyncPs;
     return cfg;
 }
 
 TEST(AsyncTrainerTest, SingleGpuHasZeroStaleness)
 {
-    const TrainReport r =
-        AsyncTrainer::simulate(makeConfig("lenet", 1));
+    const TrainReport r = TrainerBase::simulate(makeConfig("lenet", 1));
     EXPECT_DOUBLE_EQ(r.avgStaleness, 0.0);
     EXPECT_EQ(r.maxStaleness, 0);
     EXPECT_GT(r.throughputImagesPerSec, 0);
@@ -37,8 +37,9 @@ TEST(AsyncTrainerTest, SingleGpuHasZeroStaleness)
 
 TEST(AsyncTrainerTest, AllPushesAccounted)
 {
-    AsyncTrainer trainer(makeConfig("lenet", 4));
-    const TrainReport r = trainer.run(25);
+    TrainConfig cfg = makeConfig("lenet", 4);
+    cfg.asyncItersPerWorker = 25;
+    const TrainReport r = TrainerBase::simulate(cfg);
     EXPECT_EQ(r.pushes, 4u * 25u);
 }
 
@@ -47,7 +48,7 @@ TEST(AsyncTrainerTest, StalenessGrowsWithWorkers)
     double prev = -1;
     for (int gpus : {2, 4, 8}) {
         const TrainReport r =
-            AsyncTrainer::simulate(makeConfig("resnet-50", gpus));
+            TrainerBase::simulate(makeConfig("resnet-50", gpus));
         EXPECT_GT(r.avgStaleness, prev) << gpus;
         // Mean staleness cannot exceed a full round of other workers
         // by much in steady state.
@@ -60,8 +61,7 @@ TEST(AsyncTrainerTest, StalenessApproachesWorkerCountForShortIterations)
 {
     // With homogeneous workers, each pull-to-push window sees about
     // one update from every other worker.
-    const TrainReport r =
-        AsyncTrainer::simulate(makeConfig("lenet", 8));
+    const TrainReport r = TrainerBase::simulate(makeConfig("lenet", 8));
     EXPECT_NEAR(r.avgStaleness, 7.0, 2.0);
 }
 
@@ -73,7 +73,7 @@ TEST(AsyncTrainerTest, AsyncBeatsSyncForStragglerBoundWorkloads)
     for (const char *model : {"lenet", "resnet-50"}) {
         const TrainConfig cfg = makeConfig(model, 8);
         const double sync = Trainer::simulate(cfg).epochSeconds;
-        const double async = AsyncTrainer::simulate(cfg).epochSeconds;
+        const double async = TrainerBase::simulate(cfg).epochSeconds;
         EXPECT_LT(async, sync) << model;
     }
 }
@@ -83,7 +83,7 @@ TEST(AsyncTrainerTest, ThroughputScalesWithWorkers)
     double prev = 0;
     for (int gpus : {1, 2, 4, 8}) {
         const TrainReport r =
-            AsyncTrainer::simulate(makeConfig("resnet-50", gpus));
+            TrainerBase::simulate(makeConfig("resnet-50", gpus));
         EXPECT_GT(r.throughputImagesPerSec, prev) << gpus;
         prev = r.throughputImagesPerSec;
     }
@@ -92,16 +92,15 @@ TEST(AsyncTrainerTest, ThroughputScalesWithWorkers)
 TEST(AsyncTrainerTest, DeterministicAcrossRuns)
 {
     const TrainConfig cfg = makeConfig("alexnet", 4);
-    const TrainReport a = AsyncTrainer::simulate(cfg);
-    const TrainReport b = AsyncTrainer::simulate(cfg);
+    const TrainReport a = TrainerBase::simulate(cfg);
+    const TrainReport b = TrainerBase::simulate(cfg);
     EXPECT_DOUBLE_EQ(a.epochSeconds, b.epochSeconds);
     EXPECT_DOUBLE_EQ(a.avgStaleness, b.avgStaleness);
 }
 
 TEST(AsyncTrainerTest, OneLineMentionsStaleness)
 {
-    const TrainReport r =
-        AsyncTrainer::simulate(makeConfig("lenet", 2));
+    const TrainReport r = TrainerBase::simulate(makeConfig("lenet", 2));
     const std::string line = r.oneLine();
     EXPECT_NE(line.find("async"), std::string::npos);
     EXPECT_NE(line.find("staleness"), std::string::npos);
@@ -109,10 +108,11 @@ TEST(AsyncTrainerTest, OneLineMentionsStaleness)
 
 TEST(AsyncTrainerTest, InvalidConfigsAreFatal)
 {
-    EXPECT_THROW(AsyncTrainer::simulate(makeConfig("lenet", 0)),
+    EXPECT_THROW(TrainerBase::simulate(makeConfig("lenet", 0)),
                  sim::FatalError);
-    AsyncTrainer trainer(makeConfig("lenet", 1));
-    EXPECT_THROW(trainer.run(0), sim::FatalError);
+    TrainConfig cfg = makeConfig("lenet", 1);
+    cfg.asyncItersPerWorker = 0;
+    EXPECT_THROW(TrainerBase::simulate(cfg), sim::FatalError);
 }
 
 } // namespace

@@ -84,10 +84,11 @@ TEST(FpBpScheduleTest, KernelCountsMatchTheNetwork)
     TrainConfig cfg;
     cfg.model = "lenet";
     dnn::Network net = dnn::buildLeNet();
+    const LayerCostTable costs = computeLayerCosts(net, cfg);
 
     int markers = 0;
     std::vector<int> marker_order;
-    issueFpBp(worker, stream, net, cfg,
+    issueFpBp(worker, stream, costs, cfg,
               [&](int weighted_idx) {
                   ++markers;
                   marker_order.push_back(weighted_idx);
@@ -112,8 +113,8 @@ TEST(FpBpScheduleTest, NoMarkersWithoutCallback)
     cuda::Stream stream(queue, &prof, 0, "s");
     cuda::HostThread worker(queue, &prof, "w");
     TrainConfig cfg;
-    dnn::Network net = dnn::buildLeNet();
-    issueFpBp(worker, stream, net, cfg, {});
+    const LayerCostTable costs = computeLayerCosts(dnn::buildLeNet(), cfg);
+    issueFpBp(worker, stream, costs, cfg, {});
     queue.run();
     EXPECT_GT(prof.kernels().size(), 0u);
 }
@@ -125,8 +126,8 @@ TEST(FpBpScheduleTest, ForwardKernelsPrecedeBackward)
     cuda::Stream stream(queue, &prof, 0, "s");
     cuda::HostThread worker(queue, &prof, "w");
     TrainConfig cfg;
-    dnn::Network net = dnn::buildLeNet();
-    issueFpBp(worker, stream, net, cfg, {});
+    const LayerCostTable costs = computeLayerCosts(dnn::buildLeNet(), cfg);
+    issueFpBp(worker, stream, costs, cfg, {});
     queue.run();
     bool saw_bwd = false;
     for (const auto &k : prof.kernels()) {

@@ -17,13 +17,15 @@ using namespace dgxsim;
 using namespace dgxsim::core;
 
 TrainConfig
-makeConfig(const std::string &model, int gpus)
+makeConfig(const std::string &model, int gpus, int microbatches = 0)
 {
     TrainConfig cfg;
     cfg.model = model;
     cfg.numGpus = gpus;
     cfg.batchPerGpu = 16;
     cfg.method = comm::CommMethod::NCCL;
+    cfg.mode = ParallelismMode::ModelParallel;
+    cfg.microbatches = microbatches;
     return cfg;
 }
 
@@ -45,8 +47,7 @@ TEST(ModelParallelTest, PartitionCoversEveryLayerOnce)
 
 TEST(ModelParallelTest, PartitionBalancesFlops)
 {
-    const auto r =
-        ModelParallelTrainer::simulate(makeConfig("inception-v3", 4));
+    const auto r = TrainerBase::simulate(makeConfig("inception-v3", 4));
     ASSERT_EQ(r.stageFlopsShare.size(), 4u);
     double total = 0;
     for (double share : r.stageFlopsShare) {
@@ -59,10 +60,9 @@ TEST(ModelParallelTest, PartitionBalancesFlops)
 
 TEST(ModelParallelTest, MicrobatchingShrinksTheBubble)
 {
-    const auto cfg = makeConfig("resnet-50", 4);
-    const auto ub1 = ModelParallelTrainer::simulate(cfg, 1);
-    const auto ub4 = ModelParallelTrainer::simulate(cfg, 4);
-    const auto ub16 = ModelParallelTrainer::simulate(cfg, 16);
+    const auto ub1 = TrainerBase::simulate(makeConfig("resnet-50", 4, 1));
+    const auto ub4 = TrainerBase::simulate(makeConfig("resnet-50", 4, 4));
+    const auto ub16 = TrainerBase::simulate(makeConfig("resnet-50", 4, 16));
     // A single microbatch leaves (S-1)/S of the pipeline idle.
     EXPECT_GT(ub1.bubbleFraction, 0.6);
     EXPECT_LT(ub4.bubbleFraction, ub1.bubbleFraction);
@@ -75,23 +75,20 @@ TEST(ModelParallelTest, PaperParallelismChoiceClaim)
     // Paper Sec. I: data parallelism suits conv-heavy networks;
     // model parallelism suits FC-heavy ones. Compare at equal global
     // batch on 4 GPUs.
-    const auto alex_cfg = makeConfig("alexnet", 4);
+    const auto alex_cfg = makeConfig("alexnet", 4, 4);
     const double alex_dp = Trainer::simulate(alex_cfg).epochSeconds;
-    const double alex_mp =
-        ModelParallelTrainer::simulate(alex_cfg, 4).epochSeconds;
+    const double alex_mp = TrainerBase::simulate(alex_cfg).epochSeconds;
     EXPECT_LT(alex_mp, alex_dp) << "FC-heavy AlexNet";
 
-    const auto res_cfg = makeConfig("resnet-50", 4);
+    const auto res_cfg = makeConfig("resnet-50", 4, 4);
     const double res_dp = Trainer::simulate(res_cfg).epochSeconds;
-    const double res_mp =
-        ModelParallelTrainer::simulate(res_cfg, 4).epochSeconds;
+    const double res_mp = TrainerBase::simulate(res_cfg).epochSeconds;
     EXPECT_GT(res_mp, res_dp) << "conv-heavy ResNet-50";
 }
 
 TEST(ModelParallelTest, WeightPlacementFollowsLayers)
 {
-    const auto r =
-        ModelParallelTrainer::simulate(makeConfig("alexnet", 4));
+    const auto r = TrainerBase::simulate(makeConfig("alexnet", 4));
     ASSERT_EQ(r.stageParamBytes.size(), 4u);
     sim::Bytes total = 0;
     for (sim::Bytes b : r.stageParamBytes)
@@ -104,7 +101,7 @@ TEST(ModelParallelTest, WeightPlacementFollowsLayers)
 
 TEST(ModelParallelTest, ActivationTrafficFlowsBothDirections)
 {
-    ModelParallelTrainer trainer(makeConfig("resnet-50", 4), 4);
+    ModelParallelTrainer trainer(makeConfig("resnet-50", 4, 4));
     const auto r = trainer.run();
     // 3 boundaries x 2 directions x 4 microbatches of traffic.
     EXPECT_GT(r.activationBytesPerIter, 0);
@@ -112,27 +109,25 @@ TEST(ModelParallelTest, ActivationTrafficFlowsBothDirections)
 
 TEST(ModelParallelTest, DeterministicAcrossRuns)
 {
-    const auto cfg = makeConfig("googlenet", 4);
-    const auto a = ModelParallelTrainer::simulate(cfg, 4);
-    const auto b = ModelParallelTrainer::simulate(cfg, 4);
+    const auto cfg = makeConfig("googlenet", 4, 4);
+    const auto a = TrainerBase::simulate(cfg);
+    const auto b = TrainerBase::simulate(cfg);
     EXPECT_DOUBLE_EQ(a.epochSeconds, b.epochSeconds);
     EXPECT_DOUBLE_EQ(a.bubbleFraction, b.bubbleFraction);
 }
 
 TEST(ModelParallelTest, InvalidConfigsAreFatal)
 {
-    auto cfg = makeConfig("lenet", 4);
+    auto cfg = makeConfig("lenet", 4, 8);
     cfg.batchPerGpu = 7; // global batch 28 not divisible by 8 ubatches
-    EXPECT_THROW(ModelParallelTrainer::simulate(cfg, 8),
-                 sim::FatalError);
-    EXPECT_THROW(ModelParallelTrainer::simulate(makeConfig("lenet", 0)),
+    EXPECT_THROW(TrainerBase::simulate(cfg), sim::FatalError);
+    EXPECT_THROW(TrainerBase::simulate(makeConfig("lenet", 0)),
                  sim::FatalError);
 }
 
 TEST(ModelParallelTest, OneLineMentionsBubble)
 {
-    const auto r =
-        ModelParallelTrainer::simulate(makeConfig("alexnet", 2), 2);
+    const auto r = TrainerBase::simulate(makeConfig("alexnet", 2, 2));
     EXPECT_NE(r.oneLine().find("bubble"), std::string::npos);
 }
 

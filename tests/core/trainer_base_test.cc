@@ -1,13 +1,15 @@
 /**
  * @file
- * TrainerBase strategy-dispatch tests: the registry constructs the
- * right strategy per ParallelismMode, every strategy self-describes
+ * TrainerBase strategy-dispatch tests: make() constructs the right
+ * strategy per ParallelismMode, every strategy self-describes
  * its mode in the report, memory probing and the OOM verdict work
  * uniformly across modes (async and pipeline configurations that
  * cannot fit must report oom instead of pretending to run).
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "core/async_trainer.hh"
 #include "core/model_parallel_trainer.hh"
@@ -47,6 +49,17 @@ TEST(TrainerBaseTest, MakeDispatchesOnMode)
         TrainerBase::make(lenet2(ParallelismMode::ModelParallel));
     EXPECT_NE(dynamic_cast<core::ModelParallelTrainer *>(mp.get()),
               nullptr);
+    const auto pipe = TrainerBase::make(lenet2(ParallelismMode::Pipeline));
+    EXPECT_NE(dynamic_cast<core::ModelParallelTrainer *>(pipe.get()),
+              nullptr);
+    try {
+        TrainerBase::make(lenet2(static_cast<ParallelismMode>(42)));
+        ADD_FAILURE() << "a mode outside the enum must be fatal";
+    } catch (const sim::FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("mode 42"),
+                  std::string::npos)
+            << err.what();
+    }
 }
 
 TEST(TrainerBaseTest, StrategiesNormalizeTheirMode)

@@ -161,13 +161,13 @@ TEST(TrainerTest, PaperBatchSizeCapsHold)
     const std::vector<int> candidates = {16, 32, 64, 128, 256};
     TrainConfig cfg = makeConfig("inception-v3", 4, 16,
                                  CommMethod::NCCL);
-    EXPECT_EQ(Trainer::maxBatchPerGpu(cfg, candidates), 64);
+    EXPECT_EQ(TrainerBase::maxBatchPerGpu(cfg, candidates), 64);
     cfg.model = "resnet-50";
-    EXPECT_EQ(Trainer::maxBatchPerGpu(cfg, candidates), 64);
+    EXPECT_EQ(TrainerBase::maxBatchPerGpu(cfg, candidates), 64);
     cfg.model = "googlenet";
-    EXPECT_EQ(Trainer::maxBatchPerGpu(cfg, candidates), 128);
+    EXPECT_EQ(TrainerBase::maxBatchPerGpu(cfg, candidates), 128);
     cfg.model = "lenet";
-    EXPECT_EQ(Trainer::maxBatchPerGpu(cfg, candidates), 256);
+    EXPECT_EQ(TrainerBase::maxBatchPerGpu(cfg, candidates), 256);
 }
 
 TEST(TrainerTest, OomReportedNotThrown)

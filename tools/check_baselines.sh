@@ -1,9 +1,9 @@
 #!/bin/sh
 # Regenerate every output of results/baselines.manifest (the golden
 # grids and the paper's tables and figures) into <build-dir>/golden
-# and require each to match its committed file byte for byte; a
-# committed results/baseline*.json or results/*.txt with no manifest
-# line fails too, so no output can drop out of the gate unnoticed.
+# and require each to match its committed file byte for byte; any
+# other file in results/ with no manifest line fails too, so no output
+# can drop out of the gate unnoticed.
 # Then replay the paper grid with every other axis named at its
 # default, which must not move a byte either.
 # Registered as the dgxprof_golden_baselines ctest; on drift the
@@ -24,7 +24,8 @@ for regen in "$out"/*; do
     count=$((count + 1))
     cmp "$regen" "$repo/results/${regen##*/}" || status=1
 done
-for committed in "$repo"/results/baseline*.json "$repo"/results/*.txt; do
+for committed in "$repo"/results/*; do
+    [ "${committed##*/}" = baselines.manifest ] && continue
     if [ ! -e "$out/${committed##*/}" ]; then
         echo "results/${committed##*/} has no line in" \
             "results/baselines.manifest" >&2
