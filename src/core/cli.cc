@@ -369,8 +369,10 @@ baseConfigFromArgs(const Args &args)
     }
     cfg.audit = args.has("audit");
     cfg.asyncItersPerWorker = args.getInt("async-iters", 30);
-    if (args.has("rings"))
-        cfg.commConfig.ncclRings = args.getInt("rings", 1);
+    cfg.commConfig.ncclRings = args.getInt("rings", 1);
+    // The NCCL communicator builds one ring or two.
+    if (cfg.commConfig.ncclRings != 1 && cfg.commConfig.ncclRings != 2)
+        sim::fatal("--rings must be 1 or 2, got ", cfg.commConfig.ncclRings);
     cfg.commConfig.partitionBytes = args.getBytes(
         "partition-bytes", comm::kDefaultPartitionBytes);
     if (cfg.commConfig.partitionBytes == 0)

@@ -34,11 +34,11 @@ FlowNetwork::setChannelCapacity(ChannelId id, double bytes_per_tick)
         fatal("unknown channel ", id);
     if (bytes_per_tick <= 0)
         fatal("channel capacity must be positive: ", bytes_per_tick);
+    const std::size_t base = callbacks_.size();
     settleProgress();
     channels_[id].capacity = bytes_per_tick;
     markDirty(id);
-    allocateRates();
-    rescheduleCompletions();
+    resolve(base);
 }
 
 void
@@ -51,22 +51,22 @@ FlowNetwork::markDirty(ChannelId id)
 }
 
 void
-FlowNetwork::joinAllocation(FlowId id, const Flow &flow)
+FlowNetwork::joinAllocation(Flow &flow)
 {
     for (ChannelId c : flow.path) {
-        channelFlows_[c].push_back(id);
+        channelFlows_[c].push_back(&flow);
         markDirty(c);
     }
 }
 
 void
-FlowNetwork::leaveAllocation(FlowId id, const Flow &flow)
+FlowNetwork::leaveAllocation(Flow &flow)
 {
     for (ChannelId c : flow.path) {
         auto &users = channelFlows_[c];
         // One occurrence per path element (paths may repeat a channel).
         for (std::size_t i = users.size(); i-- > 0;) {
-            if (users[i] == id) {
+            if (users[i] == &flow) {
                 users[i] = users.back();
                 users.pop_back();
                 break;
@@ -102,20 +102,20 @@ FlowNetwork::startFlow(Bytes bytes, std::vector<ChannelId> path,
 
     if (bytes == 0 || flow.path.empty()) {
         // Pure-latency flow: no bandwidth consumed.
+        flow.done = true;
         active_.emplace(id, std::move(flow));
-        active_[id].done = true;
         queue_.scheduleAfter(latency, [this, id] { complete(id); });
         return id;
     }
 
-    active_.emplace(id, std::move(flow));
+    Flow &added = active_.emplace(id, std::move(flow)).first->second;
     if (latency == 0) {
         activate(id);
     } else {
         // Keep the flow out of the allocation until its head latency
         // elapses; rate stays 0 meanwhile.
-        active_[id].lastUpdate = queue_.now() + latency;
-        latencyPending_.push_back(id);
+        added.lastUpdate = queue_.now() + latency;
+        latencyPending_.push_back(&added);
         queue_.scheduleAfter(latency, [this, id] { activate(id); });
     }
     return id;
@@ -132,7 +132,7 @@ FlowNetwork::activate(FlowId id)
     // the flow out of the latency stage.
     if (!it->second.joined) {
         it->second.joined = true;
-        joinAllocation(id, it->second);
+        joinAllocation(it->second);
     }
     recompute();
 }
@@ -170,18 +170,24 @@ void
 FlowNetwork::settleProgress()
 {
     const Tick now = queue_.now();
-    for (auto &[id, flow] : active_) {
-        if (flow.done || flow.rate <= 0 || flow.lastUpdate >= now)
+    for (auto it = active_.begin(); it != active_.end(); ++it) {
+        Flow &flow = it->second;
+        if (flow.done)
             continue;
-        const double dt = static_cast<double>(now - flow.lastUpdate);
-        const double moved = std::min(flow.remaining, flow.rate * dt);
-        flow.remaining -= moved;
-        flow.lastUpdate = now;
-        for (ChannelId c : flow.path) {
-            channels_[c].delivered += moved;
-            channels_[c].busyTicks +=
-                dt * (flow.rate / channels_[c].capacity);
+        if (flow.rate > 0 && flow.lastUpdate < now) {
+            const double dt = static_cast<double>(now - flow.lastUpdate);
+            const double moved = std::min(flow.remaining, flow.rate * dt);
+            flow.remaining -= moved;
+            flow.lastUpdate = now;
+            for (ChannelId c : flow.path) {
+                channels_[c].delivered += moved;
+                channels_[c].busyTicks +=
+                    dt * (flow.rate / channels_[c].capacity);
+            }
         }
+        // Past its latency stage with its bytes delivered.
+        if (flow.remaining <= kByteEpsilon && flow.lastUpdate <= now)
+            finished_.push_back(it);
     }
     if (auditor_)
         auditBusyTicks();
@@ -194,13 +200,12 @@ FlowNetwork::allocateRates()
     if (!latencyPending_.empty()) {
         const Tick now = queue_.now();
         for (std::size_t i = latencyPending_.size(); i-- > 0;) {
-            auto it = active_.find(latencyPending_[i]);
-            if (it != active_.end() && !it->second.joined &&
-                it->second.lastUpdate > now)
-                continue; // still in its latency stage
-            if (it != active_.end() && !it->second.joined) {
-                it->second.joined = true;
-                joinAllocation(latencyPending_[i], it->second);
+            Flow &flow = *latencyPending_[i];
+            if (!flow.joined) {
+                if (flow.lastUpdate > now)
+                    continue; // still in its latency stage
+                flow.joined = true;
+                joinAllocation(flow);
             }
             latencyPending_[i] = latencyPending_.back();
             latencyPending_.pop_back();
@@ -213,7 +218,6 @@ FlowNetwork::allocateRates()
     // are left untouched.
     ++solveEpoch_;
     affectedChannels_.clear();
-    affectedFlows_.clear();
     for (ChannelId c : dirty_) {
         channelDirty_[c] = 0;
         if (channelMark_[c] != solveEpoch_) {
@@ -222,14 +226,16 @@ FlowNetwork::allocateRates()
         }
     }
     dirty_.clear();
+    std::size_t unfrozen = 0;
     for (std::size_t i = 0; i < affectedChannels_.size(); ++i) {
-        for (FlowId id : channelFlows_[affectedChannels_[i]]) {
-            Flow &flow = active_[id];
-            if (flow.mark == solveEpoch_)
+        for (Flow *flow : channelFlows_[affectedChannels_[i]]) {
+            if (flow->mark == solveEpoch_)
                 continue;
-            flow.mark = solveEpoch_;
-            affectedFlows_.emplace_back(id, &flow);
-            for (ChannelId c : flow.path) {
+            flow->mark = solveEpoch_;
+            flow->rate = 0;
+            flow->frozen = false;
+            ++unfrozen;
+            for (ChannelId c : flow->path) {
                 if (channelMark_[c] != solveEpoch_) {
                     channelMark_[c] = solveEpoch_;
                     affectedChannels_.push_back(c);
@@ -237,58 +243,43 @@ FlowNetwork::allocateRates()
             }
         }
     }
-    if (affectedChannels_.empty()) {
-        if (auditor_)
-            auditRates();
-        return;
-    }
-
-    // Ascending channel-index and flow-id orders reproduce the
-    // from-scratch solver's tie-breaking exactly.
-    std::sort(affectedChannels_.begin(), affectedChannels_.end());
-    std::sort(affectedFlows_.begin(), affectedFlows_.end());
 
     // Residual capacity and unfrozen-flow count, affected slots only.
     for (ChannelId c : affectedChannels_) {
         capScratch_[c] = channels_[c].capacity;
         userScratch_[c] = static_cast<int>(channelFlows_[c].size());
     }
-    for (auto &[id, flow] : affectedFlows_)
-        flow->rate = 0;
 
-    std::vector<bool> &frozen = frozenScratch_;
-    frozen.assign(affectedFlows_.size(), false);
-    std::size_t remaining_flows = affectedFlows_.size();
-    while (remaining_flows > 0) {
-        // Find the bottleneck channel: minimal fair share.
+    while (unfrozen > 0) {
+        // Find the bottleneck channel: minimal fair share, ties to the
+        // lowest index. Channels left with no unfrozen user drop out.
         double best_share = std::numeric_limits<double>::infinity();
         std::size_t best_chan = channels_.size();
+        std::size_t live = 0;
         for (ChannelId c : affectedChannels_) {
             if (userScratch_[c] <= 0)
                 continue;
+            affectedChannels_[live++] = c;
             const double share = capScratch_[c] / userScratch_[c];
-            if (share < best_share) {
+            if (share < best_share ||
+                (share == best_share && c < best_chan)) {
                 best_share = share;
                 best_chan = c;
             }
         }
+        affectedChannels_.resize(live);
         if (best_chan == channels_.size())
             panic("max-min allocation found no bottleneck with flows left");
 
-        // Freeze every unfrozen flow crossing the bottleneck.
-        for (std::size_t i = 0; i < affectedFlows_.size(); ++i) {
-            if (frozen[i])
+        // Freeze every unfrozen flow crossing the bottleneck. Each one
+        // subtracts the same share, so their order does not matter.
+        for (Flow *flow : channelFlows_[best_chan]) {
+            if (flow->frozen)
                 continue;
-            Flow &flow = *affectedFlows_[i].second;
-            const bool crosses =
-                std::find(flow.path.begin(), flow.path.end(), best_chan) !=
-                flow.path.end();
-            if (!crosses)
-                continue;
-            flow.rate = best_share;
-            frozen[i] = true;
-            --remaining_flows;
-            for (ChannelId c : flow.path) {
+            flow->rate = best_share;
+            flow->frozen = true;
+            --unfrozen;
+            for (ChannelId c : flow->path) {
                 capScratch_[c] -= best_share;
                 if (capScratch_[c] < 0)
                     capScratch_[c] = 0;
@@ -402,7 +393,6 @@ void
 FlowNetwork::rescheduleCompletions()
 {
     const Tick now = queue_.now();
-    std::vector<FlowId> finished;
     for (auto &[id, flow] : active_) {
         if (flow.done)
             continue;
@@ -411,11 +401,7 @@ FlowNetwork::rescheduleCompletions()
             queue_.cancel(flow.completion);
             continue;
         }
-        if (flow.remaining <= kByteEpsilon) {
-            queue_.cancel(flow.completion);
-            finished.push_back(id);
-            continue;
-        }
+        // resolve() retired every flow with its bytes delivered.
         if (flow.rate <= 0)
             panic("active flow with zero rate cannot make progress");
         // Clamp to >= 1 tick: a residual just above kByteEpsilon
@@ -435,17 +421,57 @@ FlowNetwork::rescheduleCompletions()
                 queue_.schedule(when, [this, fid] { complete(fid); });
         }
     }
-    std::sort(finished.begin(), finished.end());
-    for (FlowId id : finished)
-        complete(id);
 }
 
 void
 FlowNetwork::recompute()
 {
+    const std::size_t base = callbacks_.size();
     settleProgress();
+    resolve(base);
+}
+
+void
+FlowNetwork::retire(FlowMap::iterator it)
+{
+    Flow &flow = it->second;
+    if (auditor_) {
+        // Byte conservation: everything requested was delivered (the
+        // epsilon absorbs fluid-model floating-point rounding).
+        const double slack =
+            std::max(kByteEpsilon, 1e-12 * flow.requested);
+        auditor_->expect(flow.remaining <= slack, queue_.now(),
+                         "flow ", it->first, " completed with ",
+                         flow.remaining, " of ", flow.requested,
+                         " bytes undelivered");
+    }
+    callbacks_.push_back(std::move(flow.onComplete));
+    queue_.cancel(flow.completion);
+    if (flow.joined)
+        leaveAllocation(flow);
+    active_.erase(it);
+}
+
+void
+FlowNetwork::resolve(std::size_t base)
+{
+    std::sort(finished_.begin(), finished_.end(),
+              [](FlowMap::iterator a, FlowMap::iterator b) {
+                  return a->first < b->first;
+              });
+    for (FlowMap::iterator it : finished_)
+        retire(it);
+    finished_.clear();
+    // Reallocate the freed bandwidth before notifying, so anything a
+    // callback starts sees fresh rates.
     allocateRates();
     rescheduleCompletions();
+    while (callbacks_.size() > base) {
+        std::function<void()> cb = std::move(callbacks_.back());
+        callbacks_.pop_back();
+        if (cb)
+            cb();
+    }
 }
 
 void
@@ -454,29 +480,12 @@ FlowNetwork::complete(FlowId id)
     auto it = active_.find(id);
     if (it == active_.end())
         return;
+    const std::size_t base = callbacks_.size();
     settleProgress();
-    if (auditor_) {
-        // Byte conservation: everything requested was delivered (the
-        // epsilon absorbs fluid-model floating-point rounding).
-        const Flow &flow = it->second;
-        const double slack =
-            std::max(kByteEpsilon, 1e-12 * flow.requested);
-        auditor_->expect(flow.remaining <= slack, queue_.now(),
-                         "flow ", id, " completed with ",
-                         flow.remaining, " of ", flow.requested,
-                         " bytes undelivered");
-    }
-    std::function<void()> cb = std::move(it->second.onComplete);
-    queue_.cancel(it->second.completion);
-    if (it->second.joined)
-        leaveAllocation(id, it->second);
-    active_.erase(it);
-    // Reallocate the freed bandwidth before notifying, so anything the
-    // callback starts sees fresh rates.
-    allocateRates();
-    rescheduleCompletions();
-    if (cb)
-        cb();
+    // This flow retires first, so its callback runs last.
+    std::erase(finished_, it);
+    retire(it);
+    resolve(base);
 }
 
 } // namespace dgxsim::sim

@@ -17,11 +17,23 @@
  * flow-channel bipartite graph reachable from the dirty channels.
  * Max-min allocation within a component is arithmetically independent
  * of every other component (no shared channel, so no shared residual
- * capacity), and the restricted solver visits channels in ascending
- * index and flows in ascending id — the same orders the from-scratch
- * solver used — so the resulting rates are bit-identical to a full
- * re-solve. Flows outside the component keep their previous rates,
- * which a full solve would have recomputed to the same doubles.
+ * capacity), so flows outside it keep the doubles a full re-solve
+ * would recompute. Inside it the visiting order does not matter
+ * either: the bottleneck is the lowest-index channel of minimal share,
+ * chosen by an explicit comparison, and every flow frozen in one round
+ * subtracts the same share from its channels, so the residuals after
+ * a round do not depend on which flow went first. The rates are
+ * therefore bit-identical to a from-scratch solve over every flow.
+ *
+ * Flows that deliver their last bytes in the same tick retire in one
+ * pass: one settle, one re-solve and one re-key of the survivors'
+ * completions, then the retired flows' callbacks run in descending
+ * flow id, followed by the flow whose own completion event fired.
+ * That is what retiring them one at a time, each retirement's re-key
+ * finding the next, would give: the callbacks unwind in that order,
+ * and since no event is scheduled and no callback runs between those
+ * retirements, only the last one's rates and completion order could
+ * be observed.
  */
 
 #ifndef DGXSIM_SIM_FLOW_NETWORK_HH
@@ -31,7 +43,6 @@
 #include <functional>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -138,15 +149,41 @@ class FlowNetwork
         bool done = false;
         /** True once the flow entered the allocation membership. */
         bool joined = false;
+        /** True once the current max-min pass fixed the flow's rate. */
+        bool frozen = false;
         /** Epoch stamp used by the incremental solver's closure walk. */
         std::uint64_t mark = 0;
     };
 
-    /** Charge elapsed progress to all active flows, then reallocate. */
+    /** Node-based, so a Flow's address survives rehashing. */
+    using FlowMap = std::unordered_map<FlowId, Flow>;
+
+    /**
+     * Settle, re-solve and re-key, retiring every flow that has
+     * delivered its bytes; see resolve().
+     */
     void recompute();
 
-    /** Advance flow progress from lastUpdate to now. */
+    /**
+     * Advance flow progress from lastUpdate to now, and collect every
+     * flow that has delivered its bytes into finished_.
+     */
     void settleProgress();
+
+    /**
+     * Retire the flows settleProgress() found finished, in ascending
+     * id, re-solve, re-key the survivors' completions, then run every
+     * callback pushed since the stack held @p base entries, newest
+     * first.
+     */
+    void resolve(std::size_t base);
+
+    /**
+     * Take a flow out of the network: audit its byte count, push its
+     * callback onto callbacks_, cancel its completion event and leave
+     * the allocation.
+     */
+    void retire(FlowMap::iterator it);
 
     /**
      * Max-min fair allocation over the active flows. Incremental:
@@ -158,11 +195,11 @@ class FlowNetwork
     /** Flag a channel whose flow set or capacity changed. */
     void markDirty(ChannelId id);
 
-    /** Enter @p id into the allocation (per-channel membership). */
-    void joinAllocation(FlowId id, const Flow &flow);
+    /** Enter @p flow into the allocation (per-channel membership). */
+    void joinAllocation(Flow &flow);
 
-    /** Remove @p id from the allocation (per-channel membership). */
-    void leaveAllocation(FlowId id, const Flow &flow);
+    /** Remove @p flow from the allocation (per-channel membership). */
+    void leaveAllocation(Flow &flow);
 
     /** (Re)schedule every active flow's completion event. */
     void rescheduleCompletions();
@@ -178,26 +215,27 @@ class FlowNetwork
 
     EventQueue &queue_;
     std::vector<Channel> channels_;
-    std::unordered_map<FlowId, Flow> active_;
+    FlowMap active_;
     FlowId nextFlow_ = 0;
     Auditor *auditor_ = nullptr;
 
     /**
-     * Per-channel ids of flows currently in the allocation (activated,
-     * not done). One entry per path element, so a path listing a
-     * channel twice counts as two users — matching the from-scratch
-     * solver's user accounting.
+     * Per-channel flows currently in the allocation (activated, not
+     * done). One entry per path element, so a path listing a channel
+     * twice counts as two users — matching the from-scratch solver's
+     * user accounting.
      */
-    std::vector<std::vector<FlowId>> channelFlows_;
+    std::vector<std::vector<Flow *>> channelFlows_;
     /**
      * Latency-stage flows not yet in the allocation. A flow whose
      * head latency expires at tick T joins at the first allocation
      * pass with now >= T — which may be a recompute triggered by an
      * unrelated flow earlier in tick T than the activation event,
      * exactly as the from-scratch solver's lastUpdate <= now
-     * membership test behaved.
+     * membership test behaved. A flow cannot finish before it joins,
+     * so every pointer here is live.
      */
-    std::vector<FlowId> latencyPending_;
+    std::vector<Flow *> latencyPending_;
     /** Channels whose flow set or capacity changed since last solve. */
     std::vector<ChannelId> dirty_;
     std::vector<std::uint8_t> channelDirty_;
@@ -208,9 +246,14 @@ class FlowNetwork
     std::vector<double> capScratch_;
     std::vector<int> userScratch_;
     std::vector<ChannelId> affectedChannels_;
-    std::vector<std::pair<FlowId, Flow *>> affectedFlows_;
-    /** Per affected flow: rate fixed by the max-min pass. */
-    std::vector<bool> frozenScratch_;
+    /** Flows the last settle found finished, retired by resolve(). */
+    std::vector<FlowMap::iterator> finished_;
+    /**
+     * Callbacks of retired flows not yet run. A pass pushes its own
+     * and pops down to where the stack stood when it began, so a
+     * callback that retires further flows runs theirs first.
+     */
+    std::vector<std::function<void()>> callbacks_;
 };
 
 } // namespace dgxsim::sim

@@ -4,13 +4,16 @@
  *
  * Timing gates are noisy; allocation counts are not. This binary
  * replaces the global operator new with a counting one and asserts
- * that a simulation's run() stays under 3 heap allocations per landed
- * profiler record. Labels travel interned, cause tokens are values,
- * deps share one flat array and lane closures fit std::function's
- * inline buffer, so what remains is event-queue and flow-network
- * bookkeeping plus the communicators' own closures. A regression that
- * puts a std::string, a shared_ptr or a vector back on the per-record
- * path moves these counts by whole allocations per record.
+ * that a simulation's run() stays under 2.5 heap allocations per
+ * landed profiler record. Labels travel interned, cause tokens are
+ * values, deps share one flat array and lane closures fit
+ * std::function's inline buffer, so what remains is event-queue and
+ * flow-network bookkeeping plus the communicators' own closures. A
+ * regression that puts a std::string, a shared_ptr or a vector back on
+ * the per-record path moves these counts by whole allocations per
+ * record. The multi-node tree cell retires many same-tick flow
+ * completions, so it also catches per-retirement allocations in the
+ * flow network.
  */
 
 #include <gtest/gtest.h>
@@ -114,7 +117,8 @@ TEST_P(RecordAllocations, FewerThanThreePerRecord)
     std::printf("%s: %llu allocations, %zu records, %.2f per record\n",
                 GetParam(), static_cast<unsigned long long>(used),
                 records, per_record);
-    EXPECT_LT(per_record, 3.0);
+    // The name predates the bound, which was 3 before it tightened.
+    EXPECT_LT(per_record, 2.5);
 }
 
 std::string
@@ -122,7 +126,8 @@ cellName(const ::testing::TestParamInfo<const char *> &info)
 {
     static const char *const names[] = {"AlexnetG8Nccl", "Resnet50G8P2p",
                                         "LenetG4AsyncPs",
-                                        "BertBaseG4NcclDgc"};
+                                        "BertBaseG4NcclDgc",
+                                        "AlexnetG4NcclN4Tree"};
     return names[info.index];
 }
 
@@ -133,7 +138,9 @@ INSTANTIATE_TEST_SUITE_P(
         "--model resnet-50 --gpus 8 --batch 16 --method p2p",
         "--model lenet --gpus 4 --batch 16 --mode async_ps",
         "--model bert-base --gpus 4 --batch 16 --method nccl "
-        "--compression dgc"),
+        "--compression dgc",
+        "--model alexnet --gpus 4 --batch 16 --method nccl --nodes 4 "
+        "--netalgo tree"),
     cellName);
 
 } // namespace

@@ -250,6 +250,51 @@ TEST(FlowNetworkTest, FlowActiveReflectsLifetime)
     EXPECT_FALSE(net.flowActive(f));
 }
 
+/**
+ * N equal flows on N equal channels finish in the same tick. They
+ * retire in one pass, so none is still active when the first callback
+ * runs. The callbacks run in descending flow id, then the flow whose
+ * own completion event fired: the newest flow, whose completion the
+ * last start re-keyed first.
+ */
+class SameTickSweep : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(SameTickSweep, RetireInOnePassDescendingThenTheFiredFlow)
+{
+    const int n = GetParam();
+    EventQueue q;
+    FlowNetwork net(q);
+    std::vector<FlowNetwork::FlowId> ids;
+    std::vector<int> order;
+    std::vector<Tick> ends;
+    int active_at_first = -1;
+    for (int i = 0; i < n; ++i) {
+        auto ch = net.addChannel(kUnitRate);
+        ids.push_back(net.startFlow(1000, {ch}, [&, i] {
+            if (order.empty()) {
+                active_at_first = 0;
+                for (FlowNetwork::FlowId id : ids)
+                    active_at_first += net.flowActive(id);
+            }
+            order.push_back(i);
+            ends.push_back(q.now());
+        }));
+    }
+    q.run();
+    std::vector<int> expected;
+    for (int i = n - 2; i >= 0; --i)
+        expected.push_back(i);
+    expected.push_back(n - 1);
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(active_at_first, 0);
+    EXPECT_EQ(ends, std::vector<Tick>(n, 1000));
+}
+
+INSTANTIATE_TEST_SUITE_P(FlowCounts, SameTickSweep,
+                         ::testing::Values(2, 4, 7));
+
 /** Property sweep: N equal flows on one channel finish at N * T. */
 class EqualShareSweep : public ::testing::TestWithParam<int>
 {

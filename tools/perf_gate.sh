@@ -8,29 +8,31 @@
 #
 # BASE is the merge-base with the target branch for a pull request
 # and the first parent for a push. It is checked out as a temporary
-# git worktree; this checkout's dgxbench builds into
-# .bench_build/dgxbench, as dgxbench/run.py's does.
+# git worktree at $tmp/b, and this checkout is reached through the
+# symlink $tmp/c, so both builds compile source paths of one length
+# (dgxbench bakes <source>/results in, and peak RSS moves with it);
+# each builds into its own directory under $tmp.
 #
 # Usage: tools/perf_gate.sh BASE
 set -eu
 if [ $# -ne 1 ]; then
-    sed -n '2,14p' "$0" >&2
+    sed -n '2,16p' "$0" >&2
     exit 2
 fi
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 base=$(git -C "$repo" rev-parse --verify "$1^{commit}")
 tmp=$(mktemp -d)
-trap 'git -C "$repo" worktree remove --force "$tmp/base" 2>/dev/null;
+trap 'git -C "$repo" worktree remove --force "$tmp/b" 2>/dev/null;
       rm -rf "$tmp"' EXIT
-git -C "$repo" worktree add --quiet --detach "$tmp/base" "$base"
+git -C "$repo" worktree add --quiet --detach "$tmp/b" "$base"
+ln -s "$repo" "$tmp/c"
 
 build() {
     cmake -S "$1/dgxbench" -B "$2" -DCMAKE_BUILD_TYPE=Release >&2
     cmake --build "$2" -j4 --target dgxbench >&2
 }
-build "$tmp/base" "$tmp/base-build"
-build "$repo" "$repo/.bench_build/dgxbench"
+build "$tmp/b" "$tmp/b-build"
+build "$tmp/c" "$tmp/c-build"
 echo "perf_gate: $(git -C "$repo" rev-parse --short "$base") vs this" \
     "checkout, 3 pairs" >&2
-"$repo/dgxbench/compare.sh" "$tmp/base-build" \
-    "$repo/.bench_build/dgxbench" 3
+"$repo/dgxbench/compare.sh" "$tmp/b-build" "$tmp/c-build" 3

@@ -33,7 +33,8 @@ while read -r row; do
         failures=$((failures + 1))
     }
 done <<'ROWS'
-# The sync paper zoo, both methods, plus the busy dual-ring config.
+# The sync paper zoo, both methods, plus the busy 8-GPU all-reduce
+# config (the all-reduce path runs one ring whatever --rings says).
 verify --model lenet --gpus 4 --batch 16 --method p2p
 verify --model lenet --gpus 4 --batch 16 --method nccl
 verify --model alexnet --gpus 4 --batch 16 --method p2p
