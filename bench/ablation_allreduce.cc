@@ -15,7 +15,7 @@
 #include <cstdio>
 
 #include "core/text_table.hh"
-#include "core/trainer.hh"
+#include "core/trainer_base.hh"
 
 namespace {
 
@@ -33,7 +33,7 @@ runCfg(const std::string &model, int gpus, bool allreduce,
     cfg.method = CommMethod::NCCL;
     cfg.useAllReduce = allreduce;
     cfg.bucketFusionMB = fusion_mb;
-    return core::Trainer::simulate(cfg);
+    return core::TrainerBase::simulate(cfg);
 }
 
 void

@@ -14,7 +14,7 @@
 #include <cstdio>
 
 #include "core/text_table.hh"
-#include "core/trainer.hh"
+#include "core/trainer_base.hh"
 #include "hw/platform.hh"
 
 namespace {
@@ -30,8 +30,8 @@ runTopo(const std::string &model, CommMethod method, hw::Topology topo)
     cfg.numGpus = 8;
     cfg.batchPerGpu = 16;
     cfg.method = method;
-    core::Trainer trainer(cfg, std::move(topo));
-    return trainer.run();
+    return core::TrainerBase::make(cfg, std::nullopt, std::move(topo))
+        ->run();
 }
 
 /** Run on a registered platform (the uniform-vs-stock comparison is
@@ -46,7 +46,7 @@ runPlat(const std::string &model, CommMethod method,
     cfg.batchPerGpu = 16;
     cfg.method = method;
     cfg.platform = platform;
-    return core::Trainer::simulate(cfg);
+    return core::TrainerBase::simulate(cfg);
 }
 
 void

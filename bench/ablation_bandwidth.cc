@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "core/text_table.hh"
-#include "core/trainer.hh"
+#include "core/trainer_base.hh"
 
 namespace {
 
@@ -29,7 +29,7 @@ runScaled(const std::string &model, CommMethod method, double bw_scale)
     cfg.batchPerGpu = 16;
     cfg.method = method;
     cfg.nvlinkBwScale = bw_scale;
-    return core::Trainer::simulate(cfg);
+    return core::TrainerBase::simulate(cfg);
 }
 
 const double kScales[] = {0.5, 1.0, 2.0, 4.0, 8.0};

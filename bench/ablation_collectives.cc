@@ -14,7 +14,7 @@
 #include <cstdio>
 
 #include "core/text_table.hh"
-#include "core/trainer.hh"
+#include "core/trainer_base.hh"
 
 namespace {
 
@@ -33,9 +33,10 @@ runCfg(const std::string &model, CommMethod method, sim::Bytes chunk,
     cfg.overlapBpWu = overlap;
     if (chunk > 0)
         cfg.commConfig.ringChunkBytes = chunk;
-    core::Trainer trainer(cfg, pcie_only ? hw::Topology::pcieOnly8Gpu()
-                                         : hw::Topology::dgx1Volta());
-    return trainer.run();
+    return core::TrainerBase::make(cfg, std::nullopt,
+                                   pcie_only ? hw::Topology::pcieOnly8Gpu()
+                                             : hw::Topology::dgx1Volta())
+        ->run();
 }
 
 void

@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "core/text_table.hh"
-#include "core/trainer.hh"
+#include "core/trainer_base.hh"
 
 namespace {
 
@@ -32,7 +32,7 @@ runGen(const std::string &model, const std::string &platform,
     cfg.method = CommMethod::NCCL;
     cfg.platform = platform;
     cfg.useTensorCores = tensor;
-    return core::Trainer::simulate(cfg);
+    return core::TrainerBase::simulate(cfg);
 }
 
 void

@@ -20,7 +20,7 @@
 #include "campaign/campaign.hh"
 #include "core/scaling.hh"
 #include "core/text_table.hh"
-#include "core/trainer.hh"
+#include "core/trainer_base.hh"
 #include "dnn/models.hh"
 
 namespace dgxsim::bench {

@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "core/text_table.hh"
-#include "core/trainer.hh"
 #include "core/trainer_base.hh"
 
 namespace {
@@ -39,7 +38,7 @@ printTables()
     for (const char *model : {"lenet", "alexnet", "resnet-50"}) {
         for (int gpus : {2, 4, 8}) {
             auto cfg = makeConfig(model, gpus);
-            const auto sync = core::Trainer::simulate(cfg);
+            const auto sync = core::TrainerBase::simulate(cfg);
             cfg.mode = core::ParallelismMode::AsyncPs;
             const auto async = core::TrainerBase::simulate(cfg);
             async_table.addRow(
@@ -68,7 +67,7 @@ printTables()
          {"alexnet", "googlenet", "resnet-50", "inception-v3"}) {
         auto cfg = makeConfig(model, 4);
         cfg.method = CommMethod::NCCL;
-        const auto dp = core::Trainer::simulate(cfg);
+        const auto dp = core::TrainerBase::simulate(cfg);
         cfg.mode = core::ParallelismMode::ModelParallel;
         cfg.microbatches = 1;
         const auto mp1 = core::TrainerBase::simulate(cfg);

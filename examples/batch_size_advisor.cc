@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/text_table.hh"
-#include "core/trainer.hh"
+#include "core/trainer_base.hh"
 #include "dnn/models.hh"
 
 int
@@ -36,7 +36,7 @@ main()
             continue;
         }
         cfg.batchPerGpu = *best;
-        const core::TrainReport r = core::Trainer::simulate(cfg);
+        const core::TrainReport r = core::TrainerBase::simulate(cfg);
         const double imgs_per_sec =
             static_cast<double>(cfg.datasetImages) /
             (r.epochSeconds - r.setupSeconds);
@@ -55,7 +55,7 @@ main()
         cfg.numGpus = 4;
         cfg.batchPerGpu = batch;
         cfg.method = comm::CommMethod::NCCL;
-        const core::TrainReport r = core::Trainer::simulate(cfg);
+        const core::TrainReport r = core::TrainerBase::simulate(cfg);
         if (r.oom) {
             sweep.addRow({std::to_string(batch), "OOM", "-", "-", "-"});
             continue;

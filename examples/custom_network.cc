@@ -14,7 +14,7 @@
 #include <cstdio>
 
 #include "core/text_table.hh"
-#include "core/trainer.hh"
+#include "core/trainer_base.hh"
 #include "dnn/models.hh"
 #include "dnn/network.hh"
 
@@ -89,14 +89,16 @@ main()
         cfg.batchPerGpu = 32;
 
         cfg.method = comm::CommMethod::P2P;
-        core::Trainer p2p_trainer(cfg, buildMiniVgg(),
-                                  hw::Topology::dgx1Volta());
-        const core::TrainReport p2p = p2p_trainer.run();
+        const core::TrainReport p2p =
+            core::TrainerBase::make(cfg, buildMiniVgg(),
+                                    hw::Topology::dgx1Volta())
+                ->run();
 
         cfg.method = comm::CommMethod::NCCL;
-        core::Trainer nccl_trainer(cfg, buildMiniVgg(),
-                                   hw::Topology::dgx1Volta());
-        const core::TrainReport nccl = nccl_trainer.run();
+        const core::TrainReport nccl =
+            core::TrainerBase::make(cfg, buildMiniVgg(),
+                                    hw::Topology::dgx1Volta())
+                ->run();
 
         scale.addRow({std::to_string(gpus),
                       TextTable::num(p2p.epochSeconds, 1),

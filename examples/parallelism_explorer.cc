@@ -14,7 +14,6 @@
 #include <string>
 
 #include "core/text_table.hh"
-#include "core/trainer.hh"
 #include "core/trainer_base.hh"
 
 int
@@ -36,20 +35,20 @@ main(int argc, char **argv)
     TextTable table({"strategy", "epoch (s)", "notes"});
 
     cfg.method = comm::CommMethod::P2P;
-    const auto p2p = core::Trainer::simulate(cfg);
+    const auto p2p = core::TrainerBase::simulate(cfg);
     table.addRow({"sync data-parallel, P2P kvstore",
                   TextTable::num(p2p.epochSeconds, 2),
                   "paper baseline"});
 
     cfg.method = comm::CommMethod::NCCL;
-    const auto nccl = core::Trainer::simulate(cfg);
+    const auto nccl = core::TrainerBase::simulate(cfg);
     table.addRow({"sync data-parallel, NCCL kvstore",
                   TextTable::num(nccl.epochSeconds, 2),
                   "paper baseline"});
 
     cfg.useAllReduce = true;
     cfg.bucketFusionMB = 16.0;
-    const auto modern = core::Trainer::simulate(cfg);
+    const auto modern = core::TrainerBase::simulate(cfg);
     table.addRow({"fused AllReduce + 16MB bucketing",
                   TextTable::num(modern.epochSeconds, 2),
                   "modern-stack extension"});
@@ -80,11 +79,12 @@ main(int argc, char **argv)
     // Timeline of one NCCL iteration for chrome://tracing.
     core::TrainConfig trace_cfg = cfg;
     trace_cfg.method = comm::CommMethod::NCCL;
+    trace_cfg.mode = core::ParallelismMode::SyncDp;
     trace_cfg.measuredIterations = 1;
-    core::Trainer tracer(trace_cfg);
-    tracer.run();
+    const auto tracer = core::TrainerBase::make(trace_cfg);
+    tracer->run();
     const std::string path = "/tmp/dgxsim_" + cfg.model + "_trace.json";
-    tracer.profiler().writeChromeTrace(path);
+    tracer->profiler().writeChromeTrace(path);
     std::printf("One-iteration timeline written to %s — open it at "
                 "chrome://tracing or ui.perfetto.dev.\n",
                 path.c_str());

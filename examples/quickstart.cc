@@ -13,7 +13,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "core/trainer.hh"
+#include "core/trainer_base.hh"
 
 int
 main(int argc, char **argv)
@@ -32,8 +32,8 @@ main(int argc, char **argv)
                 cfg.model.c_str(), cfg.numGpus, cfg.batchPerGpu,
                 comm::commMethodName(cfg.method));
 
-    core::Trainer trainer(cfg);
-    const core::TrainReport report = trainer.run();
+    const auto trainer = core::TrainerBase::make(cfg);
+    const core::TrainReport report = trainer->run();
 
     if (report.oom) {
         std::printf("configuration does not fit in GPU memory:\n  %s\n",
@@ -58,6 +58,6 @@ main(int argc, char **argv)
                 report.gpu0.preTrainingGB(), report.gpu0.trainingGB(),
                 report.gpux.trainingGB());
 
-    std::printf("%s\n", trainer.profiler().report().c_str());
+    std::printf("%s\n", trainer->profiler().report().c_str());
     return 0;
 }

@@ -354,19 +354,6 @@ fmtDouble(double v)
     return buf;
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char ch : s) {
-        if (ch == '"' || ch == '\\')
-            out += '\\';
-        out += ch;
-    }
-    return out;
-}
-
 } // namespace
 
 std::string
@@ -407,7 +394,7 @@ analysisJson(const Dag &dag, const Attribution &attr,
     for (const Contributor &c : dag.topContributors(attr, top_k)) {
         os << (first ? "\n" : ",\n");
         first = false;
-        os << "    {\"name\": \"" << jsonEscape(c.name)
+        os << "    {\"name\": \"" << sim::jsonEscape(c.name)
            << "\", \"category\": \"" << categoryName(c.category)
            << "\", \"critical_ticks\": " << c.critical
            << ", \"segments\": " << c.segments << "}";
@@ -419,7 +406,7 @@ analysisJson(const Dag &dag, const Attribution &attr,
     for (const WhatIfResult &r : results) {
         os << (first ? "\n" : ",\n");
         first = false;
-        os << "    {\"scenario\": \"" << jsonEscape(r.label)
+        os << "    {\"scenario\": \"" << sim::jsonEscape(r.label)
            << "\", \"projected_ticks\": " << r.projectedMakespan
            << ", \"projected_epoch_s\": "
            << fmtDouble(r.projectedEpochSeconds);

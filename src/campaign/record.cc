@@ -17,6 +17,7 @@
 #include "comm/compression.hh"
 #include "hw/platform.hh"
 #include "sim/logging.hh"
+#include "sim/suggest.hh"
 
 namespace dgxsim::campaign {
 
@@ -232,30 +233,6 @@ setText(const Field &f, RunRecord &r, const std::string &value)
                         r.*std::get<int RunRecord::*>(f.member));
 }
 
-/** Append @p s as the body of a JSON string. */
-void
-appendJsonEscaped(std::string &out, const std::string &s)
-{
-    for (char c : s) {
-        const char *named = c == '"'    ? "\\\""
-                            : c == '\\' ? "\\\\"
-                            : c == '\n' ? "\\n"
-                            : c == '\t' ? "\\t"
-                            : c == '\r' ? "\\r"
-                                        : nullptr;
-        if (named) {
-            out += named;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x",
-                          static_cast<unsigned>(c));
-            out += buf;
-        } else {
-            out.push_back(c);
-        }
-    }
-}
-
 /** Escape a CSV field (quote when it contains , " or newline). */
 std::string
 csvEscape(const std::string &s)
@@ -392,7 +369,7 @@ recordsToJson(const std::vector<RunRecord> &records)
             if (f.hex || std::holds_alternative<std::string RunRecord::*>(
                              f.member)) {
                 out += '"';
-                appendJsonEscaped(out, text(f, r));
+                out += sim::jsonEscape(text(f, r));
                 out += '"';
             } else {
                 out += text(f, r);

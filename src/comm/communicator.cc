@@ -35,11 +35,6 @@ Communicator::Communicator(CommContext ctx, CommConfig cfg)
         if (ctx_.fabric->topology().nodeKind(g) != hw::NodeKind::Gpu)
             sim::fatal("node ", g, " is not a GPU");
     }
-    if (cfg_.audit) {
-        sim::Auditor *auditor = ctx_.fabric->enableAudit();
-        if (ctx_.profiler)
-            ctx_.profiler->setAuditor(auditor);
-    }
 }
 
 Scheduler &

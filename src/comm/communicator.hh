@@ -123,14 +123,6 @@ struct CommConfig
     Compressor compression = Compressor::None;
     /** Kept-element fraction of the sparsifiers (randomk/dgc). */
     double compressRatio = 0.01;
-    /**
-     * Attach the simulation invariant auditor (sim/auditor.hh) to
-     * the fabric this communicator runs on: byte conservation, link
-     * capacity and record-ordering invariants are then validated
-     * throughout the run. Also forced on by the DGXSIM_AUDIT
-     * environment variable.
-     */
-    bool audit = false;
 };
 
 /** Base class: op queue + common context. */

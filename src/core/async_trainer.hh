@@ -30,24 +30,25 @@
 
 namespace dgxsim::core {
 
-/** Simulates asynchronous parameter-server training. */
+/** The asynchronous parameter-server strategy; built by
+ * TrainerBase::make. */
 class AsyncTrainer : public TrainerBase
 {
   public:
-    explicit AsyncTrainer(TrainConfig cfg);
-    AsyncTrainer(TrainConfig cfg, hw::Topology topo);
     ~AsyncTrainer() override;
 
-    /**
-     * Simulate cfg.asyncItersPerWorker steady-state iterations per
-     * worker and extrapolate to the configured dataset; report.oom is
-     * set when the replicas do not fit in GPU memory.
-     */
-    TrainReport run() override;
-
   private:
-    /** Shared constructor body (streams, auditor wiring). */
-    void setup();
+    friend class TrainerBase;
+    AsyncTrainer(TrainConfig cfg, std::optional<dnn::Network> net,
+                 std::optional<hw::Topology> topo);
+
+    void planMemory(TrainReport &report) override;
+    /**
+     * Start cfg.asyncItersPerWorker steady-state iterations per
+     * worker; the report extrapolates them to the configured dataset.
+     */
+    void kickOff() override;
+    void fillReport(TrainReport &report, sim::Tick end) const override;
 
     /** Start (or continue) one worker's push-pull loop. */
     void workerIteration(std::size_t g);

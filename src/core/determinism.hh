@@ -39,7 +39,7 @@ struct DeterminismCheck
 
 /**
  * Simulate @p cfg once and return its digest. Convenience wrapper
- * around Trainer::simulate for callers that only want the digest.
+ * around TrainerBase::simulate for callers that only want the digest.
  */
 std::uint64_t runDigest(const TrainConfig &cfg);
 

@@ -41,11 +41,7 @@ Machine::Machine(const TrainConfig &cfg, hw::Topology topo,
                    cfg_.numGpus);
     }
     commonInit();
-    gpus_ = fabric_->topology().gpuSet(cfg_.numGpus);
-    for (hw::NodeId gpu : gpus_) {
-        devices_.push_back(
-            std::make_unique<cuda::Device>(gpu, cfg_.gpuSpec));
-    }
+    addDevices(fabric_->topology().gpuSet(cfg_.numGpus));
 }
 
 Machine::Machine(const TrainConfig &cfg, const hw::Cluster &cluster)
@@ -63,11 +59,7 @@ Machine::Machine(const TrainConfig &cfg, const hw::Cluster &cluster)
     }
     checkClusterMode(cfg_.mode, cfg_.nodes);
     commonInit();
-    gpus_ = cluster.gpuSet(cfg_.numGpus);
-    for (hw::NodeId gpu : gpus_) {
-        devices_.push_back(
-            std::make_unique<cuda::Device>(gpu, cfg_.gpuSpec));
-    }
+    addDevices(cluster.gpuSet(cfg_.numGpus));
 }
 
 void
@@ -128,8 +120,13 @@ Machine::launchOverhead() const
 }
 
 void
-Machine::wireAuditor()
+Machine::addDevices(std::vector<hw::NodeId> gpus)
 {
+    gpus_ = std::move(gpus);
+    for (hw::NodeId gpu : gpus_) {
+        devices_.push_back(
+            std::make_unique<cuda::Device>(gpu, cfg_.gpuSpec));
+    }
     if (!cfg_.audit && !fabric_->auditor())
         return;
     sim::Auditor *auditor = fabric_->enableAudit();

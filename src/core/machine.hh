@@ -110,15 +110,6 @@ class Machine
     sim::Tick launchOverhead() const;
 
     /**
-     * Wire the invariant auditor (sim/auditor.hh) into the profiler
-     * and every device memory tracker when cfg.audit asks for one or
-     * the fabric already carries one (commConfig.audit or the
-     * DGXSIM_AUDIT environment override). Call after communicator
-     * construction so a communicator-enabled auditor is seen.
-     */
-    void wireAuditor();
-
-    /**
      * Allocate the data-parallel replica layout on every device:
      * context, weights, gradients, activations, workspace and dataset
      * buffers per GPU, plus the root GPU's aggregation buffers when
@@ -171,6 +162,15 @@ class Machine
   private:
     /** Shared validation + what-if link scaling for every ctor. */
     void commonInit();
+
+    /**
+     * The last step of every constructor: one device per GPU of
+     * @p gpus, then the invariant auditor (sim/auditor.hh) wired into
+     * the profiler and every device memory tracker when cfg.audit
+     * asks for one or the fabric already carries one (the
+     * DGXSIM_AUDIT environment override).
+     */
+    void addDevices(std::vector<hw::NodeId> gpus);
 
     const TrainConfig &cfg_;
     sim::EventQueue queue_;

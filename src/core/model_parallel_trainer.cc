@@ -1,41 +1,16 @@
 #include "core/model_parallel_trainer.hh"
 
-#include <algorithm>
-
 #include "cuda/kernel_model.hh"
 #include "sim/auditor.hh"
 #include "sim/logging.hh"
 
 namespace dgxsim::core {
 
-namespace {
-
-const profiling::Name kPtoP("PtoP");
-
-} // namespace
-
-ModelParallelTrainer::ModelParallelTrainer(TrainConfig cfg)
-    : TrainerBase(std::move(cfg), std::nullopt)
-{
-    init();
-}
-
 ModelParallelTrainer::ModelParallelTrainer(TrainConfig cfg,
-                                           dnn::Network net,
-                                           hw::Topology topo)
+                                           std::optional<dnn::Network> net,
+                                           std::optional<hw::Topology> topo)
     : TrainerBase(std::move(cfg), std::move(net), std::move(topo))
 {
-    init();
-}
-
-void
-ModelParallelTrainer::init()
-{
-    // Pipeline keeps its 1F1B identity; every other mode normalizes
-    // to the gpipe fill-drain strategy, as before the refactor.
-    if (cfg_.mode != ParallelismMode::Pipeline)
-        cfg_.mode = ParallelismMode::ModelParallel;
-    schedule_ = makeStageSchedule(cfg_.mode);
     microbatches_ = cfg_.microbatches > 0 ? cfg_.microbatches : cfg_.numGpus;
     const int global_batch = cfg_.globalBatch();
     if (global_batch % microbatches_ != 0) {
@@ -50,7 +25,6 @@ ModelParallelTrainer::init()
         fwdLabels_.emplace_back(stage + "_fwd");
         bwdLabels_.emplace_back(stage + "_bwd");
     }
-    machine_.wireAuditor();
     partition();
 }
 
@@ -134,17 +108,8 @@ ModelParallelTrainer::forwardStage(int m, std::size_t s)
     stream.enqueueKernel(fwdLabels_[s], stageKernelTicks(s, false));
     stream.enqueueHostFn([this, m, s]() {
         if (s + 1 < stages_.size()) {
-            const sim::Bytes bytes = boundaryBytes(s);
-            const sim::Tick start = machine_.queue().now();
-            machine_.fabric().transfer(
-                machine_.gpus()[s], machine_.gpus()[s + 1], bytes,
-                [this, m, s, bytes, start]() {
-                    machine_.profiler().recordCopy(
-                        kPtoP, machine_.gpus()[s],
-                        machine_.gpus()[s + 1], bytes, start,
-                        machine_.queue().now());
-                    forwardStage(m, s + 1);
-                });
+            peerCopy(s, s + 1, boundaryBytes(s),
+                     [this, m, s]() { forwardStage(m, s + 1); });
         } else {
             // Head of the pipeline: turn around into backward.
             backwardStage(m, s);
@@ -159,24 +124,15 @@ ModelParallelTrainer::backwardStage(int m, std::size_t s)
     stream.enqueueKernel(bwdLabels_[s], stageKernelTicks(s, true));
     stream.enqueueHostFn([this, m, s]() {
         if (s > 0) {
-            const sim::Bytes bytes = boundaryBytes(s - 1);
-            const sim::Tick start = machine_.queue().now();
-            machine_.fabric().transfer(
-                machine_.gpus()[s], machine_.gpus()[s - 1], bytes,
-                [this, m, s, bytes, start]() {
-                    machine_.profiler().recordCopy(
-                        kPtoP, machine_.gpus()[s],
-                        machine_.gpus()[s - 1], bytes, start,
-                        machine_.queue().now());
-                    backwardStage(m, s - 1);
-                });
+            peerCopy(s, s - 1, boundaryBytes(s - 1),
+                     [this, m, s]() { backwardStage(m, s - 1); });
         } else {
             ++microbatchesDone_;
             if (microbatchesDone_ == microbatches_) {
                 // Local per-stage weight updates; no inter-GPU
                 // gradient communication at all.
                 for (std::size_t st = 0; st < stages_.size(); ++st)
-                    enqueueSgdUpdate(st);
+                    enqueueSgdUpdate(*streams_[st], stageParamBytes(st));
             }
         }
     });
@@ -184,7 +140,7 @@ ModelParallelTrainer::backwardStage(int m, std::size_t s)
 
 // --- 1F1B: programmed dispatcher --------------------------------------
 //
-// Each stage walks its StageSchedule slot program in order, pausing
+// Each stage walks its oneFOneBProgram slots in order, pausing
 // whenever the next slot's operand (an activation from upstream, a
 // boundary gradient from downstream) has not arrived yet. Boundary
 // tensors travel through comm::StagePump, so the comm layer's
@@ -201,7 +157,7 @@ ModelParallelTrainer::runProgrammed()
     bwdPumps_.resize(p);
     for (std::size_t s = 0; s < p; ++s) {
         StageState &st = states_[s];
-        st.program = schedule_->stageProgram(s, p, microbatches_);
+        st.program = oneFOneBProgram(s, p, microbatches_);
         // Stage 0 reads microbatches straight from the dataset
         // staging buffers; everyone else waits for upstream.
         st.fwdReady.assign(static_cast<std::size_t>(microbatches_),
@@ -255,9 +211,8 @@ ModelParallelTrainer::enqueueFwd(std::size_t s, int m)
         // backward consumes it; the planner charged the schedule's
         // peak, so exceeding it would mean the planner lied.
         ++st.liveNow;
-        st.livePeak = std::max(st.livePeak, st.liveNow);
-        const int planned = schedule_->peakLiveMicrobatches(
-            s, stages_.size(), microbatches_);
+        const int planned = peakLiveMicrobatches(
+            cfg_.mode, s, stages_.size(), microbatches_);
         if (st.liveNow > planned) {
             sim::fatal("stage ", s, " holds ", st.liveNow,
                        " live microbatches, schedule planned ",
@@ -300,56 +255,37 @@ ModelParallelTrainer::enqueueBwd(std::size_t s, int m)
         // soon as its own last backward retires, overlapping the
         // rest of the cooldown upstream.
         if (st.bwdDone == microbatches_)
-            enqueueSgdUpdate(s);
+            enqueueSgdUpdate(*streams_[s], stageParamBytes(s));
         tryAdvance(s);
     });
 }
 
-void
-ModelParallelTrainer::enqueueSgdUpdate(std::size_t s)
+// --- the strategy's part of the run envelope -------------------------
+
+sim::Bytes
+ModelParallelTrainer::stageParamBytes(std::size_t s) const
 {
     sim::Bytes params = 0;
     for (std::size_t l = stages_[s].first; l <= stages_[s].second; ++l)
         params += net_.layers()[l]->paramBytes();
-    static const profiling::Name sgd_update("sgdUpdate");
-    streams_[s]->enqueueKernel(
-        sgd_update,
-        cuda::kernelDuration(
-            cfg_.gpuSpec,
-            cuda::KernelCost{params / 2.0, 3.0 * params, false}));
+    return params;
 }
 
-// --- shared run -------------------------------------------------------
-
-TrainReport
-ModelParallelTrainer::run()
+void
+ModelParallelTrainer::planMemory(TrainReport &report)
 {
-    TrainReport report;
-    report.config = cfg_;
     report.microbatches = microbatches_;
-    report.iterations = cfg_.iterationsPerEpoch();
-
-    std::vector<int> live;
     for (std::size_t s = 0; s < stages_.size(); ++s)
-        live.push_back(schedule_->peakLiveMicrobatches(
-            s, stages_.size(), microbatches_));
-    report.stagePeakLiveMicrobatches = live;
+        report.stagePeakLiveMicrobatches.push_back(peakLiveMicrobatches(
+            cfg_.mode, s, stages_.size(), microbatches_));
+    machine_.setupModelParallelMemory(net_, stages_, microbatchSize_,
+                                      report.stagePeakLiveMicrobatches,
+                                      microbatches_);
+}
 
-    try {
-        machine_.setupModelParallelMemory(net_, stages_,
-                                          microbatchSize_, live,
-                                          microbatches_);
-    } catch (const sim::FatalError &err) {
-        report.oom = true;
-        report.oomDetail = err.what();
-        return report;
-    }
-
-    machine_.fillMemoryReport(report);
-
-    if (cfg_.measuredIterations <= 0)
-        return report; // memory-only probe
-
+void
+ModelParallelTrainer::kickOff()
+{
     microbatchesDone_ = 0;
     if (cfg_.mode == ParallelismMode::Pipeline) {
         runProgrammed();
@@ -357,25 +293,29 @@ ModelParallelTrainer::run()
         for (int m = 0; m < microbatches_; ++m)
             forwardStage(m, 0);
     }
-    const sim::Tick end = machine_.queue().run();
+}
 
-    machine_.finishRun(report, [this](sim::Auditor &auditor) {
-        for (const auto &pump : fwdPumps_) {
-            if (pump)
-                auditor.expect(pump->idle(), machine_.queue().now(),
-                               "activation pump busy after the "
-                               "queue drained");
-        }
-        for (const auto &pump : bwdPumps_) {
-            if (pump)
-                auditor.expect(pump->idle(), machine_.queue().now(),
-                               "gradient pump busy after the queue "
-                               "drained");
-        }
-    });
+void
+ModelParallelTrainer::auditIdle(sim::Auditor &auditor)
+{
+    for (const auto &pump : fwdPumps_) {
+        if (pump)
+            auditor.expect(pump->idle(), machine_.queue().now(),
+                           "activation pump busy after the queue "
+                           "drained");
+    }
+    for (const auto &pump : bwdPumps_) {
+        if (pump)
+            auditor.expect(pump->idle(), machine_.queue().now(),
+                           "gradient pump busy after the queue "
+                           "drained");
+    }
+}
 
+void
+ModelParallelTrainer::fillReport(TrainReport &report, sim::Tick end) const
+{
     report.iterationSeconds = sim::ticksToSec(end);
-    report.setupSeconds = cfg_.setupOnceSeconds;
     report.epochSeconds =
         report.iterationSeconds *
             static_cast<double>(report.iterations) +
@@ -388,25 +328,19 @@ ModelParallelTrainer::run()
         1.0 - static_cast<double>(busy) /
                   (static_cast<double>(end) * streams_.size());
 
-    const profiling::Profiler &prof = machine_.profiler();
     report.activationBytesPerIter =
-        static_cast<double>(prof.copiedBytes("PtoP"));
+        static_cast<double>(machine_.profiler().copiedBytes("PtoP"));
     report.interGpuBytesPerIter = report.activationBytesPerIter;
-    report.syncApiFraction =
-        prof.apiTimeFraction("cudaStreamSynchronize");
 
     const double total_flops = net_.forwardFlops(1);
-    for (const auto &[first, last] : stages_) {
-        sim::Bytes params = 0;
+    for (std::size_t s = 0; s < stages_.size(); ++s) {
+        const auto [first, last] = stages_[s];
         double flops = 0;
-        for (std::size_t l = first; l <= last; ++l) {
-            params += net_.layers()[l]->paramBytes();
+        for (std::size_t l = first; l <= last; ++l)
             flops += net_.layers()[l]->forwardFlops(1);
-        }
-        report.stageParamBytes.push_back(params);
+        report.stageParamBytes.push_back(stageParamBytes(s));
         report.stageFlopsShare.push_back(flops / total_flops);
     }
-    return report;
 }
 
 } // namespace dgxsim::core

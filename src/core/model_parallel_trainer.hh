@@ -13,13 +13,13 @@
  * flow backward during BP, and weight updates are purely local (no
  * gradient exchange at all).
  *
- * The per-stage execution order is a core::StageSchedule:
+ * The per-stage execution order follows core/stage_schedule.hh:
  *
  *  - ParallelismMode::ModelParallel runs the gpipe fill-drain
  *    schedule through the legacy eager dispatcher, whose record
  *    stream (and digest) is pinned bit-for-bit by parity tests.
  *  - ParallelismMode::Pipeline runs the 1F1B schedule through a
- *    programmed dispatcher: each stage walks its slot program as
+ *    programmed dispatcher: each stage walks its oneFOneBProgram as
  *    operands arrive, stage-boundary tensors move through
  *    comm::StagePump (so --scheduler/--partition-bytes policies
  *    shape activation traffic), and the memory planner charges only
@@ -41,37 +41,17 @@
 
 namespace dgxsim::core {
 
-/** Pipelined model-parallel trainer (gpipe or 1F1B schedule). */
+/**
+ * Pipelined model-parallel trainer (gpipe or 1F1B schedule); built by
+ * TrainerBase::make. cfg.batchPerGpu x cfg.numGpus forms the global
+ * batch (matching the data-parallel trainer's totals so the two
+ * parallelism modes compare at equal work). cfg.microbatches is the
+ * pipeline depth (0 selects numGpus).
+ */
 class ModelParallelTrainer : public TrainerBase
 {
   public:
-    /**
-     * @param cfg cfg.batchPerGpu x cfg.numGpus forms the global
-     *        batch (matching the data-parallel trainer's totals so
-     *        the two parallelism modes compare at equal work).
-     *        cfg.mode == Pipeline selects the 1F1B schedule; any
-     *        other mode normalizes to ModelParallel (gpipe).
-     *        cfg.microbatches is the pipeline depth (0 selects
-     *        numGpus).
-     */
-    explicit ModelParallelTrainer(TrainConfig cfg);
-
-    /**
-     * Test constructor: run @p net over an explicit topology,
-     * bypassing the platform registry (cfg.gpuSpec used as given).
-     * The closed-form pipeline tests build uniform synthetic
-     * networks on idealized fabrics through this.
-     */
-    ModelParallelTrainer(TrainConfig cfg, dnn::Network net,
-                         hw::Topology topo);
-
     ~ModelParallelTrainer() override;
-
-    /**
-     * Simulate one steady-state iteration and extrapolate the epoch;
-     * report.oom is set when a stage does not fit in GPU memory.
-     */
-    TrainReport run() override;
 
     /** @return the per-stage layer partition (layer index ranges). */
     const std::vector<std::pair<std::size_t, std::size_t>> &
@@ -80,12 +60,15 @@ class ModelParallelTrainer : public TrainerBase
         return stages_;
     }
 
-    /** @return the schedule this trainer runs (gpipe or 1f1b). */
-    const StageSchedule &schedule() const { return *schedule_; }
-
   private:
-    /** Shared ctor tail: microbatch split, streams, partition. */
-    void init();
+    friend class TrainerBase;
+    ModelParallelTrainer(TrainConfig cfg, std::optional<dnn::Network> net,
+                         std::optional<hw::Topology> topo);
+
+    void planMemory(TrainReport &report) override;
+    void kickOff() override;
+    void auditIdle(sim::Auditor &auditor) override;
+    void fillReport(TrainReport &report, sim::Tick end) const override;
 
     void partition();
 
@@ -102,9 +85,9 @@ class ModelParallelTrainer : public TrainerBase
         std::vector<char> fwdReady;
         /** Microbatches whose backward operand has arrived. */
         std::vector<char> bwdReady;
-        /** Activations held live right now / at the peak. */
+        /** Activations held live right now (checked against the
+         * planned peak). */
         int liveNow = 0;
-        int livePeak = 0;
         /** Backwards completed (local sgdUpdate trigger). */
         int bwdDone = 0;
     };
@@ -115,12 +98,11 @@ class ModelParallelTrainer : public TrainerBase
     void tryAdvance(std::size_t s);
     void enqueueFwd(std::size_t s, int m);
     void enqueueBwd(std::size_t s, int m);
-    void enqueueSgdUpdate(std::size_t s);
 
     sim::Tick stageKernelTicks(std::size_t s, bool backward) const;
     sim::Bytes boundaryBytes(std::size_t s) const;
+    sim::Bytes stageParamBytes(std::size_t s) const;
 
-    std::unique_ptr<StageSchedule> schedule_;
     int microbatches_ = 0;
     int microbatchSize_ = 0;
     std::vector<cuda::Stream *> streams_;

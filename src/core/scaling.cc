@@ -1,5 +1,7 @@
 #include "core/scaling.hh"
 
+#include "core/trainer_base.hh"
+
 namespace dgxsim::core {
 
 namespace {
@@ -17,7 +19,7 @@ sweep(TrainConfig base, const std::vector<int> &gpus, bool weak)
             cfg.datasetImages = unit_images * count;
         ScalingPoint point;
         point.gpus = count;
-        point.report = Trainer::simulate(cfg);
+        point.report = TrainerBase::simulate(cfg);
         // Normalize to time-per-unit-dataset so weak scaling is a
         // throughput comparison.
         const double unit_time =

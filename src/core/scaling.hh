@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/report.hh"
-#include "core/trainer.hh"
 
 namespace dgxsim::core {
 

@@ -2,44 +2,17 @@
 
 #include <algorithm>
 
-#include "sim/logging.hh"
-
 namespace dgxsim::core {
 
 std::vector<StageSlot>
-GpipeSchedule::stageProgram(std::size_t stage, std::size_t stages,
-                            int microbatches) const
-{
-    (void)stage;
-    (void)stages;
-    std::vector<StageSlot> program;
-    program.reserve(2 * static_cast<std::size_t>(microbatches));
-    for (int m = 0; m < microbatches; ++m)
-        program.push_back({StageSlot::Op::Fwd, m});
-    for (int m = 0; m < microbatches; ++m)
-        program.push_back({StageSlot::Op::Bwd, m});
-    return program;
-}
-
-int
-GpipeSchedule::peakLiveMicrobatches(std::size_t stage,
-                                    std::size_t stages,
-                                    int microbatches) const
-{
-    (void)stage;
-    (void)stages;
-    return microbatches;
-}
-
-std::vector<StageSlot>
-OneFOneBSchedule::stageProgram(std::size_t stage, std::size_t stages,
-                               int microbatches) const
+oneFOneBProgram(std::size_t stage, std::size_t stages, int microbatches)
 {
     // Warmup depth shrinks toward the last stage: the final stage
     // turns each microbatch around immediately (w = 1), the first
     // stage must issue a full pipeline's worth before its first
     // backward arrives (w = stages, capped at m).
-    const int w = peakLiveMicrobatches(stage, stages, microbatches);
+    const int w = peakLiveMicrobatches(ParallelismMode::Pipeline, stage,
+                                       stages, microbatches);
     std::vector<StageSlot> program;
     program.reserve(2 * static_cast<std::size_t>(microbatches));
     for (int m = 0; m < w; ++m)
@@ -54,26 +27,13 @@ OneFOneBSchedule::stageProgram(std::size_t stage, std::size_t stages,
 }
 
 int
-OneFOneBSchedule::peakLiveMicrobatches(std::size_t stage,
-                                       std::size_t stages,
-                                       int microbatches) const
+peakLiveMicrobatches(ParallelismMode mode, std::size_t stage,
+                     std::size_t stages, int microbatches)
 {
+    if (mode != ParallelismMode::Pipeline)
+        return microbatches; // gpipe fill-drain keeps every one live
     const int depth = static_cast<int>(stages - stage);
     return std::max(1, std::min(microbatches, depth));
-}
-
-std::unique_ptr<StageSchedule>
-makeStageSchedule(ParallelismMode mode)
-{
-    switch (mode) {
-    case ParallelismMode::ModelParallel:
-        return std::make_unique<GpipeSchedule>();
-    case ParallelismMode::Pipeline:
-        return std::make_unique<OneFOneBSchedule>();
-    default:
-        sim::fatal("mode ", parallelismModeName(mode),
-                   " has no stage schedule");
-    }
 }
 
 } // namespace dgxsim::core

@@ -1,30 +1,27 @@
 /**
  * @file
- * Pipeline stage schedules. A StageSchedule turns (stage, #stages,
- * #microbatches) into a deterministic per-stage slot program —
- * the order in which that stage runs microbatch forwards and
- * backwards — plus the peak number of microbatch activations the
- * stage holds live at once, which is what the Machine memory
- * planner charges instead of the historical "all microbatches
- * live" assumption.
+ * Pipeline stage schedules as two pure functions of (stage, #stages,
+ * #microbatches): the 1F1B slot program — the order in which a stage
+ * runs microbatch forwards and backwards — and, per mode, the peak
+ * number of microbatch activations a stage holds live at once, which
+ * is what the Machine memory planner charges instead of the
+ * historical "all microbatches live" assumption.
  *
  * Two schedules exist:
- *  - gpipe: fill-drain (all forwards, then all backwards). This is
- *    the schedule the legacy model_parallel trainer always ran; its
- *    peak-live count is the full microbatch count, matching the old
- *    planner byte-for-byte.
- *  - 1f1b: warmup of min(m, stages - s) forwards, then strict
- *    one-forward-one-backward alternation, then cooldown backwards.
- *    Peak-live per stage drops to min(m, stages - s), which is the
- *    memory win that makes deep pipelines fit.
+ *  - gpipe (ParallelismMode::ModelParallel): fill-drain, all forwards
+ *    then all backwards. Its order emerges from the trainer's eager
+ *    dispatcher and per-stage stream serialization, so it needs no
+ *    program; its peak-live count is the full microbatch count,
+ *    matching the old planner byte-for-byte.
+ *  - 1f1b (ParallelismMode::Pipeline): oneFOneBProgram. Peak-live
+ *    per stage drops to min(m, stages - s), which is the memory win
+ *    that makes deep pipelines fit.
  */
 
 #ifndef DGXSIM_CORE_STAGE_SCHEDULE_HH
 #define DGXSIM_CORE_STAGE_SCHEDULE_HH
 
 #include <cstddef>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "core/parallelism.hh"
@@ -40,67 +37,23 @@ struct StageSlot {
 };
 
 /**
- * A deterministic per-stage execution order over microbatches.
- * Schedules are pure functions of (stage, stages, microbatches);
- * they carry no per-run state.
+ * The 1F1B slot sequence stage @p stage executes: warmup of
+ * w = min(m, stages - stage) forwards, then steady-state
+ * Bwd(k - w)/Fwd(k) pairs, then cooldown backwards. Exactly one Fwd
+ * and one Bwd per microbatch.
  */
-class StageSchedule {
-  public:
-    virtual ~StageSchedule() = default;
-
-    /** Short name ("gpipe", "1f1b") used in reports and tables. */
-    virtual const char *name() const = 0;
-
-    /**
-     * The slot sequence stage @p stage executes. Every schedule
-     * emits exactly one Fwd and one Bwd per microbatch; only the
-     * interleaving differs.
-     */
-    virtual std::vector<StageSlot>
-    stageProgram(std::size_t stage, std::size_t stages,
-                 int microbatches) const = 0;
-
-    /**
-     * Peak number of microbatch activations stage @p stage holds
-     * live at once (forward done, backward not yet consumed). The
-     * memory planner charges this many activation copies.
-     */
-    virtual int peakLiveMicrobatches(std::size_t stage,
-                                     std::size_t stages,
-                                     int microbatches) const = 0;
-};
-
-/** Fill-drain: Fwd 0..m-1 then Bwd 0..m-1. Peak live = m. */
-class GpipeSchedule final : public StageSchedule {
-  public:
-    const char *name() const override { return "gpipe"; }
-    std::vector<StageSlot> stageProgram(std::size_t stage,
-                                        std::size_t stages,
-                                        int microbatches) const override;
-    int peakLiveMicrobatches(std::size_t stage, std::size_t stages,
-                             int microbatches) const override;
-};
+std::vector<StageSlot> oneFOneBProgram(std::size_t stage,
+                                       std::size_t stages,
+                                       int microbatches);
 
 /**
- * 1F1B: warmup of w = min(m, stages - stage) forwards, then
- * steady-state Bwd(k - w)/Fwd(k) pairs, then cooldown backwards.
- * Peak live = w.
+ * Peak number of microbatch activations stage @p stage holds live at
+ * once (forward done, backward not yet consumed) under @p mode:
+ * min(m, stages - stage) for Pipeline (1F1B), m for ModelParallel
+ * (gpipe). The memory planner charges this many activation copies.
  */
-class OneFOneBSchedule final : public StageSchedule {
-  public:
-    const char *name() const override { return "1f1b"; }
-    std::vector<StageSlot> stageProgram(std::size_t stage,
-                                        std::size_t stages,
-                                        int microbatches) const override;
-    int peakLiveMicrobatches(std::size_t stage, std::size_t stages,
-                             int microbatches) const override;
-};
-
-/**
- * @return the schedule a parallelism mode runs: ModelParallel ->
- * gpipe, Pipeline -> 1f1b. Fatal for non-pipeline modes.
- */
-std::unique_ptr<StageSchedule> makeStageSchedule(ParallelismMode mode);
+int peakLiveMicrobatches(ParallelismMode mode, std::size_t stage,
+                         std::size_t stages, int microbatches);
 
 } // namespace dgxsim::core
 

@@ -143,7 +143,7 @@ struct TrainConfig
      * record ordering, memory-capacity limits, and end-of-run
      * quiescence are validated while the run executes. Violations
      * abort the run with a diagnostic. Also forced on by the
-     * DGXSIM_AUDIT environment variable or commConfig.audit.
+     * DGXSIM_AUDIT environment variable.
      */
     bool audit = false;
     /**

@@ -3,9 +3,7 @@
 #include <algorithm>
 
 #include "core/fp_bp_schedule.hh"
-#include "cuda/kernel_model.hh"
 #include "sim/auditor.hh"
-#include "sim/logging.hh"
 
 namespace dgxsim::core {
 
@@ -20,46 +18,14 @@ const profiling::Name kDispatchApi("mxnetEngineDispatch");
 const profiling::Name kNcclAllReduceApi("ncclAllReduce");
 const profiling::Name kNcclReduceApi("ncclReduce");
 const profiling::Name kNcclBcastApi("ncclBcast");
-const profiling::Name kSgdUpdate("sgdUpdate");
 const profiling::Name kHtoD("HtoD");
 
 } // namespace
 
-Trainer::Trainer(TrainConfig cfg)
-    : TrainerBase(std::move(cfg), std::nullopt)
-{
-    setup();
-}
-
-Trainer::Trainer(TrainConfig cfg, dnn::Network net)
-    : TrainerBase(std::move(cfg),
-                  std::optional<dnn::Network>(std::move(net)))
-{
-    setup();
-}
-
-Trainer::Trainer(TrainConfig cfg, hw::Topology topo)
-    : Trainer(std::move(cfg), std::nullopt, std::move(topo))
-{
-}
-
-Trainer::Trainer(TrainConfig cfg, dnn::Network net, hw::Topology topo)
-    : Trainer(std::move(cfg), std::optional<dnn::Network>(std::move(net)),
-              std::move(topo))
-{
-}
-
 Trainer::Trainer(TrainConfig cfg, std::optional<dnn::Network> net,
-                 hw::Topology topo)
+                 std::optional<hw::Topology> topo)
     : TrainerBase(std::move(cfg), std::move(net), std::move(topo))
 {
-    setup();
-}
-
-void
-Trainer::setup()
-{
-    cfg_.mode = ParallelismMode::SyncDp; // reports describe what ran
     for (std::size_t g = 0; g < machine_.gpus().size(); ++g) {
         computeStreams_.push_back(
             &machine_.addStream(g, machine_.laneName(g, "compute")));
@@ -81,10 +47,6 @@ Trainer::setup()
     ccfg.netAlgo = cfg_.netAlgo;
     comm_ = comm::makeCommunicator(cfg_.method, std::move(cctx), ccfg);
 
-    // After communicator construction so a commConfig.audit-enabled
-    // auditor is seen and wired into the profiler and trackers.
-    machine_.wireAuditor();
-
     // Gradient buckets: one per weighted layer (MXNet), optionally
     // fused into larger messages (Horovod/DDP-style extension).
     const sim::Bytes fusion_bytes =
@@ -96,9 +58,7 @@ Trainer::setup()
             buckets_.back().bytes += bucket.bytes;
             buckets_.back().expected += cfg_.totalGpus();
         } else {
-            buckets_.push_back(
-                Bucket{bucket.layerName, bucket.bytes, 0,
-                       cfg_.totalGpus()});
+            buckets_.push_back(Bucket{bucket.bytes, 0, cfg_.totalGpus()});
         }
         bucketOfWeighted_.push_back(buckets_.size() - 1);
     }
@@ -161,10 +121,10 @@ Trainer::issueWorker(std::size_t g)
     // weight update lands — the blocked interval nvprof attributes
     // to the sync API (paper Table III).
     worker.waitStream(stream);
-    worker.post([this, g]() { onWorkerBpDone(g); });
+    worker.post([this]() { onWorkerBpDone(); });
     worker.syncEvent(barrier_, sim::usToTicks(cfg_.syncEntryUs),
                      cuda::HostThread::streamSyncApi());
-    worker.post([this, g]() { onWorkerIterationDone(g); });
+    worker.post([this]() { onWorkerIterationDone(); });
 }
 
 void
@@ -241,20 +201,14 @@ void
 Trainer::onBucketReduced(std::size_t bucket_idx)
 {
     // SGD update on the server GPU, then broadcast the fresh weights.
-    const sim::Bytes bytes = buckets_[bucket_idx].bytes;
-    const sim::Tick dur = cuda::kernelDuration(
-        cfg_.gpuSpec,
-        cuda::KernelCost{bytes / 2.0, 3.0 * bytes, false});
     commThread_->call(
-        kLaunchApi, machine_.launchOverhead(),
-        [this, bucket_idx, dur]() {
-            updateStream_->enqueueKernel(kSgdUpdate, dur);
+        kLaunchApi, machine_.launchOverhead(), [this, bucket_idx]() {
+            enqueueSgdUpdate(*updateStream_, buckets_[bucket_idx].bytes);
             if (cfg_.useAllReduce) {
                 // Replicated update: every GPU already holds the
                 // summed gradients; no broadcast follows.
-                updateStream_->enqueueHostFn([this, bucket_idx]() {
-                    onBucketBroadcast(bucket_idx);
-                });
+                updateStream_->enqueueHostFn(
+                    [this]() { onBucketBroadcast(); });
                 return;
             }
             updateStream_->enqueueHostFn([this, bucket_idx]() {
@@ -269,26 +223,24 @@ Trainer::onBucketReduced(std::size_t bucket_idx)
                     static_cast<int>(buckets_.size() + bucket_idx);
                 commThread_->call(
                     api, comm_->perCallHostOverhead(),
-                    [this, bucket_idx, bytes, prio]() {
-                        comm_->broadcast(bytes, prio,
-                                         [this, bucket_idx]() {
-                                             onBucketBroadcast(
-                                                 bucket_idx);
-                                         });
+                    [this, bytes, prio]() {
+                        comm_->broadcast(bytes, prio, [this]() {
+                            onBucketBroadcast();
+                        });
                     });
             });
         });
 }
 
 void
-Trainer::onBucketBroadcast(std::size_t /*bucket_idx*/)
+Trainer::onBucketBroadcast()
 {
     if (++broadcastsDone_ == buckets_.size())
         barrier_->signal();
 }
 
 void
-Trainer::onWorkerBpDone(std::size_t /*g*/)
+Trainer::onWorkerBpDone()
 {
     bpDoneMax_ = std::max(bpDoneMax_, machine_.queue().now());
     if (++bpDoneCount_ == cfg_.totalGpus() && !cfg_.overlapBpWu) {
@@ -300,7 +252,7 @@ Trainer::onWorkerBpDone(std::size_t /*g*/)
 }
 
 void
-Trainer::onWorkerIterationDone(std::size_t /*g*/)
+Trainer::onWorkerIterationDone()
 {
     if (++workersDone_ == cfg_.totalGpus())
         finishIteration();
@@ -317,40 +269,33 @@ Trainer::finishIteration()
         startIteration(iteration_ + 1);
 }
 
-TrainReport
-Trainer::run()
+void
+Trainer::planMemory(TrainReport &)
 {
-    TrainReport report;
-    report.config = cfg_;
-    report.iterations = cfg_.iterationsPerEpoch();
+    machine_.setupDataParallelMemory(net_);
+}
 
-    try {
-        machine_.setupDataParallelMemory(net_);
-    } catch (const sim::FatalError &err) {
-        report.oom = true;
-        report.oomDetail = err.what();
-        return report;
-    }
-
-    machine_.fillMemoryReport(report);
-
-    if (cfg_.measuredIterations <= 0)
-        return report; // memory-only probe
-
+void
+Trainer::kickOff()
+{
     startIteration(0);
-    machine_.queue().run();
+}
 
-    machine_.finishRun(report, [this](sim::Auditor &auditor) {
-        auditor.expect(comm_->idle(), machine_.queue().now(),
-                       "communicator busy after the queue drained");
-    });
+void
+Trainer::auditIdle(sim::Auditor &auditor)
+{
+    auditor.expect(comm_->idle(), machine_.queue().now(),
+                   "communicator busy after the queue drained");
+}
 
+void
+Trainer::fillReport(TrainReport &report, sim::Tick) const
+{
     const double measured = cfg_.measuredIterations;
     const double iters = static_cast<double>(report.iterations);
     report.iterationSeconds =
         sim::ticksToSec(static_cast<sim::Tick>(sumIterTicks_)) /
         measured;
-    report.setupSeconds = cfg_.setupOnceSeconds;
     report.epochSeconds =
         report.iterationSeconds * iters + report.setupSeconds;
     report.fpBpSeconds =
@@ -361,8 +306,6 @@ Trainer::run()
         measured * iters;
 
     const profiling::Profiler &prof = machine_.profiler();
-    report.syncApiFraction =
-        prof.apiTimeFraction("cudaStreamSynchronize");
     for (const auto &row : prof.apiSummary()) {
         report.apiSeconds[row.name] =
             sim::ticksToSec(row.totalTime) / measured * iters;
@@ -373,14 +316,6 @@ Trainer::run()
         measured;
     report.interNodeBytesPerIter =
         static_cast<double>(prof.copiedBytes("IB")) / measured;
-    return report;
-}
-
-TrainReport
-Trainer::simulate(const TrainConfig &cfg)
-{
-    Trainer trainer(cfg);
-    return trainer.run();
 }
 
 } // namespace dgxsim::core

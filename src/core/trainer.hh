@@ -27,7 +27,6 @@
 #define DGXSIM_CORE_TRAINER_HH
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "comm/factory.hh"
@@ -35,56 +34,24 @@
 
 namespace dgxsim::core {
 
-/** Simulates one training configuration on a registered platform (or
- * a custom topology). */
+/** The synchronous data-parallel strategy; built by TrainerBase::make. */
 class Trainer : public TrainerBase
 {
   public:
-    /** Train on the platform cfg.platform names (default DGX-1V). */
-    explicit Trainer(TrainConfig cfg);
-
-    /**
-     * Train a user-defined network (cfg.model is ignored) on the
-     * platform cfg.platform names.
-     */
-    Trainer(TrainConfig cfg, dnn::Network net);
-
-    /** Train on a custom topology (ablations; cfg.platform ignored). */
-    Trainer(TrainConfig cfg, hw::Topology topo);
-
-    /**
-     * Train a user-defined network (cfg.model is ignored) on a custom
-     * topology; see examples/custom_network.cc.
-     */
-    Trainer(TrainConfig cfg, dnn::Network net, hw::Topology topo);
-
     ~Trainer() override;
 
-    /**
-     * Run the simulation.
-     * @return the report; report.oom is set instead of throwing when
-     * the configuration does not fit in GPU memory.
-     */
-    TrainReport run() override;
-
-    /**
-     * Convenience: simulate @p cfg on its platform with the
-     * synchronous schedule (cfg.mode is ignored). Use
-     * TrainerBase::simulate for mode dispatch.
-     */
-    static TrainReport simulate(const TrainConfig &cfg);
-
   private:
-    /** Delegated constructor; builds cfg.model when @p net is empty. */
+    friend class TrainerBase;
     Trainer(TrainConfig cfg, std::optional<dnn::Network> net,
-            hw::Topology topo);
+            std::optional<hw::Topology> topo);
 
-    /** Shared constructor body (streams, communicator, buckets). */
-    void setup();
+    void planMemory(TrainReport &report) override;
+    void kickOff() override;
+    void auditIdle(sim::Auditor &auditor) override;
+    void fillReport(TrainReport &report, sim::Tick end) const override;
 
     struct Bucket
     {
-        std::string layer;
         sim::Bytes bytes = 0;
         int arrivals = 0;  ///< per-GPU per-layer gradients landed
         int expected = 0;  ///< arrivals needed before communicating
@@ -102,13 +69,13 @@ class Trainer : public TrainerBase
     /** Push a bucket through reduce -> update -> broadcast. */
     void pushBucket(std::size_t bucket_idx);
     void onBucketReduced(std::size_t bucket_idx);
-    void onBucketBroadcast(std::size_t bucket_idx);
+    void onBucketBroadcast();
 
     /** One GPU finished BP (its compute stream drained). */
-    void onWorkerBpDone(std::size_t g);
+    void onWorkerBpDone();
 
     /** One GPU observed the iteration barrier. */
-    void onWorkerIterationDone(std::size_t g);
+    void onWorkerIterationDone();
 
     /** All GPUs done: record times, advance or stop. */
     void finishIteration();

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "sim/logging.hh"
+#include "sim/suggest.hh"
 
 namespace dgxsim::profiling {
 
@@ -224,20 +225,6 @@ namespace dgxsim::profiling {
 
 namespace {
 
-/** Escape a string for a JSON literal. */
-std::string
-jsonEscape(const std::string &in)
-{
-    std::string out;
-    out.reserve(in.size());
-    for (char c : in) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
 void
 emitEvent(std::ostringstream &os, bool &first, const std::string &name,
           const std::string &pid, const std::string &tid,
@@ -246,10 +233,10 @@ emitEvent(std::ostringstream &os, bool &first, const std::string &name,
     if (!first)
         os << ",\n";
     first = false;
-    os << "  {\"name\": \"" << jsonEscape(name)
-       << "\", \"ph\": \"X\", \"pid\": \"" << jsonEscape(pid)
-       << "\", \"tid\": \"" << jsonEscape(tid) << "\", \"ts\": " << ts_us
-       << ", \"dur\": " << dur_us << "}";
+    os << "  {\"name\": \"" << sim::jsonEscape(name)
+       << "\", \"ph\": \"X\", \"pid\": \"" << sim::jsonEscape(pid)
+       << "\", \"tid\": \"" << sim::jsonEscape(tid)
+       << "\", \"ts\": " << ts_us << ", \"dur\": " << dur_us << "}";
 }
 
 /** The (pid, tid) track a record renders on, plus its time span. */
@@ -272,8 +259,9 @@ emitFlowHalf(std::ostringstream &os, bool &first, char phase,
        << "\", \"id\": " << flow_id;
     if (phase == 'f')
         os << ", \"bp\": \"e\"";
-    os << ", \"pid\": \"" << jsonEscape(at.pid) << "\", \"tid\": \""
-       << jsonEscape(at.tid) << "\", \"ts\": " << ts_us << "}";
+    os << ", \"pid\": \"" << sim::jsonEscape(at.pid)
+       << "\", \"tid\": \"" << sim::jsonEscape(at.tid)
+       << "\", \"ts\": " << ts_us << "}";
 }
 
 } // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 
 namespace dgxsim::sim {
 
@@ -78,6 +79,32 @@ parseFinite(std::string_view text)
     if (ec != std::errc() || ptr != end || !std::isfinite(value))
         return std::nullopt;
     return value;
+}
+
+std::string
+jsonEscape(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        const char *named = c == '"'    ? "\\\""
+                            : c == '\\' ? "\\\\"
+                            : c == '\n' ? "\\n"
+                            : c == '\t' ? "\\t"
+                            : c == '\r' ? "\\r"
+                                        : nullptr;
+        if (named) {
+            out += named;
+        } else if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x",
+                          static_cast<unsigned>(c));
+            out += buf;
+        } else {
+            out.push_back(c);
+        }
+    }
+    return out;
 }
 
 } // namespace dgxsim::sim

@@ -3,9 +3,11 @@
  * Helpers for reading user input. Did-you-mean suggestions for CLI
  * name lookups: registry-backed names (schedulers, net algos,
  * interconnects) fail fast on a typo, and attaching the closest
- * candidate turns "unknown name" into an actionable message. And the
+ * candidate turns "unknown name" into an actionable message. The
  * one parse for every double a user types or loads (CLI options,
- * what-if values, record JSON), which admits finite numbers only.
+ * what-if values, record JSON), which admits finite numbers only. And
+ * the one JSON string escaper every writer (records, analysis JSON,
+ * Chrome traces) uses.
  */
 
 #ifndef DGXSIM_SIM_SUGGEST_HH
@@ -41,6 +43,13 @@ std::string didYouMean(const std::string &got,
  * value never reaches a comparison it would slip past.
  */
 std::optional<double> parseFinite(std::string_view text);
+
+/**
+ * @return @p s escaped as the body of a JSON string: a backslash
+ * before each quote and backslash, short escapes for newline, tab and
+ * carriage return, and \u00XX for every other control character.
+ */
+std::string jsonEscape(std::string_view s);
 
 } // namespace dgxsim::sim
 

@@ -14,7 +14,7 @@
 #include "campaign/campaign.hh"
 #include "campaign/thread_pool.hh"
 #include "core/cli.hh"
-#include "core/trainer.hh"
+#include "core/trainer_base.hh"
 #include "sim/logging.hh"
 
 namespace dgxsim::campaign {
@@ -82,7 +82,7 @@ TEST(Campaign, RecordsMatchDirectSimulation)
     const auto records = runCampaign(spec.expand(), 2);
     ASSERT_EQ(records.size(), 2u);
     const core::TrainReport direct =
-        core::Trainer::simulate(spec.expand()[0]);
+        core::TrainerBase::simulate(spec.expand()[0]);
     EXPECT_EQ(records[0].model, "lenet");
     EXPECT_EQ(records[0].method, "p2p");
     EXPECT_DOUBLE_EQ(records[0].epochSeconds, direct.epochSeconds);

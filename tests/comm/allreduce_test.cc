@@ -9,7 +9,7 @@
 
 #include "comm/nccl_communicator.hh"
 #include "comm/p2p_parameter_server.hh"
-#include "core/trainer.hh"
+#include "core/trainer_base.hh"
 #include "sim/logging.hh"
 
 namespace {
@@ -144,19 +144,19 @@ TEST(AllReduceTrainerTest, AllReduceHelpsBigBucketsHurtsSmallOnes)
 
     cfg.model = "alexnet";
     const double alex_base =
-        core::Trainer::simulate(cfg).epochSeconds;
+        core::TrainerBase::simulate(cfg).epochSeconds;
     cfg.useAllReduce = true;
-    const double alex_ar = core::Trainer::simulate(cfg).epochSeconds;
+    const double alex_ar = core::TrainerBase::simulate(cfg).epochSeconds;
     EXPECT_LT(alex_ar, alex_base);
 
     cfg.model = "resnet-50";
     cfg.useAllReduce = false;
-    const double res_base = core::Trainer::simulate(cfg).epochSeconds;
+    const double res_base = core::TrainerBase::simulate(cfg).epochSeconds;
     cfg.useAllReduce = true;
-    const double res_ar = core::Trainer::simulate(cfg).epochSeconds;
+    const double res_ar = core::TrainerBase::simulate(cfg).epochSeconds;
     EXPECT_GT(res_ar, res_base);
     cfg.bucketFusionMB = 16.0;
-    const double res_fused = core::Trainer::simulate(cfg).epochSeconds;
+    const double res_fused = core::TrainerBase::simulate(cfg).epochSeconds;
     EXPECT_LT(res_fused, res_ar);
     EXPECT_LT(res_fused, res_base);
 }
@@ -170,10 +170,10 @@ TEST(AllReduceTrainerTest, FusionReducesMessageCount)
     cfg.method = comm::CommMethod::NCCL;
     cfg.measuredIterations = 1;
 
-    core::Trainer fine(cfg);
-    fine.run();
+    const auto fine = core::TrainerBase::make(cfg);
+    fine->run();
     const auto fine_calls =
-        fine.profiler().apiSummary(); // ncclReduce per bucket
+        fine->profiler().apiSummary(); // ncclReduce per bucket
     std::uint64_t fine_reduces = 0;
     for (const auto &row : fine_calls) {
         if (row.name == "ncclReduce")
@@ -181,10 +181,10 @@ TEST(AllReduceTrainerTest, FusionReducesMessageCount)
     }
 
     cfg.bucketFusionMB = 8.0;
-    core::Trainer fused(cfg);
-    fused.run();
+    const auto fused = core::TrainerBase::make(cfg);
+    fused->run();
     std::uint64_t fused_reduces = 0;
-    for (const auto &row : fused.profiler().apiSummary()) {
+    for (const auto &row : fused->profiler().apiSummary()) {
         if (row.name == "ncclReduce")
             fused_reduces = row.calls;
     }
@@ -202,12 +202,12 @@ TEST(AllReduceTrainerTest, FusionPreservesTotalBytes)
     cfg.method = comm::CommMethod::P2P;
     cfg.measuredIterations = 1;
 
-    core::Trainer fine(cfg);
-    const double fine_bytes = fine.run().interGpuBytesPerIter;
+    const double fine_bytes =
+        core::TrainerBase::simulate(cfg).interGpuBytesPerIter;
 
     cfg.bucketFusionMB = 32.0;
-    core::Trainer fused(cfg);
-    const double fused_bytes = fused.run().interGpuBytesPerIter;
+    const double fused_bytes =
+        core::TrainerBase::simulate(cfg).interGpuBytesPerIter;
     // Same gradient volume moves either way (fusion only batches it).
     EXPECT_NEAR(fused_bytes, fine_bytes, 0.01 * fine_bytes);
 }

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "comm/nccl_communicator.hh"
-#include "core/trainer.hh"
+#include "core/trainer_base.hh"
 
 namespace {
 
@@ -78,9 +78,9 @@ TEST(DualRingTest, TrainerLevelGainForBigNetworks)
     cfg.numGpus = 8;
     cfg.batchPerGpu = 32;
     cfg.method = comm::CommMethod::NCCL;
-    const double one_ring = core::Trainer::simulate(cfg).epochSeconds;
+    const double one_ring = core::TrainerBase::simulate(cfg).epochSeconds;
     cfg.commConfig.ncclRings = 2;
-    const double two_rings = core::Trainer::simulate(cfg).epochSeconds;
+    const double two_rings = core::TrainerBase::simulate(cfg).epochSeconds;
     EXPECT_LT(two_rings, one_ring);
 }
 

@@ -33,7 +33,7 @@ struct Bench
         c.gpus = fabric.topology().gpuSet(gpus);
         c.gpuSpec = hw::GpuSpec::voltaV100();
         c.profiler = &prof;
-        cfg.audit = true;
+        prof.setAuditor(fabric.enableAudit());
         nccl = std::make_unique<comm::NcclCommunicator>(c, cfg);
     }
 };
@@ -115,7 +115,7 @@ TEST(NcclFixesTest, CopyRecordsCarryWireBytes)
                          static_cast<double>(nccl_payload);
     EXPECT_NEAR(ratio, 1.0 / 0.75, 0.01);
     // Every record is self-consistent (also enforced by the auditor
-    // attached via cfg.audit).
+    // the fixture attaches).
     for (const auto &c : b.prof.copies()) {
         EXPECT_GE(c.wireBytes, c.bytes);
         EXPECT_GE(c.end, c.start);

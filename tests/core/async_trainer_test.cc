@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/trainer.hh"
 #include "core/trainer_base.hh"
 #include "sim/logging.hh"
 
@@ -72,7 +71,9 @@ TEST(AsyncTrainerTest, AsyncBeatsSyncForStragglerBoundWorkloads)
     // the paper blames for LeNet's scaling).
     for (const char *model : {"lenet", "resnet-50"}) {
         const TrainConfig cfg = makeConfig(model, 8);
-        const double sync = Trainer::simulate(cfg).epochSeconds;
+        TrainConfig sync_cfg = cfg;
+        sync_cfg.mode = ParallelismMode::SyncDp;
+        const double sync = TrainerBase::simulate(sync_cfg).epochSeconds;
         const double async = TrainerBase::simulate(cfg).epochSeconds;
         EXPECT_LT(async, sync) << model;
     }

@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/determinism.hh"
-#include "core/trainer.hh"
+#include "core/trainer_base.hh"
 
 namespace {
 
@@ -114,7 +114,7 @@ TEST(DeterminismTest, AuditedPaperConfigsRunClean)
 {
     for (TrainConfig cfg : {lenetP2p4(), alexnetNccl8()}) {
         cfg.audit = true;
-        const auto report = core::Trainer::simulate(cfg);
+        const auto report = core::TrainerBase::simulate(cfg);
         ASSERT_FALSE(report.oom) << cfg.model;
         EXPECT_TRUE(report.audited) << cfg.model;
         EXPECT_GT(report.auditChecks, 0u) << cfg.model;
@@ -132,11 +132,11 @@ TEST(DeterminismTest, AuditedDualRingOverlapRunsClean)
     cfg.overlapBpWu = true;
     cfg.useAllReduce = true;
     cfg.commConfig.ncclRings = 2;
-    const auto report = core::Trainer::simulate(cfg);
+    const auto report = core::TrainerBase::simulate(cfg);
     ASSERT_FALSE(report.oom);
     EXPECT_TRUE(report.audited);
     EXPECT_EQ(report.auditViolations, 0u);
-    const auto again = core::Trainer::simulate(cfg);
+    const auto again = core::TrainerBase::simulate(cfg);
     EXPECT_EQ(report.digest, again.digest);
 }
 

@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fp_bp_schedule.hh"
-#include "core/trainer.hh"
+#include "core/trainer_base.hh"
 #include "dnn/models.hh"
 
 namespace {
@@ -25,7 +25,7 @@ TEST(IntegrationTest, P2pTrafficEqualsGradientsPlusWeights)
     cfg.numGpus = 2;
     cfg.batchPerGpu = 16;
     cfg.method = comm::CommMethod::P2P;
-    const TrainReport r = Trainer::simulate(cfg);
+    const TrainReport r = TrainerBase::simulate(cfg);
     const double params =
         static_cast<double>(dnn::buildAlexNet().paramBytes());
     EXPECT_NEAR(r.interGpuBytesPerIter, 2.0 * params, 0.01 * params);
@@ -41,7 +41,7 @@ TEST(IntegrationTest, NcclRingTrafficMatchesHopCount)
     cfg.numGpus = 4;
     cfg.batchPerGpu = 16;
     cfg.method = comm::CommMethod::NCCL;
-    const TrainReport r = Trainer::simulate(cfg);
+    const TrainReport r = TrainerBase::simulate(cfg);
     const double params =
         static_cast<double>(dnn::buildAlexNet().paramBytes());
     EXPECT_NEAR(r.interGpuBytesPerIter, 2.0 * 3.0 * params,
@@ -56,9 +56,9 @@ TEST(IntegrationTest, SteadyStateIsStableAcrossMeasuredIterations)
     cfg.batchPerGpu = 16;
     cfg.method = comm::CommMethod::NCCL;
     cfg.measuredIterations = 1;
-    const double one = Trainer::simulate(cfg).iterationSeconds;
+    const double one = TrainerBase::simulate(cfg).iterationSeconds;
     cfg.measuredIterations = 4;
-    const double four = Trainer::simulate(cfg).iterationSeconds;
+    const double four = TrainerBase::simulate(cfg).iterationSeconds;
     EXPECT_NEAR(one, four, 0.01 * one);
 }
 
@@ -151,9 +151,9 @@ TEST(IntegrationTest, TensorCoresDoNotChangeTraffic)
     cfg.numGpus = 4;
     cfg.batchPerGpu = 16;
     cfg.method = comm::CommMethod::NCCL;
-    const double fp32 = Trainer::simulate(cfg).interGpuBytesPerIter;
+    const double fp32 = TrainerBase::simulate(cfg).interGpuBytesPerIter;
     cfg.useTensorCores = true;
-    const double fp16 = Trainer::simulate(cfg).interGpuBytesPerIter;
+    const double fp16 = TrainerBase::simulate(cfg).interGpuBytesPerIter;
     EXPECT_NEAR(fp32, fp16, 1.0);
 }
 

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "core/model_parallel_trainer.hh"
-#include "core/trainer.hh"
 #include "dnn/models.hh"
 #include "sim/logging.hh"
 
@@ -31,8 +30,9 @@ makeConfig(const std::string &model, int gpus, int microbatches = 0)
 
 TEST(ModelParallelTest, PartitionCoversEveryLayerOnce)
 {
-    ModelParallelTrainer trainer(makeConfig("resnet-50", 4));
-    const auto &stages = trainer.stages();
+    const auto trainer = TrainerBase::make(makeConfig("resnet-50", 4));
+    const auto &stages =
+        dynamic_cast<const ModelParallelTrainer &>(*trainer).stages();
     ASSERT_EQ(stages.size(), 4u);
     std::size_t next = 0;
     const std::size_t layers =
@@ -75,14 +75,16 @@ TEST(ModelParallelTest, PaperParallelismChoiceClaim)
     // Paper Sec. I: data parallelism suits conv-heavy networks;
     // model parallelism suits FC-heavy ones. Compare at equal global
     // batch on 4 GPUs.
-    const auto alex_cfg = makeConfig("alexnet", 4, 4);
-    const double alex_dp = Trainer::simulate(alex_cfg).epochSeconds;
+    auto alex_cfg = makeConfig("alexnet", 4, 4);
     const double alex_mp = TrainerBase::simulate(alex_cfg).epochSeconds;
+    alex_cfg.mode = ParallelismMode::SyncDp;
+    const double alex_dp = TrainerBase::simulate(alex_cfg).epochSeconds;
     EXPECT_LT(alex_mp, alex_dp) << "FC-heavy AlexNet";
 
-    const auto res_cfg = makeConfig("resnet-50", 4, 4);
-    const double res_dp = Trainer::simulate(res_cfg).epochSeconds;
+    auto res_cfg = makeConfig("resnet-50", 4, 4);
     const double res_mp = TrainerBase::simulate(res_cfg).epochSeconds;
+    res_cfg.mode = ParallelismMode::SyncDp;
+    const double res_dp = TrainerBase::simulate(res_cfg).epochSeconds;
     EXPECT_GT(res_mp, res_dp) << "conv-heavy ResNet-50";
 }
 
@@ -101,8 +103,7 @@ TEST(ModelParallelTest, WeightPlacementFollowsLayers)
 
 TEST(ModelParallelTest, ActivationTrafficFlowsBothDirections)
 {
-    ModelParallelTrainer trainer(makeConfig("resnet-50", 4, 4));
-    const auto r = trainer.run();
+    const auto r = TrainerBase::simulate(makeConfig("resnet-50", 4, 4));
     // 3 boundaries x 2 directions x 4 microbatches of traffic.
     EXPECT_GT(r.activationBytesPerIter, 0);
 }

@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/scaling.hh"
-#include "core/trainer.hh"
+#include "core/trainer_base.hh"
 #include "dnn/models.hh"
 
 namespace {
@@ -32,7 +32,7 @@ makeConfig(const std::string &model, int gpus, int batch,
 double
 epoch(const std::string &model, int gpus, int batch, CommMethod m)
 {
-    return Trainer::simulate(makeConfig(model, gpus, batch, m))
+    return TrainerBase::simulate(makeConfig(model, gpus, batch, m))
         .epochSeconds;
 }
 
@@ -143,7 +143,7 @@ TEST(PaperClaims, FpBpDominatesTrainingTime)
     for (const char *model :
          {"googlenet", "resnet-50", "inception-v3"}) {
         for (int gpus : {2, 4, 8}) {
-            TrainReport r = Trainer::simulate(
+            TrainReport r = TrainerBase::simulate(
                 makeConfig(model, gpus, 16, CommMethod::NCCL));
             EXPECT_GT(r.fpBpSeconds, r.wuSeconds)
                 << model << " x" << gpus;
@@ -158,11 +158,11 @@ TEST(PaperClaims, WuStageScalesAcrossGpusForLeNet)
     // sublinear because ring hop latency grows with the GPU count;
     // EXPERIMENTS.md records the measured ratios.
     TrainReport r2 =
-        Trainer::simulate(makeConfig("lenet", 2, 16, CommMethod::NCCL));
+        TrainerBase::simulate(makeConfig("lenet", 2, 16, CommMethod::NCCL));
     TrainReport r4 =
-        Trainer::simulate(makeConfig("lenet", 4, 16, CommMethod::NCCL));
+        TrainerBase::simulate(makeConfig("lenet", 4, 16, CommMethod::NCCL));
     TrainReport r8 =
-        Trainer::simulate(makeConfig("lenet", 8, 16, CommMethod::NCCL));
+        TrainerBase::simulate(makeConfig("lenet", 8, 16, CommMethod::NCCL));
     EXPECT_GT(r2.wuSeconds / r4.wuSeconds, 1.05);
     EXPECT_GT(r4.wuSeconds / r8.wuSeconds, 1.05);
 }
@@ -171,15 +171,15 @@ TEST(PaperClaims, TableIVInceptionMemory)
 {
     // Paper Table IV: Inception-v3 batch 64 needs ~11 GB on GPU0 and
     // grows ~1.83x from batch 16.
-    TrainReport b16 = Trainer::simulate(
+    TrainReport b16 = TrainerBase::simulate(
         makeConfig("inception-v3", 4, 16, CommMethod::NCCL));
-    TrainReport b64 = Trainer::simulate(
+    TrainReport b64 = TrainerBase::simulate(
         makeConfig("inception-v3", 4, 64, CommMethod::NCCL));
     EXPECT_NEAR(b64.gpu0.trainingGB(), 11.0, 1.5);
     EXPECT_NEAR(b64.gpu0.trainingGB() / b16.gpu0.trainingGB(), 1.83,
                 0.35);
     // AlexNet batch 64 on GPU0: ~2.37 GB in the paper.
-    TrainReport alex = Trainer::simulate(
+    TrainReport alex = TrainerBase::simulate(
         makeConfig("alexnet", 4, 64, CommMethod::NCCL));
     EXPECT_NEAR(alex.gpu0.trainingGB(), 2.37, 1.0);
 }
@@ -190,7 +190,7 @@ TEST(PaperClaims, ActivationsDominateModelMemoryForBigNets)
     // exceeds the memory required for the network model".
     for (const char *model :
          {"googlenet", "resnet-50", "inception-v3"}) {
-        TrainReport r = Trainer::simulate(
+        TrainReport r = TrainerBase::simulate(
             makeConfig(model, 4, 64, CommMethod::NCCL));
         const double model_gb =
             dnn::buildByName(model).paramBytes() / 1e9;

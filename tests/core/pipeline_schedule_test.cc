@@ -12,7 +12,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/model_parallel_trainer.hh"
 #include "core/stage_schedule.hh"
 #include "core/trainer_base.hh"
 #include "cuda/kernel_model.hh"
@@ -23,17 +22,15 @@
 namespace {
 
 using namespace dgxsim;
-using core::GpipeSchedule;
-using core::ModelParallelTrainer;
-using core::OneFOneBSchedule;
 using core::ParallelismMode;
+using core::peakLiveMicrobatches;
 using core::StageSlot;
 using core::TrainConfig;
 
 // --- schedule programs ------------------------------------------------
 
-/** Every schedule must emit exactly one Fwd and one Bwd per
- * microbatch, each Bwd after its own Fwd. */
+/** A program must hold exactly one Fwd and one Bwd per microbatch,
+ * each Bwd after its own Fwd. */
 void
 expectWellFormed(const std::vector<StageSlot> &program, int m)
 {
@@ -59,36 +56,25 @@ expectWellFormed(const std::vector<StageSlot> &program, int m)
 
 TEST(StageScheduleTest, GpipeIsFillDrain)
 {
-    const GpipeSchedule sched;
+    // Fill-drain keeps every microbatch live on every stage.
     const int m = 6;
     for (std::size_t s = 0; s < 3; ++s) {
-        const auto program = sched.stageProgram(s, 3, m);
-        expectWellFormed(program, m);
-        for (int k = 0; k < m; ++k) {
-            EXPECT_EQ(program[static_cast<std::size_t>(k)].op,
-                      StageSlot::Op::Fwd);
-            EXPECT_EQ(program[static_cast<std::size_t>(k)].microbatch,
-                      k);
-            EXPECT_EQ(program[static_cast<std::size_t>(m + k)].op,
-                      StageSlot::Op::Bwd);
-            EXPECT_EQ(
-                program[static_cast<std::size_t>(m + k)].microbatch,
-                k);
-        }
-        EXPECT_EQ(sched.peakLiveMicrobatches(s, 3, m), m);
+        EXPECT_EQ(peakLiveMicrobatches(ParallelismMode::ModelParallel,
+                                       s, 3, m),
+                  m);
     }
 }
 
 TEST(StageScheduleTest, OneFOneBWarmupSteadyCooldown)
 {
-    const OneFOneBSchedule sched;
     const std::size_t p = 4;
     const int m = 8;
     for (std::size_t s = 0; s < p; ++s) {
-        const auto program = sched.stageProgram(s, p, m);
+        const auto program = core::oneFOneBProgram(s, p, m);
         expectWellFormed(program, m);
         const int w = std::min(m, static_cast<int>(p - s));
-        EXPECT_EQ(sched.peakLiveMicrobatches(s, p, m), w);
+        EXPECT_EQ(peakLiveMicrobatches(ParallelismMode::Pipeline, s, p, m),
+                  w);
         // Warmup: w forwards in microbatch order.
         for (int k = 0; k < w; ++k) {
             EXPECT_EQ(program[static_cast<std::size_t>(k)].op,
@@ -117,26 +103,13 @@ TEST(StageScheduleTest, OneFOneBWarmupSteadyCooldown)
 
 TEST(StageScheduleTest, DeepPipelineShortensOneFOneBPeak)
 {
-    const OneFOneBSchedule sched;
+    const ParallelismMode pipe = ParallelismMode::Pipeline;
     // m > p: warmup saturates at pipeline depth; the last stage
     // holds exactly one live microbatch.
-    EXPECT_EQ(sched.peakLiveMicrobatches(0, 8, 32), 8);
-    EXPECT_EQ(sched.peakLiveMicrobatches(7, 8, 32), 1);
+    EXPECT_EQ(peakLiveMicrobatches(pipe, 0, 8, 32), 8);
+    EXPECT_EQ(peakLiveMicrobatches(pipe, 7, 8, 32), 1);
     // m < p: a stage can never hold more than m.
-    EXPECT_EQ(sched.peakLiveMicrobatches(0, 8, 4), 4);
-}
-
-TEST(StageScheduleTest, FactoryMapsModes)
-{
-    EXPECT_STREQ(
-        core::makeStageSchedule(ParallelismMode::ModelParallel)
-            ->name(),
-        "gpipe");
-    EXPECT_STREQ(
-        core::makeStageSchedule(ParallelismMode::Pipeline)->name(),
-        "1f1b");
-    EXPECT_THROW(core::makeStageSchedule(ParallelismMode::SyncDp),
-                 sim::FatalError);
+    EXPECT_EQ(peakLiveMicrobatches(pipe, 0, 8, 4), 4);
 }
 
 // --- closed form on a uniform pipeline --------------------------------
@@ -220,9 +193,10 @@ TEST(PipelineClosedFormTest, OneFOneBMatchesBubbleTheory)
     const int m = 8;
     const TrainConfig cfg =
         uniformConfig(p, m, ParallelismMode::Pipeline);
-    ModelParallelTrainer trainer(cfg, uniformNetwork(p),
-                                 zeroLatencyMesh(p));
-    const core::TrainReport r = trainer.run();
+    const core::TrainReport r =
+        core::TrainerBase::make(cfg, uniformNetwork(p),
+                                zeroLatencyMesh(p))
+            ->run();
     ASSERT_FALSE(r.oom);
 
     // f == b (no parameters, so backward FLOPs default to forward);
@@ -249,9 +223,10 @@ TEST(PipelineClosedFormTest, GpipeMatchesTheSameClosedForm)
     const int m = 8;
     const TrainConfig cfg =
         uniformConfig(p, m, ParallelismMode::ModelParallel);
-    ModelParallelTrainer trainer(cfg, uniformNetwork(p),
-                                 zeroLatencyMesh(p));
-    const core::TrainReport r = trainer.run();
+    const core::TrainReport r =
+        core::TrainerBase::make(cfg, uniformNetwork(p),
+                                zeroLatencyMesh(p))
+            ->run();
     ASSERT_FALSE(r.oom);
     const sim::Tick f = uniformStageTicks(cfg);
     const sim::Tick expected =

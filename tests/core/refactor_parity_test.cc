@@ -17,7 +17,6 @@
 #include <string>
 
 #include "campaign/record.hh"
-#include "core/trainer.hh"
 #include "core/trainer_base.hh"
 
 namespace {
@@ -64,19 +63,6 @@ TEST(RefactorParity, ResnetNcclEightGpuMatchesPreRefactorBaseline)
     EXPECT_EQ(r.interGpuBytesPerIter, 1432681152.0);
     EXPECT_EQ(r.gpu0.training, 10669003443u);
     EXPECT_EQ(r.gpux.training, 10464334707u);
-}
-
-TEST(RefactorParity, DispatchedSimulateEqualsDirectTrainer)
-{
-    // TrainerBase::simulate on a sync config and the legacy
-    // Trainer::simulate entry point must replay the same history.
-    const TrainConfig cfg =
-        config("alexnet", 4, 32, comm::CommMethod::NCCL);
-    const TrainReport dispatched = TrainerBase::simulate(cfg);
-    const TrainReport direct = core::Trainer::simulate(cfg);
-    EXPECT_EQ(dispatched.digest, direct.digest);
-    EXPECT_EQ(dispatched.epochSeconds, direct.epochSeconds);
-    EXPECT_EQ(dispatched.gpu0.training, direct.gpu0.training);
 }
 
 TEST(RefactorParity, SyncJsonStaysByteIdentical)

@@ -1,10 +1,11 @@
 /**
  * @file
  * TrainerBase strategy-dispatch tests: make() constructs the right
- * strategy per ParallelismMode, every strategy self-describes
- * its mode in the report, memory probing and the OOM verdict work
- * uniformly across modes (async and pipeline configurations that
- * cannot fit must report oom instead of pretending to run).
+ * strategy per ParallelismMode, an explicit network and topology
+ * replay the ones cfg names, every strategy self-describes its mode
+ * in the report, memory probing and the OOM verdict work uniformly
+ * across modes (async and pipeline configurations that cannot fit
+ * must report oom instead of pretending to run).
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,8 @@
 #include "core/parallelism.hh"
 #include "core/trainer.hh"
 #include "core/trainer_base.hh"
+#include "dnn/models.hh"
+#include "hw/platform.hh"
 #include "sim/logging.hh"
 
 namespace {
@@ -62,17 +65,32 @@ TEST(TrainerBaseTest, MakeDispatchesOnMode)
     }
 }
 
-TEST(TrainerBaseTest, StrategiesNormalizeTheirMode)
+TEST(TrainerBaseTest, ExplicitNetAndTopologyReplayTheDefaults)
 {
-    // Constructing a strategy directly (bypassing make()) still
-    // yields a self-describing report: each constructor pins
-    // config.mode to its own mode.
-    core::AsyncTrainer async(lenet2(ParallelismMode::SyncDp));
-    EXPECT_EQ(async.config().mode, ParallelismMode::AsyncPs);
-    core::ModelParallelTrainer mp(lenet2(ParallelismMode::SyncDp));
-    EXPECT_EQ(mp.config().mode, ParallelismMode::ModelParallel);
-    core::Trainer sync(lenet2(ParallelismMode::SyncDp));
-    EXPECT_EQ(sync.config().mode, ParallelismMode::SyncDp);
+    // make(cfg) and make(cfg, net, topology) with the network and
+    // topology cfg names must build the same machine: equal digests
+    // and epoch times in every mode.
+    for (ParallelismMode mode : core::allParallelismModes()) {
+        for (const char *model : {"lenet", "alexnet"}) {
+            for (int gpus : {2, 4}) {
+                TrainConfig cfg = lenet2(mode);
+                cfg.model = model;
+                cfg.numGpus = gpus;
+                const TrainReport named = TrainerBase::simulate(cfg);
+                const TrainReport given =
+                    TrainerBase::make(cfg, dnn::buildByName(cfg.model),
+                                      hw::makePlatform("dgx1v").topology)
+                        ->run();
+                ASSERT_FALSE(named.oom);
+                EXPECT_EQ(named.digest, given.digest)
+                    << parallelismModeName(mode) << " " << model
+                    << " x" << gpus;
+                EXPECT_EQ(named.epochSeconds, given.epochSeconds)
+                    << parallelismModeName(mode) << " " << model
+                    << " x" << gpus;
+            }
+        }
+    }
 }
 
 TEST(TrainerBaseTest, SimulateRunsEveryMode)

@@ -9,7 +9,7 @@
 #include <string>
 #include <tuple>
 
-#include "core/trainer.hh"
+#include "core/trainer_base.hh"
 #include "sim/logging.hh"
 
 namespace {
@@ -33,7 +33,7 @@ makeConfig(const std::string &model, int gpus, int batch,
 TEST(TrainerTest, ReportAccountsForAllStages)
 {
     TrainReport r =
-        Trainer::simulate(makeConfig("lenet", 2, 16, CommMethod::P2P));
+        TrainerBase::simulate(makeConfig("lenet", 2, 16, CommMethod::P2P));
     EXPECT_FALSE(r.oom);
     EXPECT_GT(r.iterationSeconds, 0);
     EXPECT_GT(r.fpBpSeconds, 0);
@@ -57,8 +57,8 @@ TEST(TrainerTest, IterationCountsFollowBatchAndGpus)
 TEST(TrainerTest, DeterministicAcrossRuns)
 {
     const auto cfg = makeConfig("googlenet", 4, 16, CommMethod::NCCL);
-    TrainReport a = Trainer::simulate(cfg);
-    TrainReport b = Trainer::simulate(cfg);
+    TrainReport a = TrainerBase::simulate(cfg);
+    TrainReport b = TrainerBase::simulate(cfg);
     EXPECT_DOUBLE_EQ(a.epochSeconds, b.epochSeconds);
     EXPECT_DOUBLE_EQ(a.wuSeconds, b.wuSeconds);
     EXPECT_EQ(a.gpu0.training, b.gpu0.training);
@@ -70,7 +70,7 @@ TEST(TrainerTest, MoreGpusReduceEpochTime)
         double prev = 1e18;
         for (int gpus : {1, 2, 4, 8}) {
             TrainReport r =
-                Trainer::simulate(makeConfig("resnet-50", gpus, 16, m));
+                TrainerBase::simulate(makeConfig("resnet-50", gpus, 16, m));
             EXPECT_LT(r.epochSeconds, prev)
                 << gpus << " gpus, " << comm::commMethodName(m);
             prev = r.epochSeconds;
@@ -82,7 +82,7 @@ TEST(TrainerTest, LargerBatchReducesEpochTime)
 {
     double prev = 1e18;
     for (int batch : {16, 32, 64}) {
-        TrainReport r = Trainer::simulate(
+        TrainReport r = TrainerBase::simulate(
             makeConfig("inception-v3", 4, batch, CommMethod::NCCL));
         EXPECT_LT(r.epochSeconds, prev) << "batch " << batch;
         prev = r.epochSeconds;
@@ -93,7 +93,7 @@ TEST(TrainerTest, SingleGpuWuIsTiny)
 {
     // Paper: for a single GPU the WU stage is nearly two orders of
     // magnitude smaller than FP+BP (no inter-GPU communication).
-    TrainReport r = Trainer::simulate(
+    TrainReport r = TrainerBase::simulate(
         makeConfig("resnet-50", 1, 16, CommMethod::P2P));
     EXPECT_LT(r.wuSeconds, 0.05 * r.fpBpSeconds);
 }
@@ -104,7 +104,7 @@ TEST(TrainerTest, WuGrowsWithGpuCountPerIteration)
     // the P2P parameter server (tree depth + staged hops).
     double prev = 0;
     for (int gpus : {2, 4, 8}) {
-        TrainReport r = Trainer::simulate(
+        TrainReport r = TrainerBase::simulate(
             makeConfig("alexnet", gpus, 16, CommMethod::P2P));
         const double wu_per_iter =
             r.wuSeconds / static_cast<double>(r.iterations);
@@ -118,7 +118,7 @@ TEST(TrainerTest, SyncFractionGrowsWithGpus)
     // Paper Table III trend.
     double prev = 0;
     for (int gpus : {1, 2, 4, 8}) {
-        TrainReport r = Trainer::simulate(
+        TrainReport r = TrainerBase::simulate(
             makeConfig("lenet", gpus, 16, CommMethod::NCCL));
         EXPECT_GT(r.syncApiFraction, prev) << gpus;
         prev = r.syncApiFraction;
@@ -127,13 +127,13 @@ TEST(TrainerTest, SyncFractionGrowsWithGpus)
 
 TEST(TrainerTest, MemoryGpu0ExceedsWorkers)
 {
-    TrainReport r = Trainer::simulate(
+    TrainReport r = TrainerBase::simulate(
         makeConfig("alexnet", 4, 16, CommMethod::NCCL));
     EXPECT_GT(r.gpu0.training, r.gpux.training);
     EXPECT_EQ(r.gpu0.preTraining, r.gpux.preTraining);
     // GPU0's extra is batch-independent, so its share shrinks with
     // batch (Table IV trend).
-    TrainReport r64 = Trainer::simulate(
+    TrainReport r64 = TrainerBase::simulate(
         makeConfig("alexnet", 4, 64, CommMethod::NCCL));
     const double extra16 =
         double(r.gpu0.training - r.gpux.training) / r.gpux.training;
@@ -147,7 +147,7 @@ TEST(TrainerTest, MemoryGrowsWithBatch)
 {
     sim::Bytes prev = 0;
     for (int batch : {16, 32, 64}) {
-        TrainReport r = Trainer::simulate(
+        TrainReport r = TrainerBase::simulate(
             makeConfig("inception-v3", 4, batch, CommMethod::NCCL));
         EXPECT_GT(r.gpu0.training, prev);
         prev = r.gpu0.training;
@@ -172,7 +172,7 @@ TEST(TrainerTest, PaperBatchSizeCapsHold)
 
 TEST(TrainerTest, OomReportedNotThrown)
 {
-    TrainReport r = Trainer::simulate(
+    TrainReport r = TrainerBase::simulate(
         makeConfig("inception-v3", 4, 256, CommMethod::NCCL));
     EXPECT_TRUE(r.oom);
     EXPECT_FALSE(r.oomDetail.empty());
@@ -182,44 +182,44 @@ TEST(TrainerTest, OomReportedNotThrown)
 TEST(TrainerTest, InvalidConfigsAreFatal)
 {
     EXPECT_THROW(
-        Trainer::simulate(makeConfig("lenet", 0, 16, CommMethod::P2P)),
+        TrainerBase::simulate(makeConfig("lenet", 0, 16, CommMethod::P2P)),
         sim::FatalError);
     EXPECT_THROW(
-        Trainer::simulate(makeConfig("lenet", 9, 16, CommMethod::P2P)),
+        TrainerBase::simulate(makeConfig("lenet", 9, 16, CommMethod::P2P)),
         sim::FatalError);
     EXPECT_THROW(
-        Trainer::simulate(makeConfig("lenet", 1, 0, CommMethod::P2P)),
+        TrainerBase::simulate(makeConfig("lenet", 1, 0, CommMethod::P2P)),
         sim::FatalError);
     EXPECT_THROW(
-        Trainer::simulate(makeConfig("vgg", 1, 16, CommMethod::P2P)),
+        TrainerBase::simulate(makeConfig("vgg", 1, 16, CommMethod::P2P)),
         sim::FatalError);
 }
 
 TEST(TrainerTest, CustomTopologySlowsCommunication)
 {
     TrainConfig cfg = makeConfig("alexnet", 4, 16, CommMethod::P2P);
-    Trainer nvlink(cfg);
-    Trainer pcie(cfg, hw::Topology::pcieOnly8Gpu());
-    const TrainReport fast = nvlink.run();
-    const TrainReport slow = pcie.run();
+    const TrainReport fast = TrainerBase::simulate(cfg);
+    const TrainReport slow =
+        TrainerBase::make(cfg, std::nullopt, hw::Topology::pcieOnly8Gpu())
+            ->run();
     EXPECT_GT(slow.wuSeconds, 2.0 * fast.wuSeconds);
 }
 
 TEST(TrainerTest, TensorCoresSpeedUpCompute)
 {
     TrainConfig cfg = makeConfig("resnet-50", 1, 32, CommMethod::P2P);
-    const TrainReport fp32 = Trainer::simulate(cfg);
+    const TrainReport fp32 = TrainerBase::simulate(cfg);
     cfg.useTensorCores = true;
-    const TrainReport fp16 = Trainer::simulate(cfg);
+    const TrainReport fp16 = TrainerBase::simulate(cfg);
     EXPECT_LT(fp16.fpBpSeconds, 0.7 * fp32.fpBpSeconds);
 }
 
 TEST(TrainerTest, OverlapAblationReducesExposedWu)
 {
     TrainConfig cfg = makeConfig("resnet-50", 4, 16, CommMethod::NCCL);
-    const TrainReport serial = Trainer::simulate(cfg);
+    const TrainReport serial = TrainerBase::simulate(cfg);
     cfg.overlapBpWu = true;
-    const TrainReport overlapped = Trainer::simulate(cfg);
+    const TrainReport overlapped = TrainerBase::simulate(cfg);
     EXPECT_LT(overlapped.wuSeconds, 0.6 * serial.wuSeconds);
     EXPECT_LE(overlapped.epochSeconds, serial.epochSeconds);
 }
@@ -227,7 +227,7 @@ TEST(TrainerTest, OverlapAblationReducesExposedWu)
 TEST(TrainerTest, OneLineMentionsConfig)
 {
     TrainReport r =
-        Trainer::simulate(makeConfig("lenet", 2, 16, CommMethod::NCCL));
+        TrainerBase::simulate(makeConfig("lenet", 2, 16, CommMethod::NCCL));
     const std::string line = r.oneLine();
     EXPECT_NE(line.find("lenet"), std::string::npos);
     EXPECT_NE(line.find("nccl"), std::string::npos);
@@ -238,9 +238,9 @@ TEST(TrainerTest, ProfilerSeesExpectedKernels)
 {
     TrainConfig cfg = makeConfig("lenet", 2, 16, CommMethod::NCCL);
     cfg.measuredIterations = 1;
-    Trainer trainer(cfg);
-    trainer.run();
-    const auto &prof = trainer.profiler();
+    const auto trainer = TrainerBase::make(cfg);
+    trainer->run();
+    const auto &prof = trainer->profiler();
     bool conv_fwd = false, conv_bwd = false, nccl_kernel = false,
          sgd = false;
     for (const auto &row : prof.kernelSummary()) {
@@ -274,7 +274,7 @@ TEST_P(TrainerMatrix, CompletesWithConsistentStages)
     for (CommMethod m : {CommMethod::P2P, CommMethod::NCCL}) {
         TrainConfig cfg = makeConfig(model, gpus, 16, m);
         cfg.measuredIterations = 1;
-        TrainReport r = Trainer::simulate(cfg);
+        TrainReport r = TrainerBase::simulate(cfg);
         ASSERT_FALSE(r.oom) << model;
         EXPECT_GT(r.epochSeconds, 0) << model;
         EXPECT_GE(r.fpBpSeconds, 0) << model;

@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <fstream>
 
-#include "core/trainer.hh"
+#include "core/trainer_base.hh"
 #include "profiling/profiler.hh"
 
 namespace {
@@ -137,9 +137,9 @@ TEST(ChromeTraceTest, TrainingRunProducesBalancedTrace)
     cfg.numGpus = 2;
     cfg.batchPerGpu = 16;
     cfg.measuredIterations = 1;
-    core::Trainer trainer(cfg);
-    trainer.run();
-    const std::string json = trainer.profiler().chromeTrace();
+    const auto trainer = core::TrainerBase::make(cfg);
+    trainer->run();
+    const std::string json = trainer->profiler().chromeTrace();
     // Every event object closes; a cheap brace-balance check.
     std::size_t open = 0, close = 0;
     for (char c : json) {

@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,7 +42,6 @@
 #include "core/layer_profile.hh"
 #include "core/scaling.hh"
 #include "core/text_table.hh"
-#include "core/trainer.hh"
 #include "core/trainer_base.hh"
 #include "dnn/models.hh"
 #include "dnn/serialize.hh"
@@ -150,17 +150,14 @@ cmdTrain(const Args &args)
     // --model-file loads a serialized network description instead of
     // a zoo model (see dnn/serialize.hh for the format). Custom
     // networks run only on the synchronous strategy.
-    std::unique_ptr<core::TrainerBase> owned;
+    std::optional<dnn::Network> net;
     if (args.has("model-file")) {
         if (cfg.mode != core::ParallelismMode::SyncDp)
             sim::fatal("--model-file supports --mode sync_dp only");
-        dnn::Network net =
-            dnn::loadNetworkFile(args.get("model-file"));
-        cfg.model = net.name();
-        owned = std::make_unique<core::Trainer>(cfg, std::move(net));
-    } else {
-        owned = core::TrainerBase::make(cfg);
+        net = dnn::loadNetworkFile(args.get("model-file"));
+        cfg.model = net->name();
     }
+    const auto owned = core::TrainerBase::make(cfg, std::move(net));
     core::TrainerBase &trainer = *owned;
     const core::TrainReport r = trainer.run();
     if (r.oom) {

@@ -1,9 +1,11 @@
 #!/bin/sh
-# Full-invariant sweep: build with ASan+UBSan and run the complete
-# test suite with the simulation auditor forced on (DGXSIM_AUDIT=1
-# makes every Fabric attach a strict sim::Auditor, so any byte
-# conservation, capacity, ordering or quiescence violation anywhere
-# in the suite aborts the offending test).
+# Full-invariant sweep: build with ASan+UBSan plus libstdc++'s
+# _GLIBCXX_ASSERTIONS (an out-of-range operator[] or a front()/back()
+# on an empty container aborts) and run the complete test suite with
+# the simulation auditor forced on (DGXSIM_AUDIT=1 makes every Fabric
+# attach a strict sim::Auditor, so any byte conservation, capacity,
+# ordering or quiescence violation anywhere in the suite aborts the
+# offending test).
 #
 # Every audited run's exit code is propagated: the build and ctest
 # phases abort the script immediately (set -e), and the smoke rows
@@ -31,7 +33,7 @@ else
     # same flags the asan-ubsan preset uses.
     cmake -B "$builddir" -S . \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-omit-frame-pointer -fno-sanitize-recover=all" \
+        -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-omit-frame-pointer -fno-sanitize-recover=all -D_GLIBCXX_ASSERTIONS" \
         -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined,float-cast-overflow"
     cmake --build "$builddir" -j"$(nproc)"
 fi
