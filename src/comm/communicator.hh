@@ -11,6 +11,12 @@
  * collectives issued to a single communicator stream; different
  * buckets therefore pipeline behind one another while overlapping
  * with independent compute streams.
+ *
+ * Per-operation state (a chunk in flight, a kernel on a comm lane, a
+ * peer copy, a barrier, a compressed chunk) lives in the
+ * communicator's own slot pools (sim/slot_pool.hh), and every
+ * continuation it hands out captures only {this, slot}, so issuing a
+ * collective allocates nothing once the pools have grown.
  */
 
 #ifndef DGXSIM_COMM_COMMUNICATOR_HH
@@ -18,6 +24,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,6 +34,7 @@
 #include "hw/gpu_spec.hh"
 #include "profiling/profiler.hh"
 #include "sim/event_queue.hh"
+#include "sim/slot_pool.hh"
 
 namespace dgxsim::comm {
 
@@ -182,6 +190,8 @@ class Communicator
     const CommConfig &config() const { return cfg_; }
 
   protected:
+    using Slot = std::uint32_t;
+
     /** Implement the actual reduction schedule. */
     virtual void doReduce(sim::Bytes bytes, Callback done) = 0;
     /** Implement the actual broadcast schedule. */
@@ -242,10 +252,86 @@ class Communicator
                          profiling::Name lane, hw::NodeId gpu,
                          double flops, double bytes, Callback done);
 
+    /**
+     * Copy @p bytes from @p src to @p dst over the fabric, recorded as
+     * a @p label copy caused by the ambient cause at issue. With the
+     * copy as ambient cause, then run @p accumulate (unless empty) on
+     * @p dst and @p lane, reading two arrays and writing one, and
+     * finally @p done.
+     */
+    void copyToPeer(profiling::Name label, hw::NodeId src, hw::NodeId dst,
+                    sim::Bytes bytes, profiling::Name accumulate,
+                    profiling::Name lane, Callback done);
+
+    /**
+     * @return a barrier continuation: the @p count-th call runs
+     * @p done. It captures {this, slot}, so copies of it are free.
+     */
+    Callback join(int count, Callback done);
+
+    /** Run @p done after zero time under the ambient cause. */
+    void skip(Callback done);
+
     CommContext ctx_;
     CommConfig cfg_;
 
   private:
+    /** A kernel on a comm lane, between issue and completion. */
+    struct KernelRun
+    {
+        profiling::Name kernel;
+        profiling::Name lane;
+        hw::NodeId gpu = -1;
+        sim::Tick start = 0;
+        sim::Tick dur = 0;
+        profiling::CauseToken issue;
+        Callback done;
+    };
+
+    /** A copyToPeer() in flight. */
+    struct PeerCopy
+    {
+        profiling::Name label;
+        profiling::Name accumulate;
+        profiling::Name lane;
+        hw::NodeId src = -1;
+        hw::NodeId dst = -1;
+        sim::Bytes bytes = 0;
+        sim::Tick start = 0;
+        profiling::CauseToken cause;
+        Callback done;
+    };
+
+    /** A join() barrier, or a skip() (pending unused). */
+    struct Join
+    {
+        int pending = 0;
+        profiling::CauseToken cause;
+        Callback done;
+    };
+
+    /** A compressed chunk between its encode and decode kernels. */
+    struct Compressed
+    {
+        OpKind kind = OpKind::Reduce;
+        sim::Bytes wire = 0;
+        profiling::Name lane;
+        /** Dispatch window the deferred wire dispatch reopens. */
+        std::string suffix;
+        int priority = 0;
+        CompressionKernelCost dec;
+        Callback finish;
+    };
+
+    void kernelDone(Slot slot);
+    void peerCopyLanded(Slot slot);
+    void arrive(Slot slot);
+    void finishChunk(Slot slot);
+    void transmitCompressed(Slot slot);
+    void decompress(Slot slot);
+    /** @return the GPUs that encode (@p senders) or decode @p kind. */
+    std::span<const hw::NodeId> codecGpus(OpKind kind, bool senders) const;
+
     void enqueue(OpKind kind, sim::Bytes bytes, int priority,
                  Callback done);
     void dispatch(OpKind kind, sim::Bytes bytes, Callback finish);
@@ -265,6 +351,14 @@ class Communicator
     Scheduler &scheduler();
 
     std::unique_ptr<Scheduler> sched_;
+    /** Codec kernel labels, interned once (compression on only). */
+    profiling::Name encodeKernel_;
+    profiling::Name decodeKernel_;
+    sim::SlotPool<SchedChunk> chunks_;
+    sim::SlotPool<KernelRun> kernels_;
+    sim::SlotPool<PeerCopy> copies_;
+    sim::SlotPool<Join> joins_;
+    sim::SlotPool<Compressed> compressed_;
     /** Lane suffix of the chunk being dispatched (see chunkLane). */
     std::string chunkLaneSuffix_;
     int dispatchPriority_ = 0;

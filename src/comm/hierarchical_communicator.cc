@@ -1,7 +1,5 @@
 #include "comm/hierarchical_communicator.hh"
 
-#include <memory>
-
 #include "sim/logging.hh"
 
 namespace dgxsim::comm {
@@ -50,17 +48,6 @@ HierarchicalCommunicator::name() const
     return "hier-" + inner_[0]->name() + "-" + netAlgoName(algo_);
 }
 
-void
-HierarchicalCommunicator::skip(Callback done)
-{
-    ctx_.queue->scheduleAfter(
-        0, [this, cause = profiling::currentCause(ctx_.profiler),
-            done = std::move(done)]() mutable {
-            profiling::CauseScope scope(ctx_.profiler, cause);
-            done();
-        });
-}
-
 sim::Bytes
 HierarchicalCommunicator::shardOf(sim::Bytes bytes) const
 {
@@ -68,287 +55,167 @@ HierarchicalCommunicator::shardOf(sim::Bytes bytes) const
 }
 
 void
-HierarchicalCommunicator::innerPhase(InnerOp op, sim::Bytes bytes,
-                                     int priority, Callback done)
+HierarchicalCommunicator::planInter(std::vector<Step> &steps, OpKind kind,
+                                    sim::Bytes bytes) const
 {
-    auto pending = std::make_shared<int>(nodes_);
-    auto phase_done = [pending, done = std::move(done)]() mutable {
-        if (--*pending == 0)
-            done();
-    };
-    for (auto &comm : inner_) {
-        if (op == InnerOp::Reduce)
-            comm->reduce(bytes, priority, phase_done);
-        else
-            comm->broadcast(bytes, priority, phase_done);
-    }
-}
-
-void
-HierarchicalCommunicator::interTransfer(hw::NodeId src, hw::NodeId dst,
-                                        sim::Bytes bytes,
-                                        bool accumulate, Callback done)
-{
-    const profiling::CauseToken cause = profiling::currentCause(ctx_.profiler);
-    const sim::Tick start = ctx_.queue->now();
-    ctx_.fabric->transfer(
-        src, dst, bytes,
-        [this, src, dst, bytes, start, accumulate, cause,
-         done = std::move(done)]() mutable {
-            static const profiling::Name ib("IB");
-            profiling::RecordId copy_id = profiling::kNoRecord;
-            if (ctx_.profiler) {
-                copy_id = ctx_.profiler->recordCopy(
-                    ib, src, dst, bytes, start, ctx_.queue->now(), 0,
-                    {cause.id()});
-            }
-            // The receiver-side work (accumulate kernel or round
-            // barrier) descends from the copy that delivered it.
-            profiling::CauseScope scope(
-                copy_id == profiling::kNoRecord ? nullptr
-                                                : ctx_.profiler,
-                profiling::CauseToken(copy_id));
-            if (!accumulate) {
-                done();
-                return;
-            }
-            // Sum the received shard into the resident buffer: read
-            // two arrays, write one (memory bound).
-            static const profiling::Name accumulate_kernel("ibGradAccumulate");
-            static const profiling::Name inter_lane("ib.inter");
-            runKernelOnLane(accumulate_kernel, inter_lane, dst,
-                            bytes / 4.0, 3.0 * bytes,
-                            std::move(done));
-        });
-}
-
-void
-HierarchicalCommunicator::interRound(const std::vector<Pair> &pairs,
-                                     sim::Bytes bytes, bool accumulate,
-                                     Callback done)
-{
-    if (pairs.empty()) {
-        skip(std::move(done));
-        return;
-    }
-    auto pending =
-        std::make_shared<int>(static_cast<int>(pairs.size()));
-    auto step_done = [pending, done = std::move(done)]() mutable {
-        if (--*pending == 0)
-            done();
-    };
-    for (const Pair &p : pairs)
-        interTransfer(p.src, p.dst, bytes, accumulate, step_done);
-}
-
-void
-HierarchicalCommunicator::interRingReduceScatter(sim::Bytes shard,
-                                                 int round,
-                                                 Callback done)
-{
-    if (round >= nodes_ - 1) {
-        done();
-        return;
-    }
-    // Lock-step: every root forwards one shard to its successor; the
-    // round barrier is the accumulate kernel of the slowest receiver
-    // (all NIC links carry the same load, so rounds stay aligned).
-    std::vector<Pair> pairs;
-    for (int k = 0; k < nodes_; ++k)
-        pairs.push_back(Pair{roots_[k], roots_[(k + 1) % nodes_]});
-    interRound(
-        pairs, shard, true,
-        [this, shard, round, done = std::move(done)]() mutable {
-            interRingReduceScatter(shard, round + 1, std::move(done));
-        });
-}
-
-void
-HierarchicalCommunicator::interRingAllGather(sim::Bytes shard,
-                                             int round, Callback done)
-{
-    if (round >= nodes_ - 1) {
-        done();
-        return;
-    }
-    std::vector<Pair> pairs;
-    for (int k = 0; k < nodes_; ++k)
-        pairs.push_back(Pair{roots_[k], roots_[(k + 1) % nodes_]});
-    interRound(
-        pairs, shard, false,
-        [this, shard, round, done = std::move(done)]() mutable {
-            interRingAllGather(shard, round + 1, std::move(done));
-        });
-}
-
-void
-HierarchicalCommunicator::interRingGatherToRoot(sim::Bytes shard,
-                                                Callback done)
-{
-    // After the reduce-scatter every root owns one fully-reduced
-    // shard; the global root collects the other N-1 concurrently.
-    std::vector<Pair> pairs;
-    for (int k = 1; k < nodes_; ++k)
-        pairs.push_back(Pair{roots_[k], roots_[0]});
-    interRound(pairs, shard, false, std::move(done));
-}
-
-void
-HierarchicalCommunicator::interRingScatterFromRoot(sim::Bytes shard,
-                                                   Callback done)
-{
-    // The global root seeds every peer with one shard; the N-1
-    // copies contend on the root's own NIC uplink, which is the
-    // realistic serialization point of a scatter.
-    std::vector<Pair> pairs;
-    for (int k = 1; k < nodes_; ++k)
-        pairs.push_back(Pair{roots_[0], roots_[k]});
-    interRound(pairs, shard, false, std::move(done));
-}
-
-void
-HierarchicalCommunicator::interTreeReduce(sim::Bytes bytes, int stride,
-                                          Callback done)
-{
-    if (stride >= nodes_) {
-        done();
-        return;
-    }
-    // Binomial tree: log2(N) lock-step rounds of full-size messages.
-    std::vector<Pair> pairs;
-    for (int k = stride; k < nodes_; k += 2 * stride)
-        pairs.push_back(Pair{roots_[k], roots_[k - stride]});
-    interRound(
-        pairs, bytes, true,
-        [this, bytes, stride, done = std::move(done)]() mutable {
-            interTreeReduce(bytes, stride * 2, std::move(done));
-        });
-}
-
-void
-HierarchicalCommunicator::interTreeBroadcast(sim::Bytes bytes,
-                                             int stride, Callback done)
-{
-    if (stride < 1) {
-        done();
-        return;
-    }
-    std::vector<Pair> pairs;
-    for (int k = 0; k + stride < nodes_; k += 2 * stride)
-        pairs.push_back(Pair{roots_[k], roots_[k + stride]});
-    interRound(
-        pairs, bytes, false,
-        [this, bytes, stride, done = std::move(done)]() mutable {
-            interTreeBroadcast(bytes, stride / 2, std::move(done));
-        });
-}
-
-void
-HierarchicalCommunicator::interReduce(sim::Bytes bytes, Callback done)
-{
+    using Kind = Step::Kind;
     if (nodes_ < 2 || bytes == 0) {
-        skip(std::move(done));
+        steps.push_back({Kind::Skip});
         return;
     }
+    const bool reduce = kind != OpKind::Broadcast;
+    const bool broadcast = kind != OpKind::Reduce;
     if (algo_ == NetAlgo::Ring) {
+        // Lock-step rounds: every root forwards one shard to its
+        // successor; a reduce-scatter round's barrier is the
+        // accumulate kernel of the slowest receiver (all NIC links
+        // carry the same load, so rounds stay aligned). A reduce then
+        // gathers the N-1 reduced shards on the global root; a
+        // broadcast first seeds every peer with one shard, the N-1
+        // copies contending on the root's own NIC uplink. The fused
+        // all-reduce is the bandwidth-optimal reduce-scatter plus
+        // all-gather.
         const sim::Bytes shard = shardOf(bytes);
-        interRingReduceScatter(
-            shard, 0, [this, shard, done = std::move(done)]() mutable {
-                interRingGatherToRoot(shard, std::move(done));
-            });
+        for (int r = 0; reduce && r < nodes_ - 1; ++r)
+            steps.push_back({Kind::Ring, shard, 0, true});
+        if (!broadcast)
+            steps.push_back({Kind::Gather, shard});
+        if (!reduce)
+            steps.push_back({Kind::Scatter, shard});
+        for (int r = 0; broadcast && r < nodes_ - 1; ++r)
+            steps.push_back({Kind::Ring, shard});
         return;
     }
-    interTreeReduce(bytes, 1, std::move(done));
-}
-
-void
-HierarchicalCommunicator::interBroadcast(sim::Bytes bytes,
-                                         Callback done)
-{
-    if (nodes_ < 2 || bytes == 0) {
-        skip(std::move(done));
-        return;
-    }
-    if (algo_ == NetAlgo::Ring) {
-        const sim::Bytes shard = shardOf(bytes);
-        interRingScatterFromRoot(
-            shard, [this, shard, done = std::move(done)]() mutable {
-                interRingAllGather(shard, 0, std::move(done));
-            });
-        return;
-    }
+    // Binomial tree: log2(N) lock-step rounds of full-size messages
+    // each way.
+    for (int stride = 1; reduce && stride < nodes_; stride *= 2)
+        steps.push_back({Kind::TreeReduce, bytes, stride, true});
     int top = 1;
     while (top < nodes_)
         top *= 2;
-    interTreeBroadcast(bytes, top / 2, std::move(done));
+    for (int stride = top / 2; broadcast && stride >= 1; stride /= 2)
+        steps.push_back({Kind::TreeBroadcast, bytes, stride});
 }
 
 void
-HierarchicalCommunicator::interAllReduce(sim::Bytes bytes,
-                                         Callback done)
+HierarchicalCommunicator::run(OpKind kind, sim::Bytes bytes,
+                              Callback done)
 {
-    if (nodes_ < 2 || bytes == 0) {
-        skip(std::move(done));
+    const Slot slot = collectives_.acquire();
+    Collective &op = collectives_[slot];
+    op.steps.clear();
+    op.next = 0;
+    // Capture the chunk's priority synchronously; the later steps run
+    // long after the dispatch window closed.
+    op.priority = dispatchPriority();
+    op.done = std::move(done);
+    if (kind != OpKind::Broadcast)
+        op.steps.push_back({Step::Kind::InnerReduce, bytes});
+    planInter(op.steps, kind, bytes);
+    if (kind != OpKind::Reduce)
+        op.steps.push_back({Step::Kind::InnerBroadcast, bytes});
+    runStep(slot);
+}
+
+void
+HierarchicalCommunicator::runStep(Slot slot)
+{
+    Collective &op = collectives_[slot];
+    if (op.next == op.steps.size()) {
+        const Callback done = std::move(op.done);
+        collectives_.release(slot);
+        done();
         return;
     }
-    if (algo_ == NetAlgo::Ring) {
-        // Bandwidth-optimal ring all-reduce: 2(N-1) rounds of one
-        // shard per NIC link per direction.
-        const sim::Bytes shard = shardOf(bytes);
-        interRingReduceScatter(
-            shard, 0, [this, shard, done = std::move(done)]() mutable {
-                interRingAllGather(shard, 0, std::move(done));
-            });
+    const Step step = op.steps[op.next++];
+    const int priority = op.priority;
+    Callback next = [this, slot] { runStep(slot); };
+    switch (step.kind) {
+      case Step::Kind::InnerReduce:
+      case Step::Kind::InnerBroadcast: {
+        // One inner collective per node, concurrently; barrier.
+        const Callback phase_done = join(nodes_, std::move(next));
+        for (auto &comm : inner_) {
+            if (step.kind == Step::Kind::InnerReduce)
+                comm->reduce(step.bytes, priority, phase_done);
+            else
+                comm->broadcast(step.bytes, priority, phase_done);
+        }
+        return;
+      }
+      case Step::Kind::Skip:
+        skip(std::move(next));
+        return;
+      default:
+        interRound(step, std::move(next));
         return;
     }
-    interTreeReduce(
-        bytes, 1, [this, bytes, done = std::move(done)]() mutable {
-            int top = 1;
-            while (top < nodes_)
-                top *= 2;
-            interTreeBroadcast(bytes, top / 2, std::move(done));
-        });
+}
+
+void
+HierarchicalCommunicator::interRound(const Step &step, Callback done)
+{
+    static const profiling::Name ib("IB");
+    static const profiling::Name accumulate_kernel("ibGradAccumulate");
+    static const profiling::Name inter_lane("ib.inter");
+    // Pairs (src, dst) of roots, in issue order; counted first so the
+    // barrier exists before the first copy is issued.
+    const auto for_each_pair = [&](auto &&fn) {
+        const int n = nodes_;
+        switch (step.kind) {
+          case Step::Kind::Ring:
+            for (int k = 0; k < n; ++k)
+                fn(roots_[k], roots_[(k + 1) % n]);
+            break;
+          case Step::Kind::Gather:
+            for (int k = 1; k < n; ++k)
+                fn(roots_[k], roots_[0]);
+            break;
+          case Step::Kind::Scatter:
+            for (int k = 1; k < n; ++k)
+                fn(roots_[0], roots_[k]);
+            break;
+          case Step::Kind::TreeReduce:
+            for (int k = step.stride; k < n; k += 2 * step.stride)
+                fn(roots_[k], roots_[k - step.stride]);
+            break;
+          case Step::Kind::TreeBroadcast:
+            for (int k = 0; k + step.stride < n; k += 2 * step.stride)
+                fn(roots_[k], roots_[k + step.stride]);
+            break;
+          default:
+            sim::panic("not an inter-node round");
+        }
+    };
+    int pairs = 0;
+    for_each_pair([&](hw::NodeId, hw::NodeId) { ++pairs; });
+    const Callback step_done = join(pairs, std::move(done));
+    // Each receiver sums the shard into its resident buffer; the
+    // accumulate kernel (or the round barrier) descends from the copy
+    // that delivered it.
+    for_each_pair([&](hw::NodeId src, hw::NodeId dst) {
+        copyToPeer(ib, src, dst, step.bytes,
+                   step.accumulate ? accumulate_kernel : profiling::Name(),
+                   inter_lane, step_done);
+    });
 }
 
 void
 HierarchicalCommunicator::doReduce(sim::Bytes bytes, Callback done)
 {
-    // Capture the chunk's priority synchronously; the continuations
-    // run long after the dispatch window closed.
-    const int priority = dispatchPriority();
-    innerPhase(InnerOp::Reduce, bytes, priority,
-               [this, bytes, done = std::move(done)]() mutable {
-                   interReduce(bytes, std::move(done));
-               });
+    run(OpKind::Reduce, bytes, std::move(done));
 }
 
 void
 HierarchicalCommunicator::doBroadcast(sim::Bytes bytes, Callback done)
 {
-    const int priority = dispatchPriority();
-    interBroadcast(
-        bytes,
-        [this, bytes, priority, done = std::move(done)]() mutable {
-            innerPhase(InnerOp::Broadcast, bytes, priority,
-                       std::move(done));
-        });
+    run(OpKind::Broadcast, bytes, std::move(done));
 }
 
 void
 HierarchicalCommunicator::doAllReduce(sim::Bytes bytes, Callback done)
 {
-    const int priority = dispatchPriority();
-    innerPhase(
-        InnerOp::Reduce, bytes, priority,
-        [this, bytes, priority, done = std::move(done)]() mutable {
-            interAllReduce(
-                bytes,
-                [this, bytes, priority,
-                 done = std::move(done)]() mutable {
-                    innerPhase(InnerOp::Broadcast, bytes, priority,
-                               std::move(done));
-                });
-        });
+    run(OpKind::AllReduce, bytes, std::move(done));
 }
 
 } // namespace dgxsim::comm

@@ -12,6 +12,11 @@
  * -> GPU (RouteKind::InterNode), so concurrent rounds contend
  * max-min fairly on the per-NIC IB links — the mechanism that makes
  * the inter-node link the bottleneck once enough nodes share it.
+ *
+ * Each collective is planned up front as a list of steps (an inner
+ * phase, a lock-step round of root-to-root copies, or a zero-time
+ * skip) kept in a recycled slot, and run one step at a time by
+ * continuations that capture {this, slot}.
  */
 
 #ifndef DGXSIM_COMM_HIERARCHICAL_COMMUNICATOR_HH
@@ -68,51 +73,58 @@ class HierarchicalCommunicator : public Communicator
     int maxInFlightChunks() const override { return 1; }
 
   private:
-    /**
-     * Run one inner collective per node concurrently; barrier.
-     * @p priority is forwarded to every inner communicator's own
-     * scheduler.
-     */
-    enum class InnerOp { Reduce, Broadcast };
-    void innerPhase(InnerOp op, sim::Bytes bytes, int priority,
-                    Callback done);
+    /** One step of a planned collective. */
+    struct Step
+    {
+        enum class Kind
+        {
+            InnerReduce,    ///< every node's inner reduce, then barrier
+            InnerBroadcast, ///< every node's inner broadcast, barrier
+            Skip,           ///< nothing crosses the NICs
+            Ring,           ///< every root to its ring successor
+            Gather,         ///< every other root to the global root
+            Scatter,        ///< the global root to every other root
+            TreeReduce,     ///< binomial-tree round towards the root
+            TreeBroadcast,  ///< binomial-tree round from the root
+        };
+        Kind kind = Kind::Skip;
+        /** Message size of each copy (the collective's for inner). */
+        sim::Bytes bytes = 0;
+        /** Tree rounds: distance between the paired roots. */
+        int stride = 0;
+        /** Run a gradient-accumulate kernel on each receiving root. */
+        bool accumulate = false;
+    };
+
+    /** A collective in flight: its plan and progress. */
+    struct Collective
+    {
+        std::vector<Step> steps;
+        std::size_t next = 0;
+        /** Forwarded to every inner communicator's scheduler. */
+        int priority = 0;
+        Callback done;
+    };
 
     /**
-     * One lock-step round of concurrent root-to-root transfers.
-     * Each pair moves @p bytes; when @p accumulate is set a
-     * gradient-accumulate kernel runs on the receiving root after
-     * its transfer lands. @p done fires when every pair (and
+     * Plan and run @p kind: inner reduce (unless a broadcast), the
+     * inter-node rounds, inner broadcast (unless a reduce).
+     */
+    void run(OpKind kind, sim::Bytes bytes, Callback done);
+
+    /** Append the inter-node rounds of @p kind over @p bytes. */
+    void planInter(std::vector<Step> &steps, OpKind kind,
+                   sim::Bytes bytes) const;
+
+    /** Run collective @p slot's next step, or finish it. */
+    void runStep(Slot slot);
+
+    /**
+     * One lock-step round of concurrent root-to-root copies (profiler
+     * kind "IB"); @p done fires when every copy (and accumulate
      * kernel) completes.
      */
-    struct Pair
-    {
-        hw::NodeId src;
-        hw::NodeId dst;
-    };
-    void interRound(const std::vector<Pair> &pairs, sim::Bytes bytes,
-                    bool accumulate, Callback done);
-
-    /** Record one inter-node copy (profiler kind "IB"). */
-    void interTransfer(hw::NodeId src, hw::NodeId dst,
-                       sim::Bytes bytes, bool accumulate,
-                       Callback done);
-
-    // Inter-node schedules over roots_ (N = nodes).
-    void interRingReduceScatter(sim::Bytes shard, int round,
-                                Callback done);
-    void interRingAllGather(sim::Bytes shard, int round, Callback done);
-    void interRingGatherToRoot(sim::Bytes shard, Callback done);
-    void interRingScatterFromRoot(sim::Bytes shard, Callback done);
-    void interTreeReduce(sim::Bytes bytes, int stride, Callback done);
-    void interTreeBroadcast(sim::Bytes bytes, int stride,
-                            Callback done);
-
-    void interReduce(sim::Bytes bytes, Callback done);
-    void interBroadcast(sim::Bytes bytes, Callback done);
-    void interAllReduce(sim::Bytes bytes, Callback done);
-
-    /** Complete after zero time, preserving the ambient cause. */
-    void skip(Callback done);
+    void interRound(const Step &step, Callback done);
 
     /** Ring shard size for @p bytes (ceil division by nodes). */
     sim::Bytes shardOf(sim::Bytes bytes) const;
@@ -122,6 +134,7 @@ class HierarchicalCommunicator : public Communicator
     NetAlgo algo_ = NetAlgo::Ring;
     std::vector<std::unique_ptr<Communicator>> inner_;
     std::vector<hw::NodeId> roots_;
+    sim::SlotPool<Collective> collectives_;
 };
 
 } // namespace dgxsim::comm

@@ -26,13 +26,17 @@ NcclCommunicator::NcclCommunicator(CommContext ctx, CommConfig cfg)
     ringRev_ = ring_;
     std::reverse(ringRev_.begin() + 1, ringRev_.end());
 
+    // Data flows around the ring and terminates at the root.
+    reducePath_.assign(ring_.begin() + 1, ring_.end());
+    reducePath_.push_back(ring_.front());
+    reducePathRev_.assign(ringRev_.begin() + 1, ringRev_.end());
+    reducePathRev_.push_back(ringRev_.front());
+
     const std::size_t hops = ring_.size() > 1 ? ring_.size() - 1 : 1;
-    reduceGates_ = std::make_shared<std::vector<HopGate>>(hops);
-    bcastGates_ = std::make_shared<std::vector<HopGate>>(hops);
-    reduceGatesRev_ = std::make_shared<std::vector<HopGate>>(hops);
-    bcastGatesRev_ = std::make_shared<std::vector<HopGate>>(hops);
-    localGate_ = std::make_shared<std::vector<HopGate>>(1);
-    allReduceGate_ = std::make_shared<std::vector<HopGate>>(1);
+    reduceGates_.resize(hops);
+    bcastGates_.resize(hops);
+    reduceGatesRev_.resize(hops);
+    bcastGatesRev_.resize(hops);
     const auto lanes = [hops](const std::string &base) {
         std::vector<profiling::Name> out;
         for (std::size_t h = 0; h < hops; ++h)
@@ -64,190 +68,207 @@ const profiling::Name kBroadcastKernel("ncclBroadcastKernel");
 const profiling::Name kAllReduceKernel("ncclAllReduceKernel");
 const profiling::Name kAllReduceLane("nccl.ar");
 
-/** Shared state of one pipelined ring pass. */
-struct RingPassState
-{
-    std::vector<hw::NodeId> path;
-    std::vector<sim::Bytes> chunkBytes;
-    profiling::Name kernelName;
-    /** Per-hop profiler lanes (owned by the communicator). */
-    const std::vector<profiling::Name> *hopLanes = nullptr;
-    bool accumulate = false;
-    int remaining = 0;
-    std::function<void()> done;
-    /** Cause of the collective (the issuing kvstore API). */
-    profiling::CauseToken opCause;
-};
-
 } // namespace
+
+sim::Tick
+NcclCommunicator::hopKernelTicks(bool accumulate, sim::Bytes bytes) const
+{
+    const double membytes =
+        (accumulate ? 3.0 : 2.0) * static_cast<double>(bytes);
+    return static_cast<sim::Tick>(membytes /
+                                  ctx_.gpuSpec.memBytesPerTick()) +
+           sim::usToTicks(cfg_.ringHopLatencyUs);
+}
+
+void
+NcclCommunicator::finishPass(Slot slot)
+{
+    const Callback done = std::move(passes_[slot].done);
+    passes_.release(slot);
+    done();
+}
 
 void
 NcclCommunicator::ringPass(const std::vector<hw::NodeId> &path,
-                           std::shared_ptr<std::vector<HopGate>> gates,
-                           sim::Bytes bytes,
+                           std::vector<HopGate> &gates, sim::Bytes bytes,
                            profiling::Name kernel_name,
                            const std::vector<profiling::Name> &hop_lanes,
                            bool accumulate, Callback done)
 {
     const int nchunks = chunksFor(bytes);
+    const Slot slot = passes_.acquire();
+    Pass &pass = passes_[slot];
+    pass.path = &path;
+    pass.gates = &gates;
+    pass.kernelName = kernel_name;
+    pass.hopLanes = &hop_lanes;
+    pass.remaining = nchunks;
+    pass.done = std::move(done);
+    pass.opCause = profiling::currentCause(ctx_.profiler);
 
-    auto state = std::make_shared<RingPassState>();
-    state->path = path;
-    state->kernelName = kernel_name;
-    state->hopLanes = &hop_lanes;
-    state->accumulate = accumulate;
-    state->remaining = nchunks;
-    state->done = std::move(done);
-    state->opCause = profiling::currentCause(ctx_.profiler);
+    // Hop gates keep chunks (and successive collectives) ordered so
+    // the pipeline staggers. Each (chunk, hop) chains copy -> hop
+    // kernel -> next hop; the previous hop's kernel record is the
+    // copy's causal parent (hop 0 descends from the issuing
+    // collective instead).
     const sim::Bytes base = bytes / nchunks;
     for (int c = 0; c < nchunks; ++c) {
-        state->chunkBytes.push_back(
-            c == 0 ? bytes - base * (nchunks - 1) : base);
+        const Slot h = hops_.acquire();
+        Hop &hop = hops_[h];
+        hop.pass = slot;
+        hop.hop = 0;
+        hop.prev = profiling::kNoRecord;
+        hop.accumulate = accumulate;
+        hop.bytes = c == 0 ? bytes - base * (nchunks - 1) : base;
+        enterHop(h);
     }
+}
 
-    // Per-hop cost of NCCL's persistent copy/reduce kernels: the
-    // chunk streams through HBM on the receiving side without a
-    // fresh kernel-launch tail (the kernels stay resident for the
-    // whole collective).
-    auto hop_kernel_ticks = [this](bool acc, sim::Bytes cbytes) {
-        const double membytes = (acc ? 3.0 : 2.0) *
-                                static_cast<double>(cbytes);
-        const double t = membytes / ctx_.gpuSpec.memBytesPerTick();
-        return static_cast<sim::Tick>(t) +
-               sim::usToTicks(cfg_.ringHopLatencyUs);
-    };
+void
+NcclCommunicator::enterHop(Slot slot)
+{
+    const Hop &hop = hops_[slot];
+    (*passes_[hop.pass].gates)[hop.hop].acquire([this, slot] {
+        Hop &hop = hops_[slot];
+        const std::vector<hw::NodeId> &path = *passes_[hop.pass].path;
+        hop.src = path[hop.hop];
+        hop.dst = path[hop.hop + 1];
+        // Protocol overhead: the direct-access copy kernels move
+        // extra FIFO/flag traffic, so the wire carries more than the
+        // payload.
+        hop.wire = static_cast<sim::Bytes>(
+            hop.bytes / std::max(0.05, cfg_.ncclLinkEfficiency));
+        sendHop(slot);
+    });
+}
 
-    // Recursive chunk advance; hop gates keep chunks (and successive
-    // collectives) ordered so the pipeline staggers. The function
-    // object captures only a weak self-reference — the strong refs
-    // live in the in-flight callbacks — so the recursion frees
-    // itself once the last chunk lands instead of leaking a
-    // shared_ptr cycle.
-    // Each (chunk, hop) chains copy -> hop kernel -> next hop; @p prev
-    // is the previous hop's kernel record, the copy's causal parent
-    // (hop 0 descends from the issuing collective instead).
-    using AdvanceFn =
-        std::function<void(int, std::size_t, profiling::RecordId)>;
-    auto advance = std::make_shared<AdvanceFn>();
-    *advance = [this, state, gates, hop_kernel_ticks,
-                weak = std::weak_ptr<AdvanceFn>(advance)](
-                   int chunk, std::size_t hop,
-                   profiling::RecordId prev) {
-        auto self = weak.lock();
-        (*gates)[hop].acquire([this, state, gates, self,
-                               hop_kernel_ticks, chunk, hop, prev]() {
-            const hw::NodeId src = state->path[hop];
-            const hw::NodeId dst = state->path[hop + 1];
-            const sim::Bytes cbytes = state->chunkBytes[chunk];
-            // Protocol overhead: the direct-access copy kernels move
-            // extra FIFO/flag traffic, so the wire carries more than
-            // the payload.
-            const sim::Bytes wire_bytes = static_cast<sim::Bytes>(
-                cbytes / std::max(0.05, cfg_.ncclLinkEfficiency));
-            const sim::Tick start = ctx_.queue->now();
-            ctx_.fabric->transfer(
-                src, dst, wire_bytes,
-                [this, state, gates, self, hop_kernel_ticks, chunk,
-                 hop, src, dst, cbytes, wire_bytes, start, prev]() {
-                    profiling::RecordId copy_id = profiling::kNoRecord;
-                    if (ctx_.profiler) {
-                        // Payload bytes plus the wire bytes that set
-                        // the duration, so rate math stays honest.
-                        copy_id = ctx_.profiler->recordCopy(
-                            kNcclCopy, src, dst, cbytes, start,
-                            ctx_.queue->now(), wire_bytes,
-                            {prev != profiling::kNoRecord
-                                 ? prev
-                                 : state->opCause.id()});
-                    }
-                    const sim::Tick kdur =
-                        hop_kernel_ticks(state->accumulate, cbytes);
-                    const sim::Tick kstart = ctx_.queue->now();
-                    ctx_.queue->scheduleAfter(
-                        kdur,
-                        [this, state, gates, self, chunk, hop, dst,
-                         kstart, kdur, copy_id]() {
-                            profiling::RecordId kid =
-                                profiling::kNoRecord;
-                            if (ctx_.profiler) {
-                                // Kernels behind one hop gate
-                                // serialize; lane+hop names that
-                                // ordering domain for the audit.
-                                kid = ctx_.profiler->recordKernel(
-                                    state->kernelName, dst, kstart,
-                                    kstart + kdur,
-                                    (*state->hopLanes)[hop], {copy_id});
-                            }
-                            // Continue (and finish) under this hop's
-                            // kernel as ambient cause.
-                            profiling::CauseScope scope(
-                                kid == profiling::kNoRecord
-                                    ? nullptr
-                                    : ctx_.profiler,
-                                profiling::CauseToken(kid));
-                            (*gates)[hop].release();
-                            if (hop + 1 < state->path.size() - 1) {
-                                (*self)(chunk, hop + 1, kid);
-                            } else if (--state->remaining == 0) {
-                                state->done();
-                            }
-                        });
-                });
-        });
-    };
+void
+NcclCommunicator::sendHop(Slot slot)
+{
+    Hop &hop = hops_[slot];
+    hop.start = ctx_.queue->now();
+    ctx_.fabric->transfer(hop.src, hop.dst, hop.wire,
+                          [this, slot] { hopLanded(slot); });
+}
 
-    for (int c = 0; c < nchunks; ++c)
-        (*advance)(c, 0, profiling::kNoRecord);
+void
+NcclCommunicator::hopLanded(Slot slot)
+{
+    Hop &hop = hops_[slot];
+    hop.copy = profiling::kNoRecord;
+    if (ctx_.profiler) {
+        // Payload bytes plus the wire bytes that set the duration, so
+        // rate math stays honest.
+        hop.copy = ctx_.profiler->recordCopy(
+            kNcclCopy, hop.src, hop.dst, hop.bytes, hop.start,
+            ctx_.queue->now(), hop.wire,
+            {hop.prev != profiling::kNoRecord
+                 ? hop.prev
+                 : passes_[hop.pass].opCause.id()});
+    }
+    hop.kdur = hopKernelTicks(hop.accumulate, hop.bytes);
+    hop.kstart = ctx_.queue->now();
+    ctx_.queue->scheduleAfter(hop.kdur,
+                              [this, slot] { hopKernelDone(slot); });
+}
+
+void
+NcclCommunicator::hopKernelDone(Slot slot)
+{
+    const Hop &hop = hops_[slot];
+    const Slot p = hop.pass;
+    Pass &pass = passes_[p];
+    if (!pass.hopLanes) {
+        profiling::RecordId kid = profiling::kNoRecord;
+        if (ctx_.profiler) {
+            // All-reduce steps serialize on the collective-wide gate;
+            // each GPU sees one kernel per step, so a per-GPU lane is
+            // ordered.
+            kid = ctx_.profiler->recordKernel(
+                kAllReduceKernel, hop.dst, hop.kstart,
+                hop.kstart + hop.kdur, kAllReduceLane, {hop.copy});
+        }
+        hops_.release(slot);
+        if (--pass.remaining == 0) {
+            // This kernel gates the next step (and the collective's
+            // completion).
+            pass.prevStep = kid;
+            profiling::CauseScope scope(ctx_.profiler,
+                                        profiling::CauseToken(kid));
+            allReduceStep(p);
+        }
+        return;
+    }
+    profiling::RecordId kid = profiling::kNoRecord;
+    if (ctx_.profiler) {
+        // Kernels behind one hop gate serialize; lane+hop names that
+        // ordering domain for the audit.
+        kid = ctx_.profiler->recordKernel(
+            pass.kernelName, hop.dst, hop.kstart, hop.kstart + hop.kdur,
+            (*pass.hopLanes)[hop.hop], {hop.copy});
+    }
+    // Continue (and finish) under this hop's kernel as ambient cause.
+    profiling::CauseScope scope(ctx_.profiler, profiling::CauseToken(kid));
+    const std::size_t at = hop.hop;
+    const bool last = at + 2 >= pass.path->size();
+    (*pass.gates)[at].release();
+    if (!last) {
+        hops_[slot].hop = at + 1;
+        hops_[slot].prev = kid;
+        enterHop(slot);
+    } else {
+        hops_.release(slot);
+        if (--passes_[p].remaining == 0)
+            finishPass(p);
+    }
+}
+
+void
+NcclCommunicator::runLocal(profiling::Name kernel_name, double flops,
+                           sim::Bytes bytes, Callback done)
+{
+    const Slot slot = passes_.acquire();
+    Pass &pass = passes_[slot];
+    pass.kernelName = kernel_name;
+    pass.flops = flops;
+    pass.bytes = bytes;
+    pass.done = std::move(done);
+    pass.opCause = profiling::currentCause(ctx_.profiler);
+    localGate_.acquire([this, slot] {
+        const Pass &pass = passes_[slot];
+        // Re-establish the issuing collective's cause: the gate may
+        // run this after an unrelated op's completion.
+        profiling::CauseScope scope(ctx_.profiler, pass.opCause);
+        runKernel(pass.kernelName, ring_[0], pass.flops,
+                  2.0 * pass.bytes, [this, slot] {
+                      localGate_.release();
+                      finishPass(slot);
+                  });
+    });
 }
 
 void
 NcclCommunicator::doReduce(sim::Bytes bytes, Callback done)
 {
     if (ring_.size() == 1) {
-        // Local ReduceKernel still runs, serialized on the NCCL
-        // stream: the code path differs from P2P even on one GPU
-        // (Table II).
-        auto gate = localGate_;
-        const profiling::CauseToken cause =
-            profiling::currentCause(ctx_.profiler);
-        (*gate)[0].acquire([this, gate, bytes, cause,
-                            done = std::move(done)]() mutable {
-            // Re-establish the issuing collective's cause: the gate
-            // may run this after an unrelated op's completion.
-            profiling::CauseScope scope(ctx_.profiler, cause);
-            runKernel(kReduceKernel, ring_[0], bytes / 4.0, 2.0 * bytes,
-                      [gate, done = std::move(done)]() mutable {
-                          (*gate)[0].release();
-                          done();
-                      });
-        });
+        runLocal(kReduceKernel, bytes / 4.0, bytes, std::move(done));
         return;
     }
-    // Data flows around the ring and terminates at the root. With
-    // dual rings, half the payload travels each direction and the
-    // two halves use opposite link channels concurrently.
-    std::vector<hw::NodeId> path(ring_.begin() + 1, ring_.end());
-    path.push_back(ring_.front());
+    // With dual rings, half the payload travels each direction and
+    // the two halves use opposite link channels concurrently.
     const sim::Bytes half = bytes / 2;
     if (cfg_.ncclRings < 2 || half == 0) {
         // A sub-2-byte payload leaves the reversed ring with nothing
         // to carry; running it anyway would charge a full pass of
         // hop latencies and kernels for zero bytes.
-        ringPass(path, reduceGates_, bytes, kReduceKernel, reduceLanes_,
-                 true, std::move(done));
+        ringPass(reducePath_, reduceGates_, bytes, kReduceKernel,
+                 reduceLanes_, true, std::move(done));
         return;
     }
-    std::vector<hw::NodeId> path_rev(ringRev_.begin() + 1,
-                                     ringRev_.end());
-    path_rev.push_back(ringRev_.front());
-    auto pending = std::make_shared<int>(2);
-    auto half_done = [pending, done = std::move(done)]() mutable {
-        if (--*pending == 0)
-            done();
-    };
-    ringPass(path, reduceGates_, bytes - half, kReduceKernel,
+    const Callback half_done = join(2, std::move(done));
+    ringPass(reducePath_, reduceGates_, bytes - half, kReduceKernel,
              reduceLanes_, true, half_done);
-    ringPass(path_rev, reduceGatesRev_, half, kReduceKernel,
+    ringPass(reducePathRev_, reduceGatesRev_, half, kReduceKernel,
              reduceLanesRev_, true, half_done);
 }
 
@@ -255,18 +276,7 @@ void
 NcclCommunicator::doBroadcast(sim::Bytes bytes, Callback done)
 {
     if (ring_.size() == 1) {
-        auto gate = localGate_;
-        const profiling::CauseToken cause =
-            profiling::currentCause(ctx_.profiler);
-        (*gate)[0].acquire([this, gate, bytes, cause,
-                            done = std::move(done)]() mutable {
-            profiling::CauseScope scope(ctx_.profiler, cause);
-            runKernel(kBroadcastKernel, ring_[0], 0.0, 2.0 * bytes,
-                      [gate, done = std::move(done)]() mutable {
-                          (*gate)[0].release();
-                          done();
-                      });
-        });
+        runLocal(kBroadcastKernel, 0.0, bytes, std::move(done));
         return;
     }
     const sim::Bytes half = bytes / 2;
@@ -276,11 +286,7 @@ NcclCommunicator::doBroadcast(sim::Bytes bytes, Callback done)
                  bcastLanes_, false, std::move(done));
         return;
     }
-    auto pending = std::make_shared<int>(2);
-    auto half_done = [pending, done = std::move(done)]() mutable {
-        if (--*pending == 0)
-            done();
-    };
+    const Callback half_done = join(2, std::move(done));
     ringPass(ring_, bcastGates_, bytes - half, kBroadcastKernel,
              bcastLanes_, false, half_done);
     ringPass(ringRev_, bcastGatesRev_, half, kBroadcastKernel,
@@ -291,124 +297,57 @@ void
 NcclCommunicator::doAllReduce(sim::Bytes bytes, Callback done)
 {
     if (ring_.size() == 1) {
-        auto gate = localGate_;
-        const profiling::CauseToken cause =
-            profiling::currentCause(ctx_.profiler);
-        (*gate)[0].acquire([this, gate, bytes, cause,
-                            done = std::move(done)]() mutable {
-            profiling::CauseScope scope(ctx_.profiler, cause);
-            runKernel(kAllReduceKernel, ring_[0], bytes / 4.0, 2.0 * bytes,
-                      [gate, done = std::move(done)]() mutable {
-                          (*gate)[0].release();
-                          done();
-                      });
-        });
+        runLocal(kAllReduceKernel, bytes / 4.0, bytes, std::move(done));
         return;
     }
-
     // Lock-step ring all-reduce: the payload splits into n shards;
     // 2*(n-1) steps, each moving one shard across every ring link
     // concurrently (reduce-scatter then all-gather). Per-GPU wire
     // traffic is 2*(n-1)/n * bytes — the canonical ring bound.
-    struct ArState
-    {
-        int step = 0;
-        int totalSteps = 0;
-        int pendingHops = 0;
-        sim::Bytes shard = 0;
-        Callback done;
-        /** Cause of the collective (the issuing kvstore API). */
-        profiling::CauseToken opCause;
-        /** Last-landing kernel of the previous lock step. */
-        profiling::RecordId prevStep = profiling::kNoRecord;
-    };
     const int n = static_cast<int>(ring_.size());
-    auto state = std::make_shared<ArState>();
-    state->totalSteps = 2 * (n - 1);
-    state->shard = (bytes + n - 1) / n;
-    state->done = std::move(done);
-    state->opCause = profiling::currentCause(ctx_.profiler);
+    const Slot slot = passes_.acquire();
+    Pass &pass = passes_[slot];
+    pass.hopLanes = nullptr;
+    pass.step = 0;
+    pass.totalSteps = 2 * (n - 1);
+    pass.bytes = (bytes + n - 1) / n;
+    pass.done = std::move(done);
+    pass.opCause = profiling::currentCause(ctx_.profiler);
+    pass.prevStep = profiling::kNoRecord;
+    allReduceGate_.acquire([this, slot] { allReduceStep(slot); });
+}
 
-    auto gate = allReduceGate_;
-    // Weak self-reference for the same reason as ringPass's advance:
-    // the in-flight callbacks keep the step function alive, and the
-    // last one releases it.
-    auto run_step = std::make_shared<std::function<void()>>();
-    *run_step = [this, state, gate, n,
-                 weak = std::weak_ptr<std::function<void()>>(
-                     run_step)]() {
-        auto self = weak.lock();
-        if (state->step == state->totalSteps) {
-            (*gate)[0].release();
-            state->done();
-            return;
-        }
-        const bool reduce_phase = state->step < n - 1;
-        ++state->step;
-        state->pendingHops = n;
-        for (int i = 0; i < n; ++i) {
-            const hw::NodeId src = ring_[i];
-            const hw::NodeId dst = ring_[(i + 1) % n];
-            const sim::Bytes wire = static_cast<sim::Bytes>(
-                state->shard /
-                std::max(0.05, cfg_.ncclLinkEfficiency));
-            const sim::Tick start = ctx_.queue->now();
-            ctx_.fabric->transfer(
-                src, dst, wire,
-                [this, state, self, reduce_phase, src, dst, wire,
-                 start]() {
-                    profiling::RecordId copy_id = profiling::kNoRecord;
-                    if (ctx_.profiler) {
-                        // Each lock step waits for the whole previous
-                        // step; its last kernel (or the issuing API
-                        // for step 1) is the binding causal parent.
-                        copy_id = ctx_.profiler->recordCopy(
-                            kNcclCopy, src, dst, state->shard, start,
-                            ctx_.queue->now(), wire,
-                            {state->prevStep != profiling::kNoRecord
-                                 ? state->prevStep
-                                 : state->opCause.id()});
-                    }
-                    const double membytes =
-                        (reduce_phase ? 3.0 : 2.0) *
-                        static_cast<double>(state->shard);
-                    const sim::Tick kdur =
-                        static_cast<sim::Tick>(
-                            membytes /
-                            ctx_.gpuSpec.memBytesPerTick()) +
-                        sim::usToTicks(cfg_.ringHopLatencyUs);
-                    const sim::Tick kstart = ctx_.queue->now();
-                    ctx_.queue->scheduleAfter(
-                        kdur, [this, state, self, dst, kstart, kdur,
-                               copy_id]() {
-                            profiling::RecordId kid =
-                                profiling::kNoRecord;
-                            if (ctx_.profiler) {
-                                // All-reduce steps serialize on the
-                                // collective-wide gate; each GPU sees
-                                // one kernel per step, so a per-GPU
-                                // lane is ordered.
-                                kid = ctx_.profiler->recordKernel(
-                                    kAllReduceKernel, dst, kstart,
-                                    kstart + kdur, kAllReduceLane,
-                                    {copy_id});
-                            }
-                            if (--state->pendingHops == 0) {
-                                // This kernel gates the next step
-                                // (and the collective's completion).
-                                state->prevStep = kid;
-                                profiling::CauseScope scope(
-                                    kid == profiling::kNoRecord
-                                        ? nullptr
-                                        : ctx_.profiler,
-                                    profiling::CauseToken(kid));
-                                (*self)();
-                            }
-                        });
-                });
-        }
-    };
-    (*gate)[0].acquire([run_step]() { (*run_step)(); });
+void
+NcclCommunicator::allReduceStep(Slot slot)
+{
+    Pass &pass = passes_[slot];
+    if (pass.step == pass.totalSteps) {
+        allReduceGate_.release();
+        finishPass(slot);
+        return;
+    }
+    const int n = static_cast<int>(ring_.size());
+    const bool reduce_phase = pass.step < n - 1;
+    ++pass.step;
+    pass.remaining = n;
+    // Each lock step waits for the whole previous step; its last
+    // kernel (or the issuing API for step 1) is the binding causal
+    // parent of every copy.
+    const profiling::RecordId prev = pass.prevStep;
+    const sim::Bytes shard = pass.bytes;
+    for (int i = 0; i < n; ++i) {
+        const Slot h = hops_.acquire();
+        Hop &hop = hops_[h];
+        hop.pass = slot;
+        hop.prev = prev;
+        hop.accumulate = reduce_phase;
+        hop.src = ring_[i];
+        hop.dst = ring_[(i + 1) % n];
+        hop.bytes = shard;
+        hop.wire = static_cast<sim::Bytes>(
+            shard / std::max(0.05, cfg_.ncclLinkEfficiency));
+        sendHop(h);
+    }
 }
 
 void

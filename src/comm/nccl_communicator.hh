@@ -13,13 +13,16 @@
  * here both occupy the link for the chunk's bytes, but the kernels
  * add the device-side cost that makes NCCL's 1-GPU baseline slower
  * than P2P — Table II).
+ *
+ * A ring pass or lock-step all-reduce keeps its state in a pass slot,
+ * and each chunk crossing the ring (or each link of a lock step) in a
+ * hop slot; the gate, fabric and event continuations capture only
+ * {this, slot}, so a chunk-hop allocates nothing.
  */
 
 #ifndef DGXSIM_COMM_NCCL_COMMUNICATOR_HH
 #define DGXSIM_COMM_NCCL_COMMUNICATOR_HH
 
-#include <deque>
-#include <memory>
 #include <vector>
 
 #include "comm/communicator.hh"
@@ -73,14 +76,20 @@ class NcclCommunicator : public Communicator
     bool pipelined() const override { return true; }
 
   private:
-    /** FIFO serializer keeping chunks ordered per hop. */
+    /**
+     * FIFO serializer keeping chunks ordered per hop. The waiting
+     * continuations capture {this, slot}, and the queue keeps its
+     * capacity, so queueing at a busy gate allocates nothing.
+     */
     struct HopGate
     {
         bool busy = false;
-        std::deque<std::function<void()>> waiters;
+        std::vector<Callback> waiters;
+        /** First waiter not yet started. */
+        std::size_t head = 0;
 
         void
-        acquire(std::function<void()> start)
+        acquire(Callback start)
         {
             if (busy) {
                 waiters.push_back(std::move(start));
@@ -93,14 +102,62 @@ class NcclCommunicator : public Communicator
         void
         release()
         {
-            if (waiters.empty()) {
+            if (head == waiters.size()) {
                 busy = false;
-            } else {
-                auto next = std::move(waiters.front());
-                waiters.pop_front();
-                next();
+                return;
             }
+            const Callback next = std::move(waiters[head++]);
+            if (head == waiters.size()) {
+                waiters.clear();
+                head = 0;
+            }
+            next();
         }
+    };
+
+    /** One ring pass, lock-step all-reduce or single-GPU kernel. */
+    struct Pass
+    {
+        const std::vector<hw::NodeId> *path = nullptr;
+        std::vector<HopGate> *gates = nullptr;
+        profiling::Name kernelName;
+        /** Per-hop profiler lanes; null for a lock-step all-reduce. */
+        const std::vector<profiling::Name> *hopLanes = nullptr;
+        /** Chunks still crossing (ring), or links of this step. */
+        int remaining = 0;
+        /** All-reduce lock steps taken and due. */
+        int step = 0;
+        int totalSteps = 0;
+        /** The all-reduce shard, or the single-GPU kernel's payload
+         * and flops. */
+        sim::Bytes bytes = 0;
+        double flops = 0;
+        /** Last-landing kernel of the previous lock step. */
+        profiling::RecordId prevStep = profiling::kNoRecord;
+        Callback done;
+        /** Cause of the collective (the issuing kvstore API). */
+        profiling::CauseToken opCause;
+    };
+
+    /**
+     * One chunk crossing a ring, one hop at a time, or one link of a
+     * lock step: the copy, then a kernel on the receiving GPU.
+     */
+    struct Hop
+    {
+        Slot pass = 0;
+        std::size_t hop = 0;
+        /** The copy's causal parent (kNoRecord: the collective's). */
+        profiling::RecordId prev = profiling::kNoRecord;
+        bool accumulate = false;
+        hw::NodeId src = -1;
+        hw::NodeId dst = -1;
+        sim::Bytes bytes = 0;
+        sim::Bytes wire = 0;
+        sim::Tick start = 0;
+        sim::Tick kstart = 0;
+        sim::Tick kdur = 0;
+        profiling::RecordId copy = profiling::kNoRecord;
     };
 
     /**
@@ -108,35 +165,70 @@ class NcclCommunicator : public Communicator
      * path[k+1]) with a per-hop kernel named @p kernel_name, keeping
      * chunk order with the persistent @p gates. @p hop_lanes names
      * the gate set's hops in profiler records (kernels within one
-     * lane+hop serialize on its gate); it must outlive the pass.
+     * lane+hop serialize on its gate). All three must outlive the
+     * pass.
      */
     void ringPass(const std::vector<hw::NodeId> &path,
-                  std::shared_ptr<std::vector<HopGate>> gates,
-                  sim::Bytes bytes, profiling::Name kernel_name,
+                  std::vector<HopGate> &gates, sim::Bytes bytes,
+                  profiling::Name kernel_name,
                   const std::vector<profiling::Name> &hop_lanes,
                   bool accumulate, Callback done);
+
+    /** Queue chunk @p slot at its next hop's gate. */
+    void enterHop(Slot slot);
+    /** Send a hop's copy (its fields set) over the fabric. */
+    void sendHop(Slot slot);
+    /** A hop's copy landed: record it and start the hop kernel. */
+    void hopLanded(Slot slot);
+    /** A hop kernel finished: advance its chunk or lock step. */
+    void hopKernelDone(Slot slot);
+    /** Run the next lock step of all-reduce @p slot, or finish it. */
+    void allReduceStep(Slot slot);
+    /** Release pass @p slot and run its completion. */
+    void finishPass(Slot slot);
+
+    /**
+     * One GPU: the collective is a single kernel serialized on the
+     * NCCL stream (the code path differs from P2P even on one GPU,
+     * Table II).
+     */
+    void runLocal(profiling::Name kernel_name, double flops,
+                  sim::Bytes bytes, Callback done);
+
+    /**
+     * @return the duration of a hop kernel over @p bytes: NCCL's
+     * persistent copy/reduce kernels stream the chunk through HBM on
+     * the receiving side without a fresh kernel-launch tail.
+     */
+    sim::Tick hopKernelTicks(bool accumulate, sim::Bytes bytes) const;
 
     /** Ring rotated so the root (gpus()[0]) is first. */
     std::vector<hw::NodeId> ring_;
     /** The same ring traversed in the opposite direction. */
     std::vector<hw::NodeId> ringRev_;
-    /** Persistent hop gates: reduce direction, broadcast direction,
-     * their reversed-ring twins (dual-ring mode), and the single-GPU
-     * kernel serializer. */
-    std::shared_ptr<std::vector<HopGate>> reduceGates_;
-    std::shared_ptr<std::vector<HopGate>> bcastGates_;
-    std::shared_ptr<std::vector<HopGate>> reduceGatesRev_;
-    std::shared_ptr<std::vector<HopGate>> bcastGatesRev_;
-    std::shared_ptr<std::vector<HopGate>> localGate_;
+    /** Reduce paths: each ring from the root's successor round to
+     * the root. */
+    std::vector<hw::NodeId> reducePath_;
+    std::vector<hw::NodeId> reducePathRev_;
+    /** Persistent hop gates: reduce direction, broadcast direction
+     * and their reversed-ring twins (dual-ring mode). */
+    std::vector<HopGate> reduceGates_;
+    std::vector<HopGate> bcastGates_;
+    std::vector<HopGate> reduceGatesRev_;
+    std::vector<HopGate> bcastGatesRev_;
+    /** The single-GPU kernel serializer. */
+    HopGate localGate_;
+    /** All-reduce collectives serialize on this gate (they occupy
+     * every ring link in both step directions). */
+    HopGate allReduceGate_;
     /** Profiler lanes "<gate set>.h<hop>" of the four ring gate sets
      * above, interned once. */
     std::vector<profiling::Name> reduceLanes_;
     std::vector<profiling::Name> bcastLanes_;
     std::vector<profiling::Name> reduceLanesRev_;
     std::vector<profiling::Name> bcastLanesRev_;
-    /** All-reduce collectives serialize on this gate (they occupy
-     * every ring link in both step directions). */
-    std::shared_ptr<std::vector<HopGate>> allReduceGate_;
+    sim::SlotPool<Pass> passes_;
+    sim::SlotPool<Hop> hops_;
 };
 
 } // namespace dgxsim::comm

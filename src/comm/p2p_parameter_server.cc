@@ -1,7 +1,5 @@
 #include "comm/p2p_parameter_server.hh"
 
-#include <memory>
-
 #include "sim/logging.hh"
 
 namespace dgxsim::comm {
@@ -19,11 +17,14 @@ P2pParameterServer::P2pParameterServer(CommContext ctx, CommConfig cfg)
 }
 
 void
-P2pParameterServer::reduceLevel(sim::Bytes bytes, std::size_t stride,
-                                profiling::Name lane, Callback done)
+P2pParameterServer::reduceLevel(Slot slot)
 {
     const std::size_t n = ctx_.gpus.size();
+    Reduction &red = reductions_[slot];
+    const std::size_t stride = red.stride;
     if (stride >= n) {
+        const Callback done = std::move(red.done);
+        reductions_.release(slot);
         done();
         return;
     }
@@ -31,49 +32,22 @@ P2pParameterServer::reduceLevel(sim::Bytes bytes, std::size_t stride,
     // Pairs (i, i+stride) transfer concurrently; barrier, then next
     // level (MXNet's comm tree synchronizes level by level because
     // the destination buffer of the next level is the result of this
-    // one).
-    auto pending = std::make_shared<int>(0);
-    auto level_done = [this, bytes, stride, lane, pending,
-                       done = std::move(done)]() mutable {
-        if (--*pending == 0)
-            reduceLevel(bytes, stride * 2, lane, std::move(done));
-    };
-
+    // one). Every level below n has the pair (0, stride).
+    int pairs = 0;
     for (std::size_t i = 0; i + stride < n; i += 2 * stride)
-        ++*pending;
-    if (*pending == 0) {
-        reduceLevel(bytes, stride * 2, lane, std::move(done));
-        return;
-    }
-
+        ++pairs;
+    const sim::Bytes bytes = red.bytes;
+    const profiling::Name lane = red.lane;
+    const Callback level_done = join(pairs, [this, slot] {
+        reductions_[slot].stride *= 2;
+        reduceLevel(slot);
+    });
     // Ambient at this point: the issuing kvstore API for level 1, or
     // the previous level's last gradAccumulate kernel — either way
     // the causal parent of this level's copies.
-    const profiling::CauseToken cause = profiling::currentCause(ctx_.profiler);
     for (std::size_t i = 0; i + stride < n; i += 2 * stride) {
-        const hw::NodeId dst = ctx_.gpus[i];
-        const hw::NodeId src = ctx_.gpus[i + stride];
-        const sim::Tick start = ctx_.queue->now();
-        ctx_.fabric->transfer(
-            src, dst, bytes,
-            [this, src, dst, bytes, start, cause, lane,
-             level_done]() {
-                profiling::RecordId copy_id = profiling::kNoRecord;
-                if (ctx_.profiler) {
-                    copy_id = ctx_.profiler->recordCopy(
-                        kPtoP, src, dst, bytes, start,
-                        ctx_.queue->now(), 0, {cause.id()});
-                }
-                // Accumulate the received gradients into dst's buffer:
-                // read two arrays, write one (memory bound); the copy
-                // that delivered the operand is its causal parent.
-                profiling::CauseScope scope(
-                    copy_id == profiling::kNoRecord ? nullptr
-                                                    : ctx_.profiler,
-                    profiling::CauseToken(copy_id));
-                runKernelOnLane(kGradAccumulate, lane, dst,
-                                bytes / 4.0, 3.0 * bytes, level_done);
-            });
+        copyToPeer(kPtoP, ctx_.gpus[i + stride], ctx_.gpus[i], bytes,
+                   kGradAccumulate, lane, level_done);
     }
 }
 
@@ -84,18 +58,19 @@ P2pParameterServer::doReduce(sim::Bytes bytes, Callback done)
         // Single GPU: gradients are already in place; no copies and
         // no extra kernels (the P2P baseline of Table II). Preserve
         // the issuing cause across the deferred completion.
-        ctx_.queue->scheduleAfter(
-            0, [this, cause = profiling::currentCause(ctx_.profiler),
-                done = std::move(done)]() mutable {
-                profiling::CauseScope scope(ctx_.profiler, cause);
-                done();
-            });
+        skip(std::move(done));
         return;
     }
     // Capture the per-chunk lane now: this is the synchronous part
     // of the dispatch, the only window where chunkLane() is valid.
     static const profiling::Name comm("comm");
-    reduceLevel(bytes, 1, chunkLane(comm), std::move(done));
+    const Slot slot = reductions_.acquire();
+    Reduction &red = reductions_[slot];
+    red.bytes = bytes;
+    red.stride = 1;
+    red.lane = chunkLane(comm);
+    red.done = std::move(done);
+    reduceLevel(slot);
 }
 
 void
@@ -103,47 +78,20 @@ P2pParameterServer::doBroadcast(sim::Bytes bytes, Callback done)
 {
     const std::size_t n = ctx_.gpus.size();
     if (n == 1) {
-        ctx_.queue->scheduleAfter(
-            0, [this, cause = profiling::currentCause(ctx_.profiler),
-                done = std::move(done)]() mutable {
-                profiling::CauseScope scope(ctx_.profiler, cause);
-                done();
-            });
+        skip(std::move(done));
         return;
     }
     // Flat fan-out: the server pushes the updated weights to every
     // worker at once; the fabric stages non-neighbor copies through
     // relay GPUs, so links such as GPU0-GPU2 carry both the direct
     // copy and relayed traffic — the contention the paper blames for
-    // sub-linear 8-GPU scaling.
-    auto pending = std::make_shared<int>(static_cast<int>(n) - 1);
-    auto fanout_done = [pending, done = std::move(done)]() mutable {
-        if (--*pending == 0)
-            done();
-    };
-    const profiling::CauseToken cause = profiling::currentCause(ctx_.profiler);
+    // sub-linear 8-GPU scaling. The barrier (and with it the
+    // broadcast completion) descends from the copy that released it.
+    const Callback fanout_done =
+        join(static_cast<int>(n) - 1, std::move(done));
     for (std::size_t i = 1; i < n; ++i) {
-        const hw::NodeId src = ctx_.gpus[0];
-        const hw::NodeId dst = ctx_.gpus[i];
-        const sim::Tick start = ctx_.queue->now();
-        ctx_.fabric->transfer(
-            src, dst, bytes,
-            [this, src, dst, bytes, start, cause,
-             fanout_done]() mutable {
-                profiling::RecordId copy_id = profiling::kNoRecord;
-                if (ctx_.profiler) {
-                    copy_id = ctx_.profiler->recordCopy(
-                        kPtoP, src, dst, bytes, start,
-                        ctx_.queue->now(), 0, {cause.id()});
-                }
-                // The barrier (and with it the broadcast completion)
-                // descends from the copy that released it.
-                profiling::CauseScope scope(
-                    copy_id == profiling::kNoRecord ? nullptr
-                                                    : ctx_.profiler,
-                    profiling::CauseToken(copy_id));
-                fanout_done();
-            });
+        copyToPeer(kPtoP, ctx_.gpus[0], ctx_.gpus[i], bytes, {}, {},
+                   fanout_done);
     }
 }
 

@@ -57,16 +57,25 @@ class P2pParameterServer : public Communicator
     void doBroadcast(sim::Bytes bytes, Callback done) override;
 
   private:
+    /** One tree reduction, level by level. */
+    struct Reduction
+    {
+        sim::Bytes bytes = 0;
+        std::size_t stride = 1;
+        /** Kernel lane: per-chunk under the concurrent schedulers, so
+         * overlapping chunks keep the lane-serialization invariant. */
+        profiling::Name lane;
+        Callback done;
+    };
+
     /**
-     * Run one tree level: transfers src->dst for every pair at the
-     * given stride, each followed by an accumulate kernel at dst;
-     * continue with the next stride once the level joins. @p lane
-     * names the kernel lane — per-chunk under the concurrent
-     * schedulers so overlapping chunks keep the lane-serialization
-     * invariant.
+     * Run reduction @p slot's current level: transfers src->dst for
+     * every pair at its stride, each followed by an accumulate kernel
+     * at dst; continue with the next stride once the level joins.
      */
-    void reduceLevel(sim::Bytes bytes, std::size_t stride,
-                     profiling::Name lane, Callback done);
+    void reduceLevel(Slot slot);
+
+    sim::SlotPool<Reduction> reductions_;
 };
 
 } // namespace dgxsim::comm

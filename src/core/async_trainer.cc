@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/fp_bp_schedule.hh"
 #include "sim/logging.hh"
 
 namespace dgxsim::core {
@@ -13,8 +12,9 @@ AsyncTrainer::AsyncTrainer(TrainConfig cfg,
     : TrainerBase(std::move(cfg), std::move(net), std::move(topo))
 {
     for (std::size_t g = 0; g < machine_.gpus().size(); ++g) {
-        computeStreams_.push_back(
-            &machine_.addStream(g, "compute" + std::to_string(g)));
+        fpBp_.push_back(
+            {&machine_.addStream(g, "compute" + std::to_string(g)),
+             &layerCosts(), {}});
         workers_.push_back(
             &machine_.addHostThread("worker" + std::to_string(g)));
     }
@@ -31,11 +31,11 @@ AsyncTrainer::workerIteration(std::size_t g)
     --itersLeft_[g];
 
     cuda::HostThread &worker = *workers_[g];
-    cuda::Stream &stream = *computeStreams_[g];
+    cuda::Stream &stream = *fpBp_[g].stream;
 
     // Compute on whatever weights the last pull delivered.
     pulledVersion_[g] = version_;
-    issueFpBp(worker, stream, layerCosts(), cfg_);
+    issueFpBp(worker, fpBp_[g], cfg_);
     worker.waitStream(stream);
 
     // Push: move the full gradient set to the server GPU; the update

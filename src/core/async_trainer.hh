@@ -26,6 +26,7 @@
 
 #include <vector>
 
+#include "core/fp_bp_schedule.hh"
 #include "core/trainer_base.hh"
 
 namespace dgxsim::core {
@@ -56,7 +57,8 @@ class AsyncTrainer : public TrainerBase
     /** Gradients from worker @p g landed on the server. */
     void applyPush(std::size_t g);
 
-    std::vector<cuda::Stream *> computeStreams_;
+    /** Per GPU: compute stream and cost table (no markers). */
+    std::vector<FpBpTarget> fpBp_;
     std::vector<cuda::HostThread *> workers_;
     cuda::Stream *serverStream_ = nullptr; ///< on GPU0
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/fp_bp_schedule.hh"
 #include "sim/auditor.hh"
 
 namespace dgxsim::core {
@@ -27,8 +26,16 @@ Trainer::Trainer(TrainConfig cfg, std::optional<dnn::Network> net,
     : TrainerBase(std::move(cfg), std::move(net), std::move(topo))
 {
     for (std::size_t g = 0; g < machine_.gpus().size(); ++g) {
-        computeStreams_.push_back(
-            &machine_.addStream(g, machine_.laneName(g, "compute")));
+        fpBp_.push_back(
+            {&machine_.addStream(g, machine_.laneName(g, "compute")),
+             &layerCosts(), {}});
+        // With overlap enabled, weighted layers publish their gradient
+        // bucket the moment their backward kernels retire.
+        if (cfg_.overlapBpWu) {
+            fpBp_.back().onGradient = [this](int weighted_idx) {
+                onGradientReady(bucketOfWeighted_[weighted_idx]);
+            };
+        }
         workers_.push_back(
             &machine_.addHostThread(machine_.laneName(g, "worker")));
     }
@@ -70,16 +77,16 @@ void
 Trainer::issueWorker(std::size_t g)
 {
     cuda::HostThread &worker = *workers_[g];
-    cuda::Stream &stream = *computeStreams_[g];
-    const int batch = cfg_.batchPerGpu;
+    cuda::Stream &stream = *fpBp_[g].stream;
 
     // Prefetch the next mini-batch over PCIe (not gating compute;
     // MXNet's data iterator stays ahead of the GPUs).
-    const sim::Bytes batch_bytes =
-        static_cast<sim::Bytes>(batch) * net_.inputShape().bytes();
-    const hw::NodeId gpu = machine_.gpus()[g];
     worker.call(kMemcpyApi, sim::usToTicks(cfg_.commConfig.memcpyIssueUs),
-                [this, gpu, batch_bytes]() {
+                [this, g]() {
+                    const sim::Bytes batch_bytes =
+                        static_cast<sim::Bytes>(cfg_.batchPerGpu) *
+                        net_.inputShape().bytes();
+                    const hw::NodeId gpu = machine_.gpus()[g];
                     const sim::Tick start = machine_.queue().now();
                     hw::NodeId host = -1;
                     const hw::Topology &topo = machine_.topology();
@@ -105,16 +112,9 @@ Trainer::issueWorker(std::size_t g)
                         });
                 });
 
-    // FP then BP kernels; with overlap enabled, weighted layers
-    // publish their gradient bucket the moment their backward
-    // kernels retire.
-    std::function<void(int)> on_gradient;
-    if (cfg_.overlapBpWu) {
-        on_gradient = [this](int weighted_idx) {
-            onGradientReady(bucketOfWeighted_[weighted_idx]);
-        };
-    }
-    issueFpBp(worker, stream, layerCosts(), cfg_, std::move(on_gradient));
+    // FP then BP kernels, each weighted layer's gradient marker after
+    // its backward kernels.
+    issueFpBp(worker, fpBp_[g], cfg_);
 
     // Wait for BP through the engine's dependency tracking (not a
     // CUDA API), then block in cudaStreamSynchronize until the
@@ -168,18 +168,17 @@ void
 Trainer::pushBucket(std::size_t bucket_idx)
 {
     const bool nccl = cfg_.method == comm::CommMethod::NCCL;
-    const sim::Bytes bytes = buckets_[bucket_idx].bytes;
     if (cfg_.useAllReduce) {
         // Fused collective + replicated local update: every GPU ends
         // up with the summed gradients and applies SGD itself.
         const profiling::Name api = nccl ? kNcclAllReduceApi : kPeerCopyApi;
         commThread_->call(
-            api, comm_->perCallHostOverhead(),
-            [this, bucket_idx, bytes]() {
+            api, comm_->perCallHostOverhead(), [this, bucket_idx]() {
                 // Later buckets retire from BP first and nothing
                 // downstream waits per-bucket, so priority follows
                 // BP retirement order (fifo ignores it).
-                comm_->allReduce(bytes, static_cast<int>(bucket_idx),
+                comm_->allReduce(buckets_[bucket_idx].bytes,
+                                 static_cast<int>(bucket_idx),
                                  [this, bucket_idx]() {
                                      onBucketReduced(bucket_idx);
                                  });
@@ -188,8 +187,8 @@ Trainer::pushBucket(std::size_t bucket_idx)
     }
     const profiling::Name api = nccl ? kNcclReduceApi : kPeerCopyApi;
     commThread_->call(api, comm_->perCallHostOverhead(),
-                      [this, bucket_idx, bytes]() {
-                          comm_->reduce(bytes,
+                      [this, bucket_idx]() {
+                          comm_->reduce(buckets_[bucket_idx].bytes,
                                         static_cast<int>(bucket_idx),
                                         [this, bucket_idx]() {
                                             onBucketReduced(bucket_idx);
@@ -215,18 +214,17 @@ Trainer::onBucketReduced(std::size_t bucket_idx)
                 const profiling::Name api =
                     cfg_.method == comm::CommMethod::NCCL ? kNcclBcastApi
                                                           : kPeerCopyApi;
-                const sim::Bytes bytes = buckets_[bucket_idx].bytes;
-                // Broadcasts outrank every pending reduce: the
-                // weights they carry gate the iteration barrier,
-                // while a reduce still has the update ahead of it.
-                const int prio =
-                    static_cast<int>(buckets_.size() + bucket_idx);
                 commThread_->call(
                     api, comm_->perCallHostOverhead(),
-                    [this, bytes, prio]() {
-                        comm_->broadcast(bytes, prio, [this]() {
-                            onBucketBroadcast();
-                        });
+                    [this, bucket_idx]() {
+                        // Broadcasts outrank every pending reduce: the
+                        // weights they carry gate the iteration
+                        // barrier, while a reduce still has the update
+                        // ahead of it.
+                        const int prio =
+                            static_cast<int>(buckets_.size() + bucket_idx);
+                        comm_->broadcast(buckets_[bucket_idx].bytes, prio,
+                                         [this]() { onBucketBroadcast(); });
                     });
             });
         });

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "comm/factory.hh"
+#include "core/fp_bp_schedule.hh"
 #include "core/trainer_base.hh"
 
 namespace dgxsim::core {
@@ -80,7 +81,8 @@ class Trainer : public TrainerBase
     /** All GPUs done: record times, advance or stop. */
     void finishIteration();
 
-    std::vector<cuda::Stream *> computeStreams_;
+    /** Per GPU: compute stream, cost table, gradient marker. */
+    std::vector<FpBpTarget> fpBp_;
     std::vector<cuda::HostThread *> workers_;
     cuda::Stream *updateStream_ = nullptr; ///< on GPU0
     cuda::HostThread *commThread_ = nullptr;

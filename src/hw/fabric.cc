@@ -111,7 +111,7 @@ Fabric::runLeg(std::uint32_t slot)
                              " ends before it starts");
         }
         const Callback done = std::move(t.done);
-        freeTransfers_.push_back(slot);
+        transfers_.release(slot);
         if (done)
             done();
         return;
@@ -129,6 +129,7 @@ Fabric::runLeg(std::uint32_t slot)
                topo_.nodeKind(hop.from) == NodeKind::Cpu) {
         latency += sim::usToTicks(host_.stagingOverheadUs);
     }
+    // A braced one-channel path: no vector is built per leg.
     flows_.startFlow(t.bytes, {channelFor(hop.linkIndex, hop.from)},
                      [this, slot] { runLeg(slot); }, latency);
 }
@@ -142,14 +143,7 @@ Fabric::transfer(NodeId src, NodeId dst, sim::Bytes bytes, Callback done)
             done();
         return;
     }
-    std::uint32_t slot;
-    if (freeTransfers_.empty()) {
-        slot = static_cast<std::uint32_t>(transfers_.size());
-        transfers_.emplace_back();
-    } else {
-        slot = freeTransfers_.back();
-        freeTransfers_.pop_back();
-    }
+    const std::uint32_t slot = transfers_.acquire();
     Transfer &t = transfers_[slot];
     t.route = route;
     t.leg = 0;

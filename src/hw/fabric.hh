@@ -20,6 +20,7 @@
 #include "sim/auditor.hh"
 #include "sim/event_queue.hh"
 #include "sim/flow_network.hh"
+#include "sim/slot_pool.hh"
 
 namespace dgxsim::hw {
 
@@ -112,10 +113,9 @@ class Fabric
     sim::FlowNetwork flows_;
     /** Per link: channel a->b then b->a. */
     std::vector<std::array<sim::FlowNetwork::ChannelId, 2>> chans_;
-    /** Transfer slots, recycled through freeTransfers_ so a route
-     * copy reuses its slot's leg storage. */
-    std::vector<Transfer> transfers_;
-    std::vector<std::uint32_t> freeTransfers_;
+    /** Transfer slots; a recycled slot's route copy reuses its leg
+     * storage, and each leg's continuation captures {this, slot}. */
+    sim::SlotPool<Transfer> transfers_;
     sim::Auditor *auditor_ = nullptr;
     /** Auditor created by enableAudit() when none was provided. */
     std::unique_ptr<sim::Auditor> ownedAuditor_;

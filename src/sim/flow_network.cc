@@ -85,37 +85,49 @@ FlowNetwork::channelCapacity(ChannelId id) const
 }
 
 FlowNetwork::FlowId
-FlowNetwork::startFlow(Bytes bytes, std::vector<ChannelId> path,
+FlowNetwork::startFlow(Bytes bytes, std::span<const ChannelId> path,
                        std::function<void()> on_complete, Tick latency)
 {
     for (ChannelId c : path) {
         if (c >= channels_.size())
             fatal("flow path references unknown channel ", c);
     }
-    FlowId id = nextFlow_++;
-    Flow flow;
-    flow.remaining = static_cast<double>(bytes);
-    flow.requested = flow.remaining;
-    flow.path = std::move(path);
-    flow.onComplete = std::move(on_complete);
-    flow.lastUpdate = queue_.now();
+    const FlowId id = nextFlow_++;
+    Flow *flow;
+    if (spareFlows_.empty()) {
+        flow = &active_.emplace(id, Flow{}).first->second;
+    } else {
+        FlowMap::node_type node = std::move(spareFlows_.back());
+        spareFlows_.pop_back();
+        node.key() = id;
+        flow = &active_.insert(std::move(node)).position->second;
+    }
+    flow->remaining = static_cast<double>(bytes);
+    flow->requested = flow->remaining;
+    flow->path.assign(path.begin(), path.end());
+    flow->onComplete = std::move(on_complete);
+    flow->rate = 0;
+    flow->lastUpdate = queue_.now();
+    flow->completion = EventHandle();
+    flow->done = false;
+    flow->joined = false;
+    flow->frozen = false;
+    flow->mark = 0;
 
-    if (bytes == 0 || flow.path.empty()) {
+    if (bytes == 0 || path.empty()) {
         // Pure-latency flow: no bandwidth consumed.
-        flow.done = true;
-        active_.emplace(id, std::move(flow));
+        flow->done = true;
         queue_.scheduleAfter(latency, [this, id] { complete(id); });
         return id;
     }
 
-    Flow &added = active_.emplace(id, std::move(flow)).first->second;
     if (latency == 0) {
         activate(id);
     } else {
         // Keep the flow out of the allocation until its head latency
         // elapses; rate stays 0 meanwhile.
-        added.lastUpdate = queue_.now() + latency;
-        latencyPending_.push_back(&added);
+        flow->lastUpdate = queue_.now() + latency;
+        latencyPending_.push_back(flow);
         queue_.scheduleAfter(latency, [this, id] { activate(id); });
     }
     return id;
@@ -449,7 +461,7 @@ FlowNetwork::retire(FlowMap::iterator it)
     queue_.cancel(flow.completion);
     if (flow.joined)
         leaveAllocation(flow);
-    active_.erase(it);
+    spareFlows_.push_back(active_.extract(it));
 }
 
 void

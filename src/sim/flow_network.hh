@@ -34,6 +34,14 @@
  * and since no event is scheduled and no callback runs between those
  * retirements, only the last one's rates and completion order could
  * be observed.
+ *
+ * Starting a flow allocates nothing once the network has seen its
+ * peak flow count. The path arrives as a span (or a braced list), and
+ * a retired flow's map node is extracted, not erased, and reinserted
+ * for a later flow with its path's capacity. libstdc++ reinserts a
+ * node handle exactly where emplace would put a new node and applies
+ * the same rehash policy, so active_'s iteration order, which decides
+ * the order of same-tick completions, is the order fresh nodes give.
  */
 
 #ifndef DGXSIM_SIM_FLOW_NETWORK_HH
@@ -41,6 +49,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -87,13 +97,24 @@ class FlowNetwork
      * Start a transfer.
      * @param bytes Payload size; zero-byte flows complete after just
      *              the latency.
-     * @param path Channels the flow occupies concurrently.
+     * @param path Channels the flow occupies concurrently; copied.
      * @param on_complete Callback invoked when the last byte lands.
      * @param latency Fixed head latency before bytes start moving.
      * @return an id usable with flowActive()/currentRate().
      */
-    FlowId startFlow(Bytes bytes, std::vector<ChannelId> path,
+    FlowId startFlow(Bytes bytes, std::span<const ChannelId> path,
                      std::function<void()> on_complete, Tick latency = 0);
+
+    /** startFlow() on a braced path such as `{a, b}`. */
+    FlowId
+    startFlow(Bytes bytes, std::initializer_list<ChannelId> path,
+              std::function<void()> on_complete, Tick latency = 0)
+    {
+        return startFlow(bytes,
+                         std::span<const ChannelId>(path.begin(),
+                                                    path.size()),
+                         std::move(on_complete), latency);
+    }
 
     /** @return true while the flow has not completed. */
     bool flowActive(FlowId id) const;
@@ -137,6 +158,7 @@ class FlowNetwork
         double busyTicks = 0;
     };
 
+    /** startFlow() assigns every field, a recycled node's too. */
     struct Flow
     {
         double remaining = 0; ///< bytes
@@ -180,8 +202,8 @@ class FlowNetwork
 
     /**
      * Take a flow out of the network: audit its byte count, push its
-     * callback onto callbacks_, cancel its completion event and leave
-     * the allocation.
+     * callback onto callbacks_, cancel its completion event, leave the
+     * allocation and keep its node for a later startFlow().
      */
     void retire(FlowMap::iterator it);
 
@@ -254,6 +276,8 @@ class FlowNetwork
      * callback that retires further flows runs theirs first.
      */
     std::vector<std::function<void()>> callbacks_;
+    /** Retired flows' nodes, reused newest first by startFlow(). */
+    std::vector<FlowMap::node_type> spareFlows_;
 };
 
 } // namespace dgxsim::sim

@@ -88,11 +88,11 @@ TEST(FpBpScheduleTest, KernelCountsMatchTheNetwork)
 
     int markers = 0;
     std::vector<int> marker_order;
-    issueFpBp(worker, stream, costs, cfg,
-              [&](int weighted_idx) {
-                  ++markers;
-                  marker_order.push_back(weighted_idx);
-              });
+    const FpBpTarget target{&stream, &costs, [&](int weighted_idx) {
+                                ++markers;
+                                marker_order.push_back(weighted_idx);
+                            }};
+    issueFpBp(worker, target, cfg);
     queue.run();
 
     std::size_t expected = net.layers().size(); // forward kernels
@@ -114,7 +114,8 @@ TEST(FpBpScheduleTest, NoMarkersWithoutCallback)
     cuda::HostThread worker(queue, &prof, "w");
     TrainConfig cfg;
     const LayerCostTable costs = computeLayerCosts(dnn::buildLeNet(), cfg);
-    issueFpBp(worker, stream, costs, cfg, {});
+    const FpBpTarget target{&stream, &costs, {}};
+    issueFpBp(worker, target, cfg);
     queue.run();
     EXPECT_GT(prof.kernels().size(), 0u);
 }
@@ -127,7 +128,8 @@ TEST(FpBpScheduleTest, ForwardKernelsPrecedeBackward)
     cuda::HostThread worker(queue, &prof, "w");
     TrainConfig cfg;
     const LayerCostTable costs = computeLayerCosts(dnn::buildLeNet(), cfg);
-    issueFpBp(worker, stream, costs, cfg, {});
+    const FpBpTarget target{&stream, &costs, {}};
+    issueFpBp(worker, target, cfg);
     queue.run();
     bool saw_bwd = false;
     for (const auto &k : prof.kernels()) {

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -248,6 +251,56 @@ TEST(FlowNetworkTest, FlowActiveReflectsLifetime)
     EXPECT_TRUE(net.flowActive(f));
     q.run();
     EXPECT_FALSE(net.flowActive(f));
+}
+
+/**
+ * Retired flows' storage is reused: a second run of one start/finish
+ * script on the same network starts every flow on a recycled node
+ * (its path keeping the capacity of an earlier flow's) and must give
+ * the first run's completion ticks in the first run's callback order.
+ * The script passes paths as a std::vector, a std::span and a braced
+ * `{a, b}` list (the shape of dgxbench's flow-churn storm), starts a
+ * flow from a callback, retires three flows in one tick, and runs a
+ * zero-byte flow whose node a later flow reuses.
+ */
+TEST(FlowNetworkTest, RecycledFlowsReplayTheFirstRun)
+{
+    EventQueue q;
+    FlowNetwork net(q);
+    std::vector<FlowNetwork::ChannelId> ch;
+    for (int i = 0; i < 6; ++i)
+        ch.push_back(net.addChannel(kUnitRate));
+
+    using Trace = std::vector<std::pair<int, Tick>>;
+    const auto run_script = [&] {
+        Trace trace;
+        const Tick t0 = q.now();
+        const auto note = [&trace, &q, t0](int label) {
+            trace.emplace_back(label, q.now() - t0);
+        };
+        // Retires first, so the last flow a rerun starts at t0 reuses
+        // this zero-byte flow's node.
+        net.startFlow(0, {ch[5]}, [=] { note(7); }, 10);
+        const std::vector<FlowNetwork::ChannelId> vec_path{ch[0]};
+        net.startFlow(3000, vec_path, [=] { note(0); });
+        const std::array<FlowNetwork::ChannelId, 2> arr{ch[0], ch[1]};
+        net.startFlow(1000, std::span<const FlowNetwork::ChannelId>(arr),
+                      [=] { note(1); }, 100);
+        net.startFlow(2000, {ch[1], ch[2]}, [=, &net] {
+            note(2);
+            net.startFlow(500, {ch[2]}, [=] { note(3); }, 50);
+        });
+        for (int i = 0; i < 3; ++i)
+            net.startFlow(1000, {ch[3 + i]}, [=] { note(4 + i); });
+        q.run();
+        EXPECT_EQ(net.activeFlows(), 0u);
+        return trace;
+    };
+
+    const Trace first = run_script();
+    ASSERT_EQ(first.size(), 8u);
+    const Trace second = run_script();
+    EXPECT_EQ(second, first);
 }
 
 /**

@@ -148,12 +148,9 @@ cmdTrain(const Args &args)
 {
     core::TrainConfig cfg = core::cli::configFromArgs(args);
     // --model-file loads a serialized network description instead of
-    // a zoo model (see dnn/serialize.hh for the format). Custom
-    // networks run only on the synchronous strategy.
+    // a zoo model (see dnn/serialize.hh for the format).
     std::optional<dnn::Network> net;
     if (args.has("model-file")) {
-        if (cfg.mode != core::ParallelismMode::SyncDp)
-            sim::fatal("--model-file supports --mode sync_dp only");
         net = dnn::loadNetworkFile(args.get("model-file"));
         cfg.model = net->name();
     }
