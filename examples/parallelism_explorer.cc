@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "campaign/record.hh"
 #include "core/text_table.hh"
 #include "core/trainer_base.hh"
 
@@ -84,7 +85,7 @@ main(int argc, char **argv)
     const auto tracer = core::TrainerBase::make(trace_cfg);
     tracer->run();
     const std::string path = "/tmp/dgxsim_" + cfg.model + "_trace.json";
-    tracer->profiler().writeChromeTrace(path);
+    campaign::writeFile(path, tracer->profiler().chromeTrace());
     std::printf("One-iteration timeline written to %s — open it at "
                 "chrome://tracing or ui.perfetto.dev.\n",
                 path.c_str());

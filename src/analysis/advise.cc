@@ -22,15 +22,7 @@ struct FamilyKey
     core::ParallelismMode mode;
     int stages;
 
-    bool
-    operator<(const FamilyKey &o) const
-    {
-        if (platform != o.platform)
-            return platform < o.platform;
-        if (mode != o.mode)
-            return mode < o.mode;
-        return stages < o.stages;
-    }
+    auto operator<=>(const FamilyKey &) const = default;
 };
 
 bool

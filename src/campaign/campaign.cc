@@ -1,19 +1,14 @@
 #include "campaign/campaign.hh"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <vector>
 
 #include "campaign/thread_pool.hh"
-#include "comm/factory.hh"
 #include "core/layer_costs.hh"
 #include "core/trainer_base.hh"
 #include "hw/platform.hh"
-#include "sim/logging.hh"
 
 namespace dgxsim::campaign {
 
@@ -85,87 +80,13 @@ campaignSpecFromArgs(const core::cli::Args &args)
     return spec;
 }
 
-std::string
-configKey(const core::TrainConfig &cfg)
-{
-    // Every field that can steer the simulation from the CLI or a
-    // campaign spec participates; two configs with equal keys must
-    // produce equal reports. %.17g keeps doubles exact.
-    const auto format = [&cfg](char *out, std::size_t size) {
-        return std::snprintf(
-            out, size,
-            "%s|plat:%s|nd%d|ic:%s|na%d|g%d|b%d|m%d|pm%d|ub%d|ai%d"
-            "|i%" PRIu64
-            "|it%d|ov%d|tc%d|ar%d|fu%.17g|au%d|disp%.17g|setup%.17g"
-            "|gpu:%s|rings%d|chunk%" PRIu64 "|eff%.17g|hop%.17g"
-            "|nfix%.17g|nset%.17g|mcpy%.17g|mq%d"
-            "|sch%d|pb%" PRIu64 "|cb%" PRIu64 "|zc%d|zr%.17g"
-            "|mm:%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
-            "|wi:%.17g,%.17g,%.17g,%.17g%s",
-            cfg.model.c_str(), cfg.platform.c_str(), cfg.nodes,
-            cfg.interconnect.c_str(),
-            static_cast<int>(cfg.netAlgo), cfg.numGpus,
-            cfg.batchPerGpu,
-            static_cast<int>(cfg.method), static_cast<int>(cfg.mode),
-            cfg.microbatches, cfg.asyncItersPerWorker,
-            cfg.datasetImages,
-            cfg.measuredIterations, cfg.overlapBpWu ? 1 : 0,
-            cfg.useTensorCores ? 1 : 0, cfg.useAllReduce ? 1 : 0,
-            cfg.bucketFusionMB, cfg.audit ? 1 : 0,
-            cfg.engineDispatchUs,
-            cfg.setupOnceSeconds, cfg.gpuSpec.name.c_str(),
-            cfg.commConfig.ncclRings,
-            static_cast<std::uint64_t>(cfg.commConfig.ringChunkBytes),
-            cfg.commConfig.ncclLinkEfficiency,
-            cfg.commConfig.ringHopLatencyUs,
-            cfg.commConfig.ncclIterFixedUs, cfg.commConfig.ncclSetupUs,
-            cfg.commConfig.memcpyIssueUs, cfg.commConfig.maxChunks,
-            static_cast<int>(cfg.commConfig.scheduler),
-            static_cast<std::uint64_t>(cfg.commConfig.partitionBytes),
-            static_cast<std::uint64_t>(cfg.commConfig.creditBytes),
-            static_cast<int>(cfg.commConfig.compression),
-            cfg.commConfig.compressRatio,
-            cfg.memoryModel.contextGB,
-            cfg.memoryModel.activationFactor,
-            cfg.memoryModel.workspaceFactor,
-            cfg.memoryModel.cudnnPoolMBPerConv,
-            cfg.memoryModel.rootCommFactor,
-            cfg.memoryModel.datasetBuffers,
-            // What-if ablation knobs (analysis::WhatIf ground truth).
-            cfg.gpuSpec.speedupFactor, cfg.nvlinkBwScale,
-            cfg.ibBwScale, cfg.syncEntryUs,
-            // A timing-only run has no digest, so it never shares an
-            // entry with a full one; full keys carry no term for it.
-            cfg.timingOnly ? "|timing" : "");
-    };
-    char buf[768];
-    const int n = format(buf, sizeof(buf));
-    if (n < 0)
-        sim::fatal("configKey: snprintf encoding failure");
-    if (static_cast<std::size_t>(n) < sizeof(buf))
-        return std::string(buf, static_cast<std::size_t>(n));
-    // A long model/platform/GPU name overflowed the stack buffer.
-    // Retry with the exact length: a silently truncated key would
-    // make distinct configurations collide in the simulate cache and
-    // return the wrong cached report.
-    std::vector<char> big(static_cast<std::size_t>(n) + 1);
-    const int m = format(big.data(), big.size());
-    if (m != n)
-        sim::fatal("configKey: unstable snprintf length ", m, " vs ",
-                   n);
-    return std::string(big.data(), static_cast<std::size_t>(n));
-}
-
 namespace {
 
 /** The process-wide simulate memo cache and its bookkeeping. */
 struct SimCache
 {
     std::mutex mutex;
-    std::map<std::string, core::TrainReport> entries;
-    /** Keys in insertion order; trim evicts from the front (FIFO). */
-    std::deque<std::string> order;
-    std::size_t limit = 0; ///< 0 = unbounded
+    std::map<core::TrainConfig, core::TrainReport> entries;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
 };
@@ -183,10 +104,9 @@ const core::TrainReport &
 cachedSimulate(const core::TrainConfig &cfg)
 {
     SimCache &c = simCache();
-    const std::string key = configKey(cfg);
     {
         std::lock_guard<std::mutex> lock(c.mutex);
-        auto it = c.entries.find(key);
+        auto it = c.entries.find(cfg);
         if (it != c.entries.end()) {
             ++c.hits;
             return it->second;
@@ -194,14 +114,11 @@ cachedSimulate(const core::TrainConfig &cfg)
         ++c.misses;
     }
     // Simulate outside the lock so independent configurations run
-    // concurrently. Two threads racing on the same key compute the
+    // concurrently. Two threads racing on the same config compute the
     // same (deterministic) report; the second insert is a no-op.
     core::TrainReport report = core::TrainerBase::simulate(cfg);
     std::lock_guard<std::mutex> lock(c.mutex);
-    auto [it, inserted] = c.entries.emplace(key, std::move(report));
-    if (inserted)
-        c.order.push_back(key);
-    return it->second;
+    return c.entries.emplace(cfg, std::move(report)).first->second;
 }
 
 void
@@ -210,31 +127,9 @@ clearSimulationCache()
     SimCache &c = simCache();
     std::lock_guard<std::mutex> lock(c.mutex);
     c.entries.clear();
-    c.order.clear();
     c.hits = 0;
     c.misses = 0;
     core::clearLayerCostCache();
-}
-
-void
-setSimulationCacheLimit(std::size_t max_entries)
-{
-    SimCache &c = simCache();
-    std::lock_guard<std::mutex> lock(c.mutex);
-    c.limit = max_entries;
-}
-
-void
-trimSimulationCache()
-{
-    SimCache &c = simCache();
-    std::lock_guard<std::mutex> lock(c.mutex);
-    if (c.limit == 0)
-        return;
-    while (c.entries.size() > c.limit && !c.order.empty()) {
-        c.entries.erase(c.order.front());
-        c.order.pop_front();
-    }
 }
 
 SimulationCacheStats
@@ -242,8 +137,7 @@ simulationCacheStats()
 {
     SimCache &c = simCache();
     std::lock_guard<std::mutex> lock(c.mutex);
-    return SimulationCacheStats{c.entries.size(), c.limit, c.hits,
-                                c.misses};
+    return SimulationCacheStats{c.entries.size(), c.hits, c.misses};
 }
 
 std::vector<RunRecord>
@@ -262,10 +156,6 @@ runCampaign(const std::vector<core::TrainConfig> &configs, int jobs,
             progress(++completed, configs.size(), records[i]);
         }
     });
-    // Between grids is the natural eviction point: every record has
-    // been copied out, and with the default unbounded limit this is a
-    // no-op, so single-grid behavior is unchanged.
-    trimSimulationCache();
     return records;
 }
 

@@ -70,11 +70,11 @@ struct CampaignSpec
 CampaignSpec campaignSpecFromArgs(const core::cli::Args &args);
 
 /**
- * Simulate @p cfg through a process-wide thread-safe memo cache.
- * Repeated calls with an equivalent configuration return the stored
- * report without re-running. The reference stays valid until the
- * next clearSimulationCache() or trimSimulationCache() eviction —
- * copy the report before either can run if it must outlive them.
+ * Simulate @p cfg through a process-wide thread-safe memo cache keyed
+ * on the TrainConfig itself (its member-wise order), so configs that
+ * differ in any field never share a report. Repeated calls with an
+ * equal configuration return the stored report without re-running.
+ * The reference stays valid until the next clearSimulationCache().
  */
 const core::TrainReport &cachedSimulate(const core::TrainConfig &cfg);
 
@@ -82,7 +82,6 @@ const core::TrainReport &cachedSimulate(const core::TrainConfig &cfg);
 struct SimulationCacheStats
 {
     std::size_t entries = 0; ///< reports currently held
-    std::size_t limit = 0;   ///< trim threshold; 0 = unbounded
     std::uint64_t hits = 0;  ///< lookups served from the cache
     std::uint64_t misses = 0; ///< simulations performed
 };
@@ -96,25 +95,6 @@ SimulationCacheStats simulationCacheStats();
  * cachedSimulate() are invalidated.
  */
 void clearSimulationCache();
-
-/**
- * Cap the cache at @p max_entries reports; 0 (the default) keeps it
- * unbounded. The cap takes effect at the next trimSimulationCache()
- * — lookups never evict, so references stay stable within a grid.
- */
-void setSimulationCacheLimit(std::size_t max_entries);
-
-/**
- * Evict oldest-inserted reports until the cache is within its limit.
- * runCampaign() calls this between grids; a no-op when unbounded.
- */
-void trimSimulationCache();
-
-/**
- * @return a cache/identity key covering every TrainConfig field that
- * can change simulation results through the CLI or campaign specs.
- */
-std::string configKey(const core::TrainConfig &cfg);
 
 /** Progress callback: (completed so far, total, finished record).
  * Called from worker threads under a lock, in completion order. */

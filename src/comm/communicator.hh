@@ -22,6 +22,7 @@
 #ifndef DGXSIM_COMM_COMMUNICATOR_HH
 #define DGXSIM_COMM_COMMUNICATOR_HH
 
+#include <compare>
 #include <functional>
 #include <memory>
 #include <span>
@@ -45,6 +46,13 @@ struct CommContext
     hw::Fabric *fabric = nullptr;
     /** Participating GPUs; gpus[0] acts as root / parameter server. */
     std::vector<hw::NodeId> gpus;
+    /**
+     * Cluster nodes the GPU set spans, node-major. When > 1 the
+     * factory wraps the selected method in the hierarchical
+     * communicator (intra-node collectives per node + inter-node
+     * phase between the node roots over the NIC fabric).
+     */
+    int nodes = 1;
     hw::GpuSpec gpuSpec;
     profiling::Profiler *profiler = nullptr; ///< optional
 };
@@ -101,14 +109,7 @@ struct CommConfig
      * per-collective setup this is the "NCCL overhead" of Table II.
      */
     double ncclIterFixedUs = 250.0;
-    /**
-     * Number of cluster nodes the GPU set spans. When > 1 the
-     * factory wraps the selected method in the hierarchical
-     * communicator (intra-node collectives per node + inter-node
-     * phase between the node roots over the NIC fabric).
-     */
-    int clusterNodes = 1;
-    /** Inter-node schedule used when clusterNodes > 1. */
+    /** Inter-node schedule used when the GPU set spans nodes. */
     NetAlgo netAlgo = NetAlgo::Ring;
     /**
      * Gradient-bucket scheduling policy (comm/scheduler.hh). The
@@ -131,6 +132,8 @@ struct CommConfig
     Compressor compression = Compressor::None;
     /** Kept-element fraction of the sparsifiers (randomk/dgc). */
     double compressRatio = 0.01;
+
+    auto operator<=>(const CommConfig &) const = default;
 };
 
 /** Base class: op queue + common context. */

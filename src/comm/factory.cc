@@ -26,7 +26,7 @@ parseCommMethod(const std::string &name)
 std::unique_ptr<Communicator>
 makeCommunicator(CommMethod method, CommContext ctx, CommConfig cfg)
 {
-    if (cfg.clusterNodes > 1) {
+    if (ctx.nodes > 1) {
         // Multi-node GPU sets automatically get the two-level
         // schedule: the selected method runs intra-node, the
         // ring/tree inter phase runs between the node roots.

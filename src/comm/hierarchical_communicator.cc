@@ -7,7 +7,7 @@ namespace dgxsim::comm {
 HierarchicalCommunicator::HierarchicalCommunicator(CommMethod inner,
                                                    CommContext ctx,
                                                    CommConfig cfg)
-    : Communicator(std::move(ctx), cfg), nodes_(cfg.clusterNodes),
+    : Communicator(std::move(ctx), cfg), nodes_(ctx_.nodes),
       algo_(cfg.netAlgo)
 {
     if (nodes_ < 1)
@@ -23,7 +23,6 @@ HierarchicalCommunicator::HierarchicalCommunicator(CommMethod inner,
     // slices never share links (each node is its own NVLink island),
     // so their collectives run concurrently.
     CommConfig icfg = cfg;
-    icfg.clusterNodes = 1;
     // Gradients are compressed once, at this (outer) layer: the inner
     // per-node collectives and the IB inter phase already carry the
     // shrunk wire bytes, so the inner comms must not encode again.

@@ -38,7 +38,7 @@ class HierarchicalCommunicator : public Communicator
      * @param inner The intra-node method (p2p or nccl), instantiated
      *        once per node over that node's GPU slice.
      * @param ctx   Node-major GPU set: gpus[k*L .. (k+1)*L) is node
-     *        k's slice (L = gpus.size() / cfg.clusterNodes).
+     *        k's slice (L = gpus.size() / ctx.nodes).
      */
     HierarchicalCommunicator(CommMethod inner, CommContext ctx,
                              CommConfig cfg = {});

@@ -182,14 +182,8 @@ class Scheduler
     /** @return true when nothing is queued or in flight. */
     bool idle() const { return queuedChunks_ == 0 && inFlightChunks_ == 0; }
 
-    /** @return chunks admitted but not yet finished. */
-    int inFlightChunks() const { return inFlightChunks_; }
-
     /** @return payload bytes admitted but not yet finished. */
     sim::Bytes inFlightBytes() const { return inFlightBytes_; }
-
-    /** @return chunks waiting in the queue. */
-    int queuedChunks() const { return queuedChunks_; }
 
   protected:
     explicit Scheduler(SchedulerLimits limits) : limits_(limits) {}

@@ -257,8 +257,12 @@ axes()
          .spell = [](const C &c) { return c.interconnect; },
          .pinned = singleNode},
         {.option = "netalgo",
-         .read = [](C &c, V v) { c.netAlgo = comm::parseNetAlgo(v); },
-         .spell = [](const C &c) -> S { return comm::netAlgoName(c.netAlgo); },
+         .read = [](C &c, V v) {
+             c.commConfig.netAlgo = comm::parseNetAlgo(v);
+         },
+         .spell = [](const C &c) -> S {
+             return comm::netAlgoName(c.commConfig.netAlgo);
+         },
          .pinned = singleNode},
         {.option = "mode",
          .read = [](C &c, V v) { c.mode = parseParallelismMode(v); },

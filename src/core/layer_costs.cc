@@ -56,13 +56,7 @@ struct CacheKey
     bool tensorCores;
     hw::GpuSpec spec;
 
-    bool
-    operator==(const CacheKey &other) const
-    {
-        return batch == other.batch &&
-               tensorCores == other.tensorCores &&
-               model == other.model && spec == other.spec;
-    }
+    bool operator==(const CacheKey &) const = default;
 };
 
 struct CostCache
@@ -112,14 +106,6 @@ layerCostsFor(const dnn::Network &net, const TrainConfig &cfg,
     }
     cache.entries.emplace_back(std::move(key), table);
     return table;
-}
-
-std::size_t
-layerCostCacheSize()
-{
-    CostCache &cache = costCache();
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return cache.entries.size();
 }
 
 void

@@ -69,9 +69,6 @@ std::shared_ptr<const LayerCostTable>
 layerCostsFor(const dnn::Network &net, const TrainConfig &cfg,
               bool cacheable);
 
-/** @return the number of cached cost tables (telemetry/tests). */
-std::size_t layerCostCacheSize();
-
 /**
  * Drop every cached table. Outstanding shared_ptr holders keep their
  * tables alive; only future lookups recompute.

@@ -8,6 +8,7 @@
 #ifndef DGXSIM_CORE_TRAIN_CONFIG_HH
 #define DGXSIM_CORE_TRAIN_CONFIG_HH
 
+#include <compare>
 #include <cstdint>
 #include <string>
 
@@ -45,6 +46,8 @@ struct MemoryModel
     double rootCommFactor = 2.0;
     /** Input mini-batch staging buffers (double buffering). */
     double datasetBuffers = 2.0;
+
+    auto operator<=>(const MemoryModel &) const = default;
 };
 
 /** One training experiment. */
@@ -65,8 +68,6 @@ struct TrainConfig
     int nodes = 1;
     /** Inter-node network, by registry name (nodes > 1 only). */
     std::string interconnect = hw::kDefaultInterconnect;
-    /** Inter-node all-reduce schedule (nodes > 1 only). */
-    comm::NetAlgo netAlgo = comm::NetAlgo::Ring;
     /** Mini-batch size per GPU (16, 32 or 64 in the paper). */
     int batchPerGpu = 16;
     /** Inter-GPU communication method. */
@@ -191,6 +192,15 @@ struct TrainConfig
     comm::CommConfig commConfig;
     /** Memory-model constants. */
     MemoryModel memoryModel;
+
+    /**
+     * Member-wise order: a config is its own simulate-cache key
+     * (campaign::cachedSimulate), so a new field joins the key with
+     * no further edit. The order is partial only through NaN, which
+     * no parser lets in: CLI options, record JSON and what-if values
+     * are finite-checked.
+     */
+    auto operator<=>(const TrainConfig &) const = default;
 
     /** @return GPUs across the whole cluster. */
     int totalGpus() const { return nodes * numGpus; }

@@ -47,12 +47,11 @@ Trainer::Trainer(TrainConfig cfg, std::optional<dnn::Network> net,
     cctx.queue = &machine_.queue();
     cctx.fabric = &machine_.fabric();
     cctx.gpus = machine_.gpus();
+    cctx.nodes = cfg_.nodes;
     cctx.gpuSpec = cfg_.gpuSpec;
     cctx.profiler = &machine_.profiler();
-    comm::CommConfig ccfg = cfg_.commConfig;
-    ccfg.clusterNodes = cfg_.nodes;
-    ccfg.netAlgo = cfg_.netAlgo;
-    comm_ = comm::makeCommunicator(cfg_.method, std::move(cctx), ccfg);
+    comm_ = comm::makeCommunicator(cfg_.method, std::move(cctx),
+                                   cfg_.commConfig);
 
     // Gradient buckets: one per weighted layer (MXNet), optionally
     // fused into larger messages (Horovod/DDP-style extension).
@@ -88,23 +87,16 @@ Trainer::issueWorker(std::size_t g)
                         net_.inputShape().bytes();
                     const hw::NodeId gpu = machine_.gpus()[g];
                     const sim::Tick start = machine_.queue().now();
-                    hw::NodeId host = -1;
-                    const hw::Topology &topo = machine_.topology();
-                    for (std::size_t l :
-                         topo.linksOf(gpu, hw::LinkType::PCIe)) {
-                        const hw::NodeId peer =
-                            topo.links()[l].peer(gpu);
-                        if (topo.nodeKind(peer) == hw::NodeKind::Cpu)
-                            host = peer;
-                    }
-                    if (host < 0)
+                    const std::optional<hw::NodeId> host =
+                        machine_.topology().hostOf(gpu);
+                    if (!host)
                         return; // no host path modeled
                     // The issuing cudaMemcpyAsync record is the copy's
                     // causal parent (host->device issue edge).
                     const profiling::CauseToken issue =
                         machine_.profiler().currentCause();
                     machine_.fabric().transfer(
-                        host, gpu, batch_bytes,
+                        *host, gpu, batch_bytes,
                         [this, gpu, batch_bytes, start, issue]() {
                             machine_.profiler().recordCopy(
                                 kHtoD, -1, gpu, batch_bytes, start,

@@ -20,9 +20,6 @@ namespace dgxsim::cuda {
 class CudaEvent
 {
   public:
-    /** @return true once signal() has been called. */
-    bool signaled() const { return signaled_; }
-
     /** Mark the event complete and release all waiters. */
     void
     signal()

@@ -75,9 +75,6 @@ class Stream
     /** @return the debug label (the kernels' profiler lane). */
     const std::string &name() const { return name_.str(); }
 
-    /** @return the owning device id. */
-    int deviceId() const { return deviceId_; }
-
   private:
     enum class OpKind { Kernel, Copy, Wait, Signal, HostFn };
 

@@ -12,6 +12,7 @@
 #ifndef DGXSIM_HW_GPU_SPEC_HH
 #define DGXSIM_HW_GPU_SPEC_HH
 
+#include <compare>
 #include <string>
 
 #include "sim/types.hh"
@@ -50,8 +51,9 @@ struct GpuSpec
      */
     double speedupFactor = 1.0;
 
-    /** Member-wise equality (platform-default detection). */
-    bool operator==(const GpuSpec &) const = default;
+    /** Member-wise comparison (platform-default detection, cache
+     * keys). */
+    auto operator<=>(const GpuSpec &) const = default;
 
     /** Tesla V100-SXM2-16GB as shipped in the Volta DGX-1. */
     static GpuSpec voltaV100();

@@ -131,41 +131,40 @@ Topology::linksOf(NodeId node, LinkType type) const
     return out;
 }
 
-namespace {
-
-/** The CPU a GPU hangs off, via its PCIe link. */
-NodeId
-hostOf(const Topology &topo, NodeId gpu)
+std::optional<NodeId>
+Topology::hostOf(NodeId gpu) const
 {
-    for (std::size_t i : topo.linksOf(gpu, LinkType::PCIe)) {
-        const Link &link = topo.links()[i];
-        NodeId peer = link.peer(gpu);
-        if (topo.nodeKind(peer) == NodeKind::Cpu)
+    for (std::size_t i : linksOf(gpu, LinkType::PCIe)) {
+        const NodeId peer = links_[i].peer(gpu);
+        if (nodeKind(peer) == NodeKind::Cpu)
             return peer;
     }
-    sim::fatal("GPU ", gpu, " has no PCIe uplink to a CPU");
+    return std::nullopt;
 }
 
+namespace {
+
 /**
- * Widest-shortest NVLink path from @p src to @p dst whose interior
- * nodes all satisfy @p relay_ok. Deterministic policy: minimize hop
- * count first, then maximize the bottleneck bandwidth, breaking ties
- * toward the smallest relay id at every layer (which reproduces the
- * historical DGX-1 "best common neighbor" choice for two-hop pairs)
- * and then the smallest link index. Paths of fewer than two hops are
- * the caller's business (loopback/direct run first); returns nullopt
- * for those and for unreachable pairs.
+ * Widest-shortest path from @p src to @p dst over the links that
+ * satisfy @p link_ok, whose interior nodes all satisfy @p relay_ok.
+ * Deterministic policy: minimize hop count first, then maximize the
+ * bottleneck bandwidth, breaking ties toward the smallest relay id at
+ * every layer (which reproduces the historical DGX-1 "best common
+ * neighbor" choice for two-hop pairs) and then the smallest link
+ * index. Returns nullopt for unreachable pairs and for paths of
+ * fewer than @p min_hops hops (the caller's business).
  */
-template <typename RelayOk>
+template <typename LinkOk, typename RelayOk>
 std::optional<Route>
-nvlinkPath(const Topology &topo, NodeId src, NodeId dst,
-           RelayOk relay_ok, RouteKind kind)
+widestShortestPath(const Topology &topo, NodeId src, NodeId dst,
+                   LinkOk link_ok, RelayOk relay_ok, int min_hops,
+                   RouteKind kind)
 {
     const int n = topo.numNodes();
     std::vector<std::vector<std::pair<NodeId, std::size_t>>> adj(n);
     for (std::size_t i = 0; i < topo.links().size(); ++i) {
         const Link &link = topo.links()[i];
-        if (link.type != LinkType::NVLink)
+        if (!link_ok(link))
             continue;
         adj[link.a].push_back({link.b, i});
         adj[link.b].push_back({link.a, i});
@@ -187,7 +186,7 @@ nvlinkPath(const Topology &topo, NodeId src, NodeId dst,
         }
         frontier = std::move(next);
     }
-    if (dist[dst] < 2)
+    if (dist[dst] < min_hops)
         return std::nullopt;
 
     // Widest-path DP across the BFS layers.
@@ -225,79 +224,19 @@ nvlinkPath(const Topology &topo, NodeId src, NodeId dst,
 }
 
 /**
- * Widest-shortest path across the host-side network (PCIe/QPI/IB
- * links whose endpoints are not GPUs) from one CPU to another.
- * Deterministic like nvlinkPath: minimize hop count, then maximize
- * bottleneck bandwidth, breaking ties toward the smallest relay id
- * and then the smallest link index. Used for inter-node routes where
- * the CPUs have no direct QPI: the path runs CPU -> NIC -> (IB
- * switch ->) NIC -> CPU.
+ * NVLink path of at least two hops (loopback and direct links run
+ * first) whose interior nodes are all of @p relay kind: switches for
+ * an NVSwitch crossbar, GPUs for a staged transfer.
  */
 std::optional<Route>
-hostNetworkPath(const Topology &topo, NodeId src, NodeId dst)
+nvlinkPath(const Topology &topo, NodeId src, NodeId dst, NodeKind relay,
+           RouteKind kind)
 {
-    const int n = topo.numNodes();
-    std::vector<std::vector<std::pair<NodeId, std::size_t>>> adj(n);
-    for (std::size_t i = 0; i < topo.links().size(); ++i) {
-        const Link &link = topo.links()[i];
-        if (link.type == LinkType::NVLink ||
-            topo.nodeKind(link.a) == NodeKind::Gpu ||
-            topo.nodeKind(link.b) == NodeKind::Gpu) {
-            continue;
-        }
-        adj[link.a].push_back({link.b, i});
-        adj[link.b].push_back({link.a, i});
-    }
-
-    std::vector<int> dist(n, -1);
-    dist[src] = 0;
-    std::vector<NodeId> frontier{src};
-    while (!frontier.empty() && dist[dst] < 0) {
-        std::vector<NodeId> next;
-        for (NodeId u : frontier) {
-            for (const auto &[v, li] : adj[u]) {
-                if (dist[v] >= 0)
-                    continue;
-                dist[v] = dist[u] + 1;
-                next.push_back(v);
-            }
-        }
-        frontier = std::move(next);
-    }
-    if (dist[dst] < 0)
-        return std::nullopt;
-
-    std::vector<double> widest(n, -1.0);
-    std::vector<NodeId> pred(n, -1);
-    std::vector<std::size_t> pred_link(n, 0);
-    widest[src] = std::numeric_limits<double>::infinity();
-    for (int d = 1; d <= dist[dst]; ++d) {
-        for (NodeId v = 0; v < n; ++v) {
-            if (dist[v] != d)
-                continue;
-            for (const auto &[u, li] : adj[v]) {
-                if (dist[u] != d - 1 || widest[u] < 0)
-                    continue;
-                const double bw = std::min(
-                    widest[u], topo.links()[li].gbpsPerDir());
-                if (bw > widest[v] ||
-                    (bw == widest[v] && u < pred[v])) {
-                    widest[v] = bw;
-                    pred[v] = u;
-                    pred_link[v] = li;
-                }
-            }
-        }
-    }
-    if (widest[dst] < 0)
-        return std::nullopt;
-
-    Route route;
-    route.kind = RouteKind::InterNode;
-    for (NodeId v = dst; v != src; v = pred[v])
-        route.legs.push_back(RouteLeg{pred[v], v, pred_link[v]});
-    std::reverse(route.legs.begin(), route.legs.end());
-    return route;
+    return widestShortestPath(
+        topo, src, dst,
+        [](const Link &link) { return link.type == LinkType::NVLink; },
+        [&topo, relay](NodeId v) { return topo.nodeKind(v) == relay; },
+        2, kind);
 }
 
 } // namespace
@@ -309,10 +248,7 @@ Topology::nvlinkConnected(NodeId a, NodeId b) const
         return true;
     if (directLink(a, b, LinkType::NVLink))
         return true;
-    return nvlinkPath(*this, a, b,
-                      [this](NodeId n) {
-                          return nodeKind(n) == NodeKind::Switch;
-                      },
+    return nvlinkPath(*this, a, b, NodeKind::Switch,
                       RouteKind::SwitchNvlink)
         .has_value();
 }
@@ -352,30 +288,28 @@ Topology::resolveRoute(NodeId src, NodeId dst) const
         }
         // NVSwitch crossbar traversal: an NVLink path whose interior
         // nodes are all switches (no GPU relay, no host staging).
-        if (auto via_switch = nvlinkPath(
-                *this, src, dst,
-                [this](NodeId n) {
-                    return nodeKind(n) == NodeKind::Switch;
-                },
-                RouteKind::SwitchNvlink)) {
+        if (auto via_switch = nvlinkPath(*this, src, dst, NodeKind::Switch,
+                                         RouteKind::SwitchNvlink)) {
             return *via_switch;
         }
         // Staged transfer relayed through intermediate GPUs, e.g.
         // MXNet's two-hop GPU0->GPU1->GPU7 on the DGX-1.
-        if (auto staged = nvlinkPath(
-                *this, src, dst,
-                [this](NodeId n) {
-                    return nodeKind(n) == NodeKind::Gpu;
-                },
-                RouteKind::StagedNvlink)) {
+        if (auto staged = nvlinkPath(*this, src, dst, NodeKind::Gpu,
+                                     RouteKind::StagedNvlink)) {
             return *staged;
         }
     }
 
     // Host path: src -> hostOf(src) [-> QPI ->] hostOf(dst) -> dst.
     route.kind = RouteKind::HostPcie;
-    NodeId src_host = src_gpu ? hostOf(*this, src) : src;
-    NodeId dst_host = dst_gpu ? hostOf(*this, dst) : dst;
+    const auto uplink = [this](NodeId gpu) {
+        const std::optional<NodeId> host = hostOf(gpu);
+        if (!host)
+            sim::fatal("GPU ", gpu, " has no PCIe uplink to a CPU");
+        return *host;
+    };
+    const NodeId src_host = src_gpu ? uplink(src) : src;
+    const NodeId dst_host = dst_gpu ? uplink(dst) : dst;
     if (src_gpu) {
         auto pcie = directLink(src, src_host, LinkType::PCIe);
         if (!pcie)
@@ -386,10 +320,18 @@ Topology::resolveRoute(NodeId src, NodeId dst) const
         auto qpi = directLink(src_host, dst_host, LinkType::QPI);
         if (qpi) {
             route.legs.push_back(RouteLeg{src_host, dst_host, *qpi});
-        } else if (auto inter =
-                       hostNetworkPath(*this, src_host, dst_host)) {
+        } else if (auto inter = widestShortestPath(
+                       *this, src_host, dst_host,
+                       [this](const Link &link) {
+                           return link.type != LinkType::NVLink &&
+                                  nodeKind(link.a) != NodeKind::Gpu &&
+                                  nodeKind(link.b) != NodeKind::Gpu;
+                       },
+                       [](NodeId) { return true; }, 1,
+                       RouteKind::InterNode)) {
             // CPUs on different cluster nodes: relay through the
-            // host network (PCIe to the NIC, IB to the peer NIC).
+            // host network (PCIe to the NIC, IB to the peer NIC,
+            // across an IB switch) when they share no QPI link.
             route.kind = RouteKind::InterNode;
             for (const RouteLeg &leg : inter->legs)
                 route.legs.push_back(leg);

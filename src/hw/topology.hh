@@ -175,6 +175,9 @@ class Topology
     /** @return indices of all links touching @p node of @p type. */
     std::vector<std::size_t> linksOf(NodeId node, LinkType type) const;
 
+    /** @return the CPU @p gpu hangs off by PCIe; nullopt for none. */
+    std::optional<NodeId> hostOf(NodeId gpu) const;
+
     /**
      * @return true if the two nodes can talk over NVLink without any
      * GPU relay or host staging: either a direct NVLink or a path

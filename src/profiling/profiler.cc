@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <iomanip>
-#include <fstream>
 #include <sstream>
 
-#include "sim/logging.hh"
 #include "sim/suggest.hh"
 
 namespace dgxsim::profiling {
@@ -338,15 +336,6 @@ Profiler::chromeTrace() const
     }
     os << "\n]}\n";
     return os.str();
-}
-
-void
-Profiler::writeChromeTrace(const std::string &path) const
-{
-    std::ofstream file(path);
-    if (!file)
-        sim::fatal("cannot open trace file ", path);
-    file << chromeTrace();
 }
 
 } // namespace dgxsim::profiling

@@ -424,9 +424,6 @@ class Profiler
      */
     std::string chromeTrace() const;
 
-    /** Write chromeTrace() to @p path (fatal on I/O failure). */
-    void writeChromeTrace(const std::string &path) const;
-
     /**
      * Fold every record into an order-sensitive FNV-1a digest. Two
      * runs of the same configuration must produce identical digests;

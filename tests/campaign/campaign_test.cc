@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "campaign/campaign.hh"
@@ -123,12 +124,11 @@ TEST(Campaign, CachedSimulateReturnsStableReference)
 
 TEST(Campaign, ConfigKeySeparatesEveryCliAxis)
 {
-    core::TrainConfig cfg;
-    const std::string base = configKey(cfg);
+    const core::TrainConfig base;
     auto differs = [&](auto mutate) {
         core::TrainConfig copy;
         mutate(copy);
-        return configKey(copy) != base;
+        return copy != base;
     };
     EXPECT_TRUE(differs([](auto &c) { c.model = "lenet"; }));
     EXPECT_TRUE(differs([](auto &c) { c.numGpus = 8; }));
@@ -166,28 +166,25 @@ TEST(Campaign, TimingOnlyEntryNeverServesAFullRun)
     EXPECT_EQ(full.epochSeconds, fast.epochSeconds);
 }
 
-TEST(Campaign, ConfigKeyNeverTruncatesLongNames)
+TEST(Campaign, EveryGpuSpecFieldKeepsItsOwnEntry)
 {
-    // Regression test: configKey used to snprintf into a fixed
-    // 768-byte buffer without checking the return value, so two
-    // configs whose keys differed only past the truncation point
-    // collided in the memo cache and returned each other's reports.
-    const std::string pad(800, 'x');
-    core::TrainConfig a;
-    a.model = pad + "-alpha";
-    core::TrainConfig b;
-    b.model = pad + "-beta";
-    const std::string ka = configKey(a);
-    const std::string kb = configKey(b);
-    EXPECT_NE(ka, kb);
-    EXPECT_NE(ka.find("alpha"), std::string::npos)
-        << "key must contain the full model name";
-    // The differing axis can sit past the old buffer size on any
-    // field, not just the model.
-    core::TrainConfig c = a;
-    core::TrainConfig d = a;
-    d.platform = "dgx2";
-    EXPECT_NE(configKey(c), configKey(d));
+    // Every GpuSpec field steers the kernel model, so a config that
+    // differs from the stock V100 in one of them (here the per-kernel
+    // tail) must miss and get its own report.
+    clearSimulationCache();
+    core::TrainConfig cfg;
+    cfg.model = "alexnet";
+    cfg.numGpus = 4;
+    const core::TrainReport &stock = cachedSimulate(cfg);
+    core::TrainConfig tailless = cfg;
+    tailless.gpuSpec.kernelTailUs = 0;
+    const core::TrainReport &cached = cachedSimulate(tailless);
+    EXPECT_EQ(simulationCacheStats().misses, 2u);
+    EXPECT_EQ(simulationCacheStats().entries, 2u);
+    const core::TrainReport direct = core::TrainerBase::simulate(tailless);
+    EXPECT_EQ(cached.epochSeconds, direct.epochSeconds);
+    EXPECT_EQ(cached.digest, direct.digest);
+    EXPECT_NE(cached.epochSeconds, stock.epochSeconds);
 }
 
 TEST(Campaign, CacheClearDropsEntriesAndResetsStats)
@@ -211,55 +208,6 @@ TEST(Campaign, CacheClearDropsEntriesAndResetsStats)
     // After a clear the same config re-simulates (fresh miss).
     cachedSimulate(cfg);
     EXPECT_EQ(simulationCacheStats().misses, 1u);
-}
-
-TEST(Campaign, CacheLimitEvictsOldestEntriesFirst)
-{
-    clearSimulationCache();
-    setSimulationCacheLimit(2);
-    core::TrainConfig cfg;
-    cfg.model = "lenet";
-    cfg.numGpus = 1;
-    for (int batch : {16, 32, 64})
-        (void)cachedSimulate(
-            [&] {
-                cfg.batchPerGpu = batch;
-                return cfg;
-            }());
-    EXPECT_EQ(simulationCacheStats().entries, 3u)
-        << "trim is explicit, not per-insert";
-    trimSimulationCache();
-    EXPECT_EQ(simulationCacheStats().entries, 2u);
-    // FIFO: the first-inserted config (b16) was evicted, so asking
-    // for it again is a miss while b64 is still a hit.
-    const auto missesBefore = simulationCacheStats().misses;
-    cfg.batchPerGpu = 64;
-    cachedSimulate(cfg);
-    EXPECT_EQ(simulationCacheStats().misses, missesBefore);
-    cfg.batchPerGpu = 16;
-    cachedSimulate(cfg);
-    EXPECT_EQ(simulationCacheStats().misses, missesBefore + 1);
-    // Restore defaults for the rest of the suite: unbounded.
-    setSimulationCacheLimit(0);
-    clearSimulationCache();
-}
-
-TEST(Campaign, UnboundedDefaultMakesTrimANoOp)
-{
-    clearSimulationCache();
-    setSimulationCacheLimit(0);
-    core::TrainConfig cfg;
-    cfg.model = "lenet";
-    cfg.numGpus = 1;
-    for (int batch : {16, 32, 64})
-        (void)cachedSimulate([&] {
-            cfg.batchPerGpu = batch;
-            return cfg;
-        }());
-    trimSimulationCache(); // what runCampaign calls between grids
-    EXPECT_EQ(simulationCacheStats().entries, 3u)
-        << "single-grid behavior must not change at the default";
-    clearSimulationCache();
 }
 
 TEST(CampaignSpec, PlatformAxisIsOutermost)
@@ -322,16 +270,21 @@ TEST(CampaignSpec, EveryAxisGridKeepsItsCellsInOrder)
     // nodes, 2 x 2 (interconnect x netalgo) x 8 sync cells only.
     const auto cells = everyAxisSpec().expand();
     ASSERT_EQ(cells.size(), 90u);
-    // FNV-1a over the ordered configKeys, one per line, pinned from
-    // the expansion that predates the axis table.
+    // FNV-1a over each cell's axis spellings, each followed by '|',
+    // one cell per line: every cell's axis values, in grid order.
     std::uint64_t digest = 0xcbf29ce484222325ull;
-    for (const core::TrainConfig &cell : cells) {
-        for (char c : configKey(cell) + "\n") {
+    const auto fold = [&digest](const std::string &text) {
+        for (char c : text) {
             digest ^= static_cast<unsigned char>(c);
             digest *= 0x100000001b3ull;
         }
+    };
+    for (const core::TrainConfig &cell : cells) {
+        for (const core::cli::AxisRow &row : core::cli::axes())
+            fold(row.spell(cell) + "|");
+        fold("\n");
     }
-    EXPECT_EQ(digest, 0xa8ca1035361a85dfull);
+    EXPECT_EQ(digest, 0x0ed320cc825e1543ull);
 }
 
 TEST(CampaignSpec, OneValueListReadsLikeTheScalarOption)
@@ -362,11 +315,13 @@ TEST(CampaignSpec, OneValueListReadsLikeTheScalarOption)
         {Axis::Compression, {"dgc", "onebit", "zip"}},
     };
     ASSERT_EQ(rows.size(), core::cli::kAxisCount);
-    const auto outcome = [](auto build) -> std::string {
+    // nullopt: the value was rejected.
+    const auto outcome =
+        [](auto build) -> std::optional<core::TrainConfig> {
         try {
-            return configKey(build());
+            return build();
         } catch (const sim::FatalError &) {
-            return "rejected";
+            return std::nullopt;
         }
     };
     for (const Row &row : rows) {
@@ -386,16 +341,16 @@ TEST(CampaignSpec, OneValueListReadsLikeTheScalarOption)
                 tokens.push_back(v);
             }
             const core::cli::Args args = core::cli::Args::parse(tokens);
-            const std::string scalar =
+            const std::optional<core::TrainConfig> scalar =
                 outcome([&] { return core::cli::configFromArgs(args); });
-            const std::string grid = outcome([&] {
+            const std::optional<core::TrainConfig> grid = outcome([&] {
                 const auto cells = campaignSpecFromArgs(args).expand();
                 EXPECT_EQ(cells.size(), 1u) << option << " " << value;
                 return cells.front();
             });
-            EXPECT_EQ(scalar, grid) << "--" << option << " " << value;
+            EXPECT_TRUE(scalar == grid) << "--" << option << " " << value;
             if (value == row.values.front()) {
-                EXPECT_NE(scalar, "rejected") << "--" << option;
+                EXPECT_TRUE(scalar.has_value()) << "--" << option;
             }
         }
     }
@@ -408,8 +363,7 @@ TEST(CampaignSpec, RecordsGiveBackEveryAxis)
         report.config = cell;
         // The depth a run reports: each staged cell names its own.
         report.microbatches = cell.microbatches;
-        EXPECT_EQ(configKey(recordFromReport(report).toConfig()),
-                  configKey(cell));
+        EXPECT_TRUE(recordFromReport(report).toConfig() == cell);
     }
 }
 

@@ -46,16 +46,16 @@ class HierarchicalTest : public ::testing::Test
         c.queue = &queue;
         c.fabric = fabric.get();
         c.gpus = cluster->gpuSet(gpus_per_node);
+        c.nodes = nodes;
         c.gpuSpec = hw::GpuSpec::voltaV100();
         c.profiler = &prof;
         return c;
     }
 
     static CommConfig
-    cfg(int nodes, NetAlgo algo = NetAlgo::Ring)
+    cfg(NetAlgo algo = NetAlgo::Ring)
     {
         CommConfig c;
-        c.clusterNodes = nodes;
         c.netAlgo = algo;
         return c;
     }
@@ -77,20 +77,20 @@ class HierarchicalTest : public ::testing::Test
 TEST_F(HierarchicalTest, FactoryDispatchesOnClusterNodes)
 {
     auto hier =
-        comm::makeCommunicator(CommMethod::NCCL, ctx(2, 2), cfg(2));
+        comm::makeCommunicator(CommMethod::NCCL, ctx(2, 2), cfg());
     EXPECT_EQ(hier->name(), "hier-nccl-ring");
     auto flat =
-        comm::makeCommunicator(CommMethod::NCCL, ctx(1, 2), cfg(1));
+        comm::makeCommunicator(CommMethod::NCCL, ctx(1, 2), cfg());
     EXPECT_EQ(flat->name(), "nccl");
     auto tree = comm::makeCommunicator(
-        CommMethod::P2P, ctx(2, 2), cfg(2, NetAlgo::Tree));
+        CommMethod::P2P, ctx(2, 2), cfg(NetAlgo::Tree));
     EXPECT_EQ(tree->name(), "hier-p2p-tree");
 }
 
 TEST_F(HierarchicalTest, NodeMajorSlicesAndRoots)
 {
     comm::HierarchicalCommunicator hier(CommMethod::NCCL, ctx(4, 2),
-                                        cfg(4));
+                                        cfg());
     EXPECT_EQ(hier.gpusPerNode(), 2);
     ASSERT_EQ(hier.roots().size(), 4u);
     const std::vector<hw::NodeId> gpus = cluster->gpuSet(2);
@@ -101,7 +101,7 @@ TEST_F(HierarchicalTest, NodeMajorSlicesAndRoots)
 TEST_F(HierarchicalTest, CollectivesCompleteOnRing)
 {
     comm::HierarchicalCommunicator hier(CommMethod::NCCL, ctx(2, 4),
-                                        cfg(2));
+                                        cfg());
     int done = 0;
     hier.reduce(16u << 20, [&] { ++done; });
     hier.broadcast(16u << 20, [&] { ++done; });
@@ -115,7 +115,7 @@ TEST_F(HierarchicalTest, CollectivesCompleteOnRing)
 TEST_F(HierarchicalTest, TreeHandlesNonPowerOfTwoNodes)
 {
     comm::HierarchicalCommunicator hier(
-        CommMethod::NCCL, ctx(3, 2), cfg(3, NetAlgo::Tree));
+        CommMethod::NCCL, ctx(3, 2), cfg(NetAlgo::Tree));
     int done = 0;
     hier.reduce(8u << 20, [&] { ++done; });
     hier.allReduce(8u << 20, [&] { ++done; });
@@ -132,7 +132,7 @@ TEST_F(HierarchicalTest, RingAllReduceMovesTheExactIbPayload)
     const int nodes = 4;
     const sim::Bytes bytes = 4u << 20;
     comm::HierarchicalCommunicator hier(CommMethod::NCCL,
-                                        ctx(nodes, 1), cfg(nodes));
+                                        ctx(nodes, 1), cfg());
     hier.allReduce(bytes, nullptr);
     queue.run();
     EXPECT_EQ(prof.copiedBytes("IB"),
@@ -148,7 +148,7 @@ TEST_F(HierarchicalTest, FlowIsConservedAcrossTheSwitch)
     // breaks the equality.
     const int nodes = 4;
     comm::HierarchicalCommunicator hier(CommMethod::NCCL,
-                                        ctx(nodes, 2), cfg(nodes));
+                                        ctx(nodes, 2), cfg());
     hier.allReduce(12u << 20, nullptr);
     hier.reduce(3u << 20, nullptr);
     queue.run();
@@ -162,7 +162,7 @@ TEST_F(HierarchicalTest, AuditedAllReduceHoldsEveryInvariant)
 {
     CommContext c = ctx(2, 4);
     sim::Auditor *audit = fabric->enableAudit();
-    comm::HierarchicalCommunicator hier(CommMethod::NCCL, c, cfg(2));
+    comm::HierarchicalCommunicator hier(CommMethod::NCCL, c, cfg());
     hier.allReduce(16u << 20, nullptr);
     queue.run();
     audit->checkQuiescent(queue, fabric->flows());
@@ -179,7 +179,7 @@ TEST_F(HierarchicalTest, RingAndTreeScheduleDifferently)
     sim::Tick ring_end = 0, tree_end = 0;
     {
         comm::HierarchicalCommunicator hier(CommMethod::NCCL,
-                                            ctx(4, 1), cfg(4));
+                                            ctx(4, 1), cfg());
         hier.allReduce(bytes, [&] { ring_end = queue.now(); });
         queue.run();
     }
@@ -193,10 +193,11 @@ TEST_F(HierarchicalTest, RingAndTreeScheduleDifferently)
         c.queue = &q2;
         c.fabric = &f2;
         c.gpus = cl.gpuSet(1);
+        c.nodes = 4;
         c.gpuSpec = hw::GpuSpec::voltaV100();
         c.profiler = &p2;
         comm::HierarchicalCommunicator hier(CommMethod::NCCL, c,
-                                            cfg(4, NetAlgo::Tree));
+                                            cfg(NetAlgo::Tree));
         hier.allReduce(bytes, [&] { tree_end = q2.now(); });
         q2.run();
         // Both schedules move 2*(N-1)*bytes in total at N=4; only
@@ -214,7 +215,7 @@ TEST_F(HierarchicalTest, BadShapesAreFatal)
     CommContext c = ctx(2, 2);
     c.gpus.pop_back();
     EXPECT_THROW(
-        (comm::HierarchicalCommunicator{CommMethod::NCCL, c, cfg(2)}),
+        (comm::HierarchicalCommunicator{CommMethod::NCCL, c, cfg()}),
         sim::FatalError);
 }
 

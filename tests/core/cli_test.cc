@@ -7,7 +7,6 @@
 
 #include <map>
 
-#include "campaign/campaign.hh"
 #include "core/cli.hh"
 #include "sim/logging.hh"
 
@@ -178,14 +177,13 @@ TEST(CliConfigTest, EveryBaseOptionIsRead)
         {"async-iters", "7"},      {"rings", "2"},
         {"partition-bytes", "1m"}, {"credit-bytes", "1m"},
         {"compress-ratio", "0.5"}};
-    const std::string plain =
-        campaign::configKey(core::cli::baseConfigFromArgs(Args::parse({})));
+    const core::TrainConfig plain =
+        core::cli::baseConfigFromArgs(Args::parse({}));
     for (const std::string &name : core::cli::baseOptions()) {
         const auto it = values.find(name);
         const Args args = Args::parse(
             {"--" + name, it == values.end() ? "" : it->second});
-        EXPECT_NE(campaign::configKey(core::cli::baseConfigFromArgs(args)),
-                  plain)
+        EXPECT_TRUE(core::cli::baseConfigFromArgs(args) != plain)
             << "--" << name;
     }
 }
@@ -194,8 +192,7 @@ TEST(CliConfigTest, AxesDefaultToTheTrainConfigButFourGpus)
 {
     core::TrainConfig expected;
     expected.numGpus = 4;
-    EXPECT_EQ(campaign::configKey(core::cli::configFromArgs(Args::parse({}))),
-              campaign::configKey(expected));
+    EXPECT_TRUE(core::cli::configFromArgs(Args::parse({})) == expected);
 }
 
 TEST(CliConfigTest, P100FlagSwapsTheGpu)

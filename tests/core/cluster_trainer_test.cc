@@ -62,7 +62,7 @@ TEST(ClusterTrainerTest, OneNodeClusterReplaysThePlatformHistory)
     const TrainConfig plain = clusterConfig("lenet", 1, 4);
     TrainConfig dressed = plain;
     dressed.interconnect = "ib400";
-    dressed.netAlgo = comm::NetAlgo::Tree;
+    dressed.commConfig.netAlgo = comm::NetAlgo::Tree;
     dressed.ibBwScale = 4.0; // no IB links to scale
     EXPECT_EQ(core::runDigest(plain), core::runDigest(dressed));
 
@@ -101,7 +101,7 @@ TEST(ClusterTrainerTest, ClusterAxesReplayDistinctHistories)
     // event history.
     const TrainConfig ring = clusterConfig("lenet", 4, 1);
     TrainConfig tree = ring;
-    tree.netAlgo = comm::NetAlgo::Tree;
+    tree.commConfig.netAlgo = comm::NetAlgo::Tree;
     TrainConfig fat = ring;
     fat.interconnect = "ib400";
     TrainConfig fewer = clusterConfig("lenet", 2, 1);

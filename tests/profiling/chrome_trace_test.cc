@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "campaign/record.hh"
 #include "core/trainer_base.hh"
 #include "profiling/profiler.hh"
 
@@ -121,7 +122,7 @@ TEST(ChromeTraceTest, WritesFile)
     Profiler p;
     p.recordKernel(Name("k"), 0, 0, 1000);
     const std::string path = "/tmp/dgxsim_trace_test.json";
-    p.writeChromeTrace(path);
+    campaign::writeFile(path, p.chromeTrace());
     std::ifstream in(path);
     ASSERT_TRUE(in.good());
     std::string contents((std::istreambuf_iterator<char>(in)),

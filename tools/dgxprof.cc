@@ -194,16 +194,12 @@ cmdTrain(const Args &args)
         std::printf("\n%s", trainer.profiler().report().c_str());
     if (args.has("trace")) {
         const std::string path = args.get("trace", "trace.json");
-        trainer.profiler().writeChromeTrace(path);
+        campaign::writeFile(path, trainer.profiler().chromeTrace());
         std::printf("trace written to %s\n", path.c_str());
     }
     if (args.has("csv")) {
         const std::string path = args.get("csv", "profile.csv");
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        if (!f)
-            sim::fatal("cannot open ", path);
-        std::fputs(trainer.profiler().csv().c_str(), f);
-        std::fclose(f);
+        campaign::writeFile(path, trainer.profiler().csv());
         std::printf("profile CSV written to %s\n", path.c_str());
     }
     return 0;
@@ -322,7 +318,7 @@ cmdAnalyze(const Args &args)
     }
     if (args.has("trace")) {
         const std::string path = args.get("trace", "trace.json");
-        trainer->profiler().writeChromeTrace(path);
+        campaign::writeFile(path, trainer->profiler().chromeTrace());
         std::printf("trace written to %s\n", path.c_str());
     }
 
